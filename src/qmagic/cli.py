@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ from .obstruction import (
     CertificateNotFound,
     CertificateSearchInconclusive,
     CertificationFailed,
+    NotDefinedForSmallN,
     build_obstruction,
     certify_with_ladder,
     check_mconv_obstruction,
@@ -75,6 +77,22 @@ MAX_WORKERS = 4
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on bad arguments, so they get a JSON report too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for --eps: a finite number greater than zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _pairing_str(value) -> str:
@@ -419,7 +437,7 @@ def cmd_find_certificate(args, report: RunReport) -> int:
     out = args.out or path.with_suffix(".cert.json")
     dump_json(certificate_to_json(cert, square=square), out)
     verification = verify_certificate(cert, square)
-    report.verdicts[str(path)] = "certified"
+    report.verdicts[str(path)] = "certified" if verification["ok"] else "inconclusive"
     report.certificates.append(str(out))
     report.details["pairings"] = {
         label: _pairing_str(value) for label, value in cert.pairings.items()
@@ -432,6 +450,9 @@ def cmd_find_certificate(args, report: RunReport) -> int:
     }
     approx = float(GaussianRational._coerce(cert.pairings["B0"]).re)
     _human(f"{path}: exact certificate written to {out} (trace vs B0 = {approx:.6e})")
+    if not verification["ok"]:
+        _human(f"{path}: the written certificate does not re-verify")
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -563,7 +584,7 @@ def cmd_reproduce(args, report: RunReport) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmagic",
         description="Magic squares over matrix algebras: membership checks and certificates.",
     )
@@ -573,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         if inputs:
             p.add_argument("inputs", nargs=inputs, help="input file(s) or directory")
-        p.add_argument("--eps", type=float, default=None, help="numeric tolerance")
+        p.add_argument("--eps", type=_positive_float, default=None, help="numeric tolerance")
         p.add_argument("--out", type=Path, default=None, help="output file")
         p.add_argument("--jobs", type=int, default=MAX_WORKERS, help="parallel jobs for batches")
         if needs_square_flags:
@@ -614,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--square", type=Path, default=None, help="square file (overrides embedded)")
     rep = sub.add_parser("reproduce", help="rerun a scripted headline scenario")
     rep.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
-    rep.add_argument("--eps", type=float, default=None)
+    rep.add_argument("--eps", type=_positive_float, default=None)
     rep.add_argument("--out", type=Path, default=None)
     rep.add_argument("--max-denominator", type=int, default=None)
     rep.set_defaults(handler=cmd_reproduce)
@@ -622,33 +643,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    report = RunReport(command=argv[0] if argv else "")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
+        args = _build_parser().parse_args(argv)
+    except UsageError as err:
+        return _refuse(report, "error", err, EXIT_USAGE)
+    except SystemExit as err:  # --help
         return EXIT_USAGE if err.code else EXIT_OK
     if args.command == "verify-certificate":
         args.inputs = [args.certificate]
-    report = RunReport(command=args.command)
+    report.command = args.command
     start = time.perf_counter()
     try:
         code = args.handler(args, report)
-    except (UsageError, FormatError, NotDoublyStochastic, TooLarge, OSError) as err:
-        _human(f"error: {err}")
-        report.verdicts["error"] = str(err)
-        print_json(report)
-        return EXIT_USAGE
+    except (
+        UsageError, FormatError, NotDoublyStochastic, TooLarge, NotDefinedForSmallN, OSError
+    ) as err:
+        return _refuse(report, "error", err, EXIT_USAGE)
     except BoundViolated as err:
-        _human(f"interior bound violated: {err}")
-        report.verdicts["error"] = str(err)
-        print_json(report)
-        return EXIT_INCONCLUSIVE
+        return _refuse(report, "interior bound violated", err, EXIT_INCONCLUSIVE)
     except InvalidMagicSquare as err:
-        _human(f"input is not a magic square: {err}")
-        report.verdicts["error"] = str(err)
-        print_json(report)
-        return EXIT_USAGE
+        return _refuse(report, "input is not a magic square", err, EXIT_USAGE)
     report.timings["total"] = round(time.perf_counter() - start, 4)
+    print_json(report)
+    return code
+
+
+def _refuse(report: RunReport, what: str, err: Exception, code: int) -> int:
+    """Report an error in the JSON report and on stderr, and return `code`."""
+    _human(f"{what}: {err}")
+    report.verdicts["error"] = str(err)
     print_json(report)
     return code
 

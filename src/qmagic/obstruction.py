@@ -29,6 +29,9 @@ infeasibility certificate for either pencil proves that A is not in the
 matrix convex hull.  Certificates are located numerically and then
 re-verified over Q[i]: a Hermitian Y >= 0 with trace(Y B_j) = 0 for
 every direction B_j and trace(Y B_0) < 0, all in exact arithmetic.
+The directions depend only on (n, s, mode) and have Gaussian-integer
+entries: they are stored once, as complex numpy arrays, and converted
+exactly to Q[i] on demand, where a certificate is checked.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -37,6 +40,7 @@ reports that this particular obstruction is silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -93,6 +97,35 @@ class CertificationFailed(ValueError):
         self.margin = margin
 
 
+# -- the two representations -------------------------------------------------
+#
+# Exact squares give ExactMatrix results over Q[i], float squares complex
+# arrays.  These helpers are the only places where the two differ.
+
+
+def _identity(s: int, exact: bool):
+    return ExactMatrix.identity(s) if exact else np.eye(s)
+
+
+def _zeros(s: int, exact: bool):
+    return ExactMatrix.zeros(s, s) if exact else np.zeros((s, s), dtype=np.complex128)
+
+
+def _assemble(grid, exact: bool):
+    return ExactMatrix.from_blocks(grid) if exact else np.block(grid)
+
+
+def _adjoint(m):
+    return m.h if isinstance(m, ExactMatrix) else m.conj().T
+
+
+def _vanishes(m, ref) -> bool:
+    """m == 0 exactly, or within 1e-8 relative to the size of `ref` for floats."""
+    if isinstance(m, ExactMatrix):
+        return m.is_zero()
+    return float(np.abs(m).max()) <= 1e-8 * (1.0 + float(np.abs(ref).max()))
+
+
 # -- stacked column, block diagonal, phi, psi --------------------------------
 
 
@@ -102,32 +135,20 @@ def col_and_diag(a: MagicSquare):
     Exact squares give exact matrices, float squares give complex arrays.
     """
     n, s = a.n, a.s
-    if a.exact:
-        col = ExactMatrix.from_blocks(
-            [[a.block(i, j)] for i in range(n) for j in range(n)]
-        )
-        diag = ExactMatrix.block_diag(
-            a.block(i, j) for i in range(n) for j in range(n)
-        )
-        return col, diag
-    d = n * n * s
-    col = np.zeros((d, s), dtype=np.complex128)
-    diag = np.zeros((d, d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            blk = np.asarray(a.block(i, j))
-            r = (i * n + j) * s
-            col[r : r + s, :] = blk
-            diag[r : r + s, r : r + s] = blk
+    blocks = [a.block(i, j) for i in range(n) for j in range(n)]
+    zero = _zeros(s, a.exact)
+    col = _assemble([[b] for b in blocks], a.exact)
+    diag = _assemble(
+        [[b if p == q else zero for q in range(n * n)] for p, b in enumerate(blocks)],
+        a.exact,
+    )
     return col, diag
 
 
 def phi_matrix(a: MagicSquare):
     """diag(A) - col(A) col(A)*, Hermitian of size n^2 s."""
     col, diag = col_and_diag(a)
-    if a.exact:
-        return diag - col @ col.h
-    return diag - col @ col.conj().T
+    return diag - col @ _adjoint(col)
 
 
 def psi_matrix(a: MagicSquare):
@@ -142,31 +163,11 @@ def psi_matrix(a: MagicSquare):
     alpha = Fraction(1, (n - 1) * (n - 2))
     beta = Fraction(n - 1, n * (n - 2))
     gamma = Fraction(1, n * (n - 2))
-    d = n * n * s
-    if a.exact:
-        eye = ExactMatrix.identity(s)
-        grid = [[GaussianRational(0)] * d for _ in range(d)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        if k == l:
-                            continue
-                        blk = (
-                            (-alpha) * eye
-                            + beta * (a.block(i, k) + a.block(j, l))
-                            + gamma * (a.block(i, l) + a.block(j, k))
-                        )
-                        r0 = (i * n + k) * s
-                        c0 = (j * n + l) * s
-                        for r in range(s):
-                            for c in range(s):
-                                grid[r0 + r][c0 + c] = blk[r, c]
-        return ExactMatrix(grid)
-    out = np.zeros((d, d), dtype=np.complex128)
-    eye = np.eye(s)
+    if not a.exact:
+        alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    eye = _identity(s, a.exact)
+    zero = _zeros(s, a.exact)
+    grid = [[zero] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -175,30 +176,23 @@ def psi_matrix(a: MagicSquare):
                 for l in range(n):
                     if k == l:
                         continue
-                    blk = (
-                        -float(alpha) * eye
-                        + float(beta) * (np.asarray(a.block(i, k)) + np.asarray(a.block(j, l)))
-                        + float(gamma) * (np.asarray(a.block(i, l)) + np.asarray(a.block(j, k)))
+                    grid[i * n + k][j * n + l] = (
+                        -alpha * eye
+                        + beta * (a.block(i, k) + a.block(j, l))
+                        + gamma * (a.block(i, l) + a.block(j, k))
                     )
-                    out[(i * n + k) * s : (i * n + k + 1) * s,
-                        (j * n + l) * s : (j * n + l + 1) * s] = blk
-    return out
+    return _assemble(grid, a.exact)
 
 
 # -- variable spaces ---------------------------------------------------------
-
-
-def _unit(n: int, i: int, j: int) -> ExactMatrix:
-    return ExactMatrix(
-        [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-    )
 
 
 def z_basis(n: int) -> list[ExactMatrix]:
     """Basis of the zero-diagonal matrices: E_ij for i != j, lex order."""
     if n < 2:
         raise NotDefinedForSmallN(f"zero-diagonal space is trivial for n={n}")
-    return [_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return [ExactMatrix([[int((r, c) == ij) for c in range(n)] for r in range(n)]) for ij in slots]
 
 
 def ze_basis(n: int) -> list[ExactMatrix]:
@@ -243,26 +237,38 @@ def _hermitian_generator_3() -> ExactMatrix:
 # -- the two pencils ---------------------------------------------------------
 
 
+def _exact_gaussian_integers(m: np.ndarray) -> ExactMatrix:
+    """The exact copy of a complex array whose entries are Gaussian integers."""
+    if not np.array_equal(m, np.round(m)):
+        raise ValueError("direction has an entry that is not a Gaussian integer")
+    return ExactMatrix([[(int(z.real), int(z.imag)) for z in row] for row in m.tolist()])
+
+
 @dataclass(frozen=True)
 class ObstructionProblem:
     """A feasibility pencil B_0 + sum_j x_j B_j >= 0 over a tensor space.
 
-    `directions_exact` carries the B_j over Q[i], aligned one-to-one with
-    `pencil.directions`; `b0_exact` is present only for exact squares.
+    The directions B_j are stored once, as the Gaussian-integer complex
+    arrays `pencil.directions`; `directions_exact` converts them to Q[i]
+    on first use, for certificates.  `b0_exact` is present only for exact
+    squares.
     """
 
     square: MagicSquare
     mode: str
     pencil: SdpProblem
     b0_exact: ExactMatrix | None
-    directions_exact: tuple[ExactMatrix, ...]
 
     @property
     def dim(self) -> int:
         return self.pencil.dim
 
+    @cached_property
+    def directions_exact(self) -> tuple[ExactMatrix, ...]:
+        return tuple(_exact_gaussian_integers(b) for b in self.pencil.directions)
+
     def labels(self) -> list[str]:
-        return [f"B{j + 1}" for j in range(len(self.directions_exact))]
+        return [f"B{j + 1}" for j in range(len(self.pencil.directions))]
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,13 @@ class ObstructionCheckResult:
     y: np.ndarray | None = None  # numeric dual witness on "no"
 
 
-def _weak_directions(n: int, s: int) -> list[ExactMatrix]:
+def _hermitian_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric and antisymmetric Hermitian parts t + t*, it + (it)*."""
+    ti = 1j * t
+    return t + t.conj().T, ti + ti.conj().T
+
+
+def _weak_directions(n: int, s: int) -> np.ndarray:
     """Hermitian basis of Z (x) Z (x) Her_s, real dimension (n^2-n)^2 s^2.
 
     Ordered slot pairs come in conjugate-transpose partners
@@ -297,9 +309,9 @@ def _weak_directions(n: int, s: int) -> list[ExactMatrix]:
     symmetric and antisymmetric Hermitian combinations for every block
     basis element.
     """
-    herm = hermitian_basis(s)
+    herm = [h.to_complex() for h in hermitian_basis(s)]
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    iunit = GaussianRational(0, 1)
+    units = dict(zip(slots, (z.to_complex() for z in z_basis(n))))
     seen = set()
     out = []
     for ij in slots:
@@ -308,16 +320,13 @@ def _weak_directions(n: int, s: int) -> list[ExactMatrix]:
             if partner in seen:
                 continue
             seen.add((ij, kl))
-            t2 = _unit(n, *ij).kron(_unit(n, *kl))
+            t2 = np.kron(units[ij], units[kl])
             for h in herm:
-                t = t2.kron(h)
-                out.append(t + t.h)
-                ti = iunit * t
-                out.append(ti + ti.h)
-    return out
+                out.extend(_hermitian_pair(np.kron(t2, h)))
+    return np.array(out)
 
 
-def _strong_candidates(n: int, s: int) -> list[ExactMatrix]:
+def _strong_candidates(n: int, s: int) -> np.ndarray:
     """Hermitian spanning set of Z_e (x) Z_e (x) Her_s.
 
     For n = 3 the doubly-null space has the Hermitian generator g, so
@@ -327,22 +336,22 @@ def _strong_candidates(n: int, s: int) -> list[ExactMatrix]:
     and the symmetric/antisymmetric combinations overshoot by a factor
     of two; the pencil deduplication keeps a basis.
     """
-    herm = hermitian_basis(s)
+    herm = [h.to_complex() for h in hermitian_basis(s)]
     if n == 3:
-        g = _hermitian_generator_3()
-        gg = g.kron(g)
-        return [gg.kron(h) for h in herm]
-    iunit = GaussianRational(0, 1)
-    out = []
-    for za in ze_basis(n):
-        for zb in ze_basis(n):
-            t2 = za.kron(zb)
-            for h in herm:
-                t = t2.kron(h)
-                out.append(t + t.h)
-                ti = iunit * t
-                out.append(ti + ti.h)
-    return out
+        g = _hermitian_generator_3().to_complex()
+        gg = np.kron(g, g)
+        out = [np.kron(gg, h) for h in herm]
+    else:
+        basis = [z.to_complex() for z in ze_basis(n)]
+        out = []
+        for za in basis:
+            for zb in basis:
+                t2 = np.kron(za, zb)
+                for h in herm:
+                    out.extend(_hermitian_pair(np.kron(t2, h)))
+    # complex products of signed entries leave negative zeros; adding zero
+    # clears them, so the entries match ExactMatrix.to_complex bit for bit
+    return np.array(out) + 0.0
 
 
 def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
@@ -368,42 +377,26 @@ def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
         expected = (n * n - 3 * n + 1) ** 2 * s * s
     exact = a.exact
     f0 = b0.to_complex() if exact else b0
-    pencil = SdpProblem(f0, [c.to_complex() for c in candidates])
+    pencil = SdpProblem(f0, candidates)
     if len(pencil.directions) != expected:
         raise RuntimeError(
             f"pencil has {len(pencil.directions)} directions, expected {expected}"
         )
-    dirs_exact = tuple(candidates[k] for k in pencil.kept)
     if mode == STRONG:
         _check_kernel_identity(b0, n, s, exact)
     return ObstructionProblem(
-        square=a,
-        mode=mode,
-        pencil=pencil,
-        b0_exact=b0 if exact else None,
-        directions_exact=dirs_exact,
+        square=a, mode=mode, pencil=pencil, b0_exact=b0 if exact else None
     )
 
 
 def _check_kernel_identity(b0, n: int, s: int, exact: bool) -> None:
     """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i."""
+    eye = _identity(s, exact)
+    zero = _zeros(s, exact)
     for i in range(n):
-        if exact:
-            eye = ExactMatrix.identity(s)
-            zero = ExactMatrix.zeros(s, s)
-            vec = ExactMatrix.from_blocks(
-                [[eye if k == i else zero] for j in range(n) for k in range(n)]
-            )
-            if not (b0 @ vec).is_zero():
-                raise RuntimeError(f"kernel identity broken at i={i}")
-        else:
-            vec = np.zeros((n * n * s, s), dtype=np.complex128)
-            for j in range(n):
-                vec[(j * n + i) * s : (j * n + i + 1) * s, :] = np.eye(s)
-            resid = float(np.abs(b0 @ vec).max())
-            scale = 1.0 + float(np.abs(b0).max())
-            if resid > 1e-8 * scale:
-                raise RuntimeError(f"kernel identity residual {resid:.2e} at i={i}")
+        vec = _assemble([[eye if k == i else zero] for j in range(n) for k in range(n)], exact)
+        if not _vanishes(b0 @ vec, b0):
+            raise RuntimeError(f"kernel identity broken at i={i}")
 
 
 # -- decision procedure ------------------------------------------------------
@@ -535,6 +528,14 @@ def find_dual_certificate(
     )
 
 
+def _pairing(y: ExactMatrix, b: ExactMatrix) -> GaussianRational:
+    """trace(Y B) = sum_ij Y_ij B_ji, summed over the nonzero entries of B."""
+    return sum(
+        (y[i, j] * b[j, i] for j in range(b.rows) for i in range(b.cols) if b[j, i]),
+        GaussianRational(0),
+    )
+
+
 def exact_certify(
     y_num: np.ndarray, problem: ObstructionProblem, max_denominator: int
 ) -> ObstructionCertificate:
@@ -576,17 +577,14 @@ def exact_certify(
     projected = affine_least_squares(rows, targets, coords, weights=weights)
     y = hermitian_from_coordinates(d, projected)
 
-    pairings = {}
-    for label, b in zip(problem.labels(), problem.directions_exact):
-        bc = hermitian_coordinates(b)
-        yc = hermitian_coordinates(y)
-        pairings[label] = sum(
-            (w * u * v for w, u, v in zip(weights, yc, bc)), Fraction(0)
-        )
+    pairings = {
+        label: _pairing(y, b).re
+        for label, b in zip(problem.labels(), problem.directions_exact)
+    }
     check = psd_check_exact(y)
     if not check.is_psd:
         raise CertificationFailed("psd", check.witness_value)
-    p0 = (y @ problem.b0_exact).trace()
+    p0 = _pairing(y, problem.b0_exact)
     if p0.im != 0:
         raise CertificationFailed("negativity", p0)
     if p0.re >= 0:
@@ -642,14 +640,14 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     report["psd"] = check.is_psd
     pair_ok = True
     for label, b in zip(problem.labels(), problem.directions_exact):
-        p = (y @ b).trace()
+        p = _pairing(y, b)
         zero = p.re == 0 and p.im == 0
         pair_ok = pair_ok and zero
         stored = cert.pairings.get(label)
         if stored is not None and GaussianRational._coerce(stored) != p:
             pair_ok = False
     report["pairings_zero"] = pair_ok
-    p0 = (y @ problem.b0_exact).trace()
+    p0 = _pairing(y, problem.b0_exact)
     report["trace_b0"] = p0.re
     report["negativity"] = p0.im == 0 and p0.re < 0
     stored = cert.pairings.get("B0")

@@ -271,31 +271,23 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
                 "yes", decomposition=dec,
                 residuals={**res.residuals, "reconstruction": resid},
             )
-        for max_den in REPAIR_DENOMINATORS:
-            repaired = _exact_repair(a, weights, max_den)
-            if repaired is not None:
-                dec = SemiclassicalDecomposition(a.n, a.s, True, repaired)
-                return CheckResult(
-                    "yes", decomposition=dec,
-                    residuals={**res.residuals, "repair_denominator": max_den},
-                )
-        return CheckResult("inconclusive", residuals=res.residuals)
-
-    # Solver could not resolve; exact repair may still settle membership.
-    if a.exact and res.residuals.get("primal_lambda_min", -1) > -1e-4:
-        # a nearly feasible point exists; try to rationalize it into the set
+    elif a.exact and res.residuals.get("primal_lambda_min", -1) > -1e-4:
+        # The solver could not resolve, but a nearly feasible point exists;
+        # exact repair may still rationalize it into the set.
         x = res.x
         if x is None:
             x = np.zeros(len(problem.directions))
         weights = _weights_from_x(a.n, a.s, x)
-        for max_den in REPAIR_DENOMINATORS:
-            repaired = _exact_repair(a, weights, max_den)
-            if repaired is not None:
-                dec = SemiclassicalDecomposition(a.n, a.s, True, repaired)
-                return CheckResult(
-                    "yes", decomposition=dec,
-                    residuals={**res.residuals, "repair_denominator": max_den},
-                )
+    else:
+        return CheckResult("inconclusive", residuals=res.residuals)
+    for max_den in REPAIR_DENOMINATORS:
+        repaired = _exact_repair(a, weights, max_den)
+        if repaired is not None:
+            dec = SemiclassicalDecomposition(a.n, a.s, True, repaired)
+            return CheckResult(
+                "yes", decomposition=dec,
+                residuals={**res.residuals, "repair_denominator": max_den},
+            )
     return CheckResult("inconclusive", residuals=res.residuals)
 
 

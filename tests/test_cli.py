@@ -288,6 +288,33 @@ def test_find_certificate_requires_exact(run, workdir):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["obstruction-check", "find-certificate"])
+def test_strong_pencil_on_n2_is_usage_error(run, workdir, command):
+    path = workdir / "constant2.json"
+    dump_square(constant_square(2, 2), path)
+    code, report = run(command, path, "--mode", "strong")
+    assert code == 3
+    assert "n >= 3" in report["verdicts"]["error"]
+
+
+@pytest.mark.parametrize("command", ["obstruction-check", "check-semiclassical"])
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf", "tiny"])
+def test_eps_must_be_finite_positive(run, workdir, command, eps):
+    code, report = run(command, workdir / "counterexample.json", "--eps", eps)
+    assert code == 3
+    assert report["command"] == command
+    assert "--eps" in report["verdicts"]["error"]
+
+
+def test_find_certificate_unverified_is_inconclusive(run, workdir, monkeypatch):
+    monkeypatch.setattr("qmagic.cli.verify_certificate", lambda cert, square: {"ok": False})
+    out = workdir / "unverified.cert.json"
+    code, report = run("find-certificate", workdir / "counterexample.json", "--out", out)
+    assert code == 2
+    assert report["details"]["reverified"] is False
+    assert report["verdicts"][str(workdir / "counterexample.json")] == "inconclusive"
+
+
 # -- reproduce ---------------------------------------------------------------------
 
 

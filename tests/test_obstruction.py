@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmagic.exact import ExactMatrix, GaussianRational, psd_check_exact
+from qmagic.exact import ExactMatrix, GaussianRational, hermitian_basis, psd_check_exact
 from qmagic.obstruction import (
     CertificateNotFound,
     CertificationFailed,
@@ -23,7 +23,11 @@ from qmagic.obstruction import (
     verify_certificate,
     z_basis,
     ze_basis,
+    _exact_gaussian_integers,
     _hermitian_generator_3,
+    _pairing,
+    _strong_candidates,
+    _weak_directions,
 )
 from qmagic.sampling import random_member_square
 from qmagic.semiclassical import (
@@ -239,6 +243,85 @@ def test_directions_traceless_and_hermitian(cex):
             assert tr.re == 0 and tr.im == 0
 
 
+def _exact_unit(n, i, j):
+    return ExactMatrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def _exact_hermitian_pair(t):
+    ti = GaussianRational(0, 1) * t
+    return [t + t.h, ti + ti.h]
+
+
+def reference_weak_directions(n, s):
+    """The weak directions as dense exact Kronecker products, in pencil order."""
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen = set()
+    out = []
+    for ij in slots:
+        for kl in slots:
+            if ((ij[1], ij[0]), (kl[1], kl[0])) in seen:
+                continue
+            seen.add((ij, kl))
+            t2 = _exact_unit(n, *ij).kron(_exact_unit(n, *kl))
+            for h in hermitian_basis(s):
+                out.extend(_exact_hermitian_pair(t2.kron(h)))
+    return out
+
+
+def reference_strong_candidates(n, s):
+    """The strong candidates as dense exact Kronecker products, in pencil order."""
+    if n == 3:
+        g = _hermitian_generator_3()
+        return [g.kron(g).kron(h) for h in hermitian_basis(s)]
+    out = []
+    for za in ze_basis(n):
+        for zb in ze_basis(n):
+            for h in hermitian_basis(s):
+                out.extend(_exact_hermitian_pair(za.kron(zb).kron(h)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "build, reference, n, s",
+    [(_weak_directions, reference_weak_directions, n, s)
+     for n, s in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)]]
+    + [(_strong_candidates, reference_strong_candidates, n, s)
+       for n, s in [(3, 1), (3, 2), (3, 3), (4, 1)]],
+)
+def test_numpy_directions_match_exact_kron(build, reference, n, s):
+    got = build(n, s)
+    want = np.array([b.to_complex() for b in reference(n, s)])
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # no negative zeros either
+
+
+def test_directions_exact_converts_pencil(strong_problem):
+    exact = strong_problem.directions_exact
+    assert exact is strong_problem.directions_exact
+    for b, arr in zip(exact, strong_problem.pencil.directions):
+        assert np.array_equal(b.to_complex(), arr)
+    with pytest.raises(ValueError):
+        _exact_gaussian_integers(np.array([[0.5, 1j], [-1j, 0]]))
+
+
+def test_pairing_matches_trace_of_product(strong_problem):
+    rng = np.random.default_rng(5)
+    d = strong_problem.dim
+    for _ in range(3):
+        grid = [[GaussianRational(0)] * d for _ in range(d)]
+        for i in range(d):
+            grid[i][i] = GaussianRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))))
+            for j in range(i + 1, d):
+                z = GaussianRational(
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
+                )
+                grid[i][j], grid[j][i] = z, z.conjugate()
+        y = ExactMatrix(grid)
+        for b in (*strong_problem.directions_exact, strong_problem.b0_exact):
+            assert _pairing(y, b) == (y @ b).trace()
+
+
 def test_build_rejects_bad_mode(cex):
     with pytest.raises(ValueError):
         build_obstruction(cex, "both")
@@ -283,7 +366,7 @@ def test_compression_identity_on_random_directions(cex):
     phi_big = phi_matrix(big).to_complex()
     from qmagic.obstruction import _weak_directions
 
-    dirs = [d.to_complex() for d in _weak_directions(4, 2)]
+    dirs = _weak_directions(4, 2)
     for _ in range(20):
         coef = rng.standard_normal(len(dirs))
         xp = sum(c * d for c, d in zip(coef, dirs))
