@@ -17,7 +17,6 @@ import hashlib
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -72,7 +71,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-MAX_WORKERS = 4
 
 
 class UsageError(ValueError):
@@ -92,6 +90,14 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for --max-denominator: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -137,11 +143,10 @@ def _gather(paths) -> list[Path]:
     return out
 
 
-def _parallel(work, files, jobs):
-    if len(files) <= 1 or jobs <= 1:
-        return [work(f) for f in files]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(files))) as pool:
-        return list(pool.map(work, files))
+def _single_out(args, files) -> None:
+    """--out names one file, so it cannot take the output of several inputs."""
+    if args.out and len(files) > 1:
+        raise UsageError(f"--out takes one input file, got {len(files)}")
 
 
 def _combine(codes) -> int:
@@ -153,7 +158,7 @@ def _combine(codes) -> int:
 
 
 def _coerce_repr(square: MagicSquare, args) -> MagicSquare:
-    if getattr(args, "float", False) and square.exact:
+    if getattr(args, "float", False):
         return square.to_float()
     if getattr(args, "exact", False) and not square.exact:
         raise UsageError("--exact requires an exact input square")
@@ -196,7 +201,7 @@ def cmd_validate(args, report: RunReport) -> int:
             code = EXIT_NEGATIVE
         return code, str(path), entry, time.perf_counter() - start
 
-    results = _parallel(work, files, args.jobs)
+    results = [work(path) for path in files]
     for code, name, entry, elapsed in results:
         report.verdicts[name] = entry["verdict"]
         report.details[name] = entry
@@ -249,6 +254,7 @@ def cmd_birkhoff(args, report: RunReport) -> int:
 
 def cmd_check_semiclassical(args, report: RunReport) -> int:
     files = _gather(args.inputs)
+    _single_out(args, files)
 
     def work(path: Path):
         start = time.perf_counter()
@@ -263,7 +269,7 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
         code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(res.verdict, EXIT_INCONCLUSIVE)
         return code, str(path), entry, time.perf_counter() - start
 
-    results = _parallel(work, files, args.jobs)
+    results = [work(path) for path in files]
     for code, name, entry, elapsed in results:
         report.verdicts[name] = entry["verdict"]
         report.details[name] = entry
@@ -272,7 +278,7 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
         _human(f"{name}: semiclassical = {entry['verdict']}")
     for path in files:
         _record(report, path)
-    if args.out and len(files) == 1:
+    if args.out:
         entry = results[0][2]
         if "decomposition" in entry:
             dump_json(entry["decomposition"], args.out)
@@ -339,7 +345,7 @@ def cmd_dilate(args, report: RunReport) -> int:
         "compressed": square_to_json(compressed),
     }
     if source is not None:
-        flo = source.to_float() if source.exact else source
+        flo = source.to_float()
         resid = max(
             float(np.abs(np.asarray(compressed.block(i, j)) - np.asarray(flo.block(i, j))).max())
             for i in range(source.n)
@@ -367,6 +373,7 @@ def _ladder(max_denominator) -> tuple:
 
 def cmd_obstruction_check(args, report: RunReport) -> int:
     files = _gather(args.inputs)
+    _single_out(args, files)
 
     def work(path: Path):
         start = time.perf_counter()
@@ -391,7 +398,7 @@ def cmd_obstruction_check(args, report: RunReport) -> int:
         code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(res.verdict, EXIT_INCONCLUSIVE)
         return code, str(path), entry, time.perf_counter() - start, cert_path
 
-    results = _parallel(work, files, args.jobs)
+    results = [work(path) for path in files]
     for code, name, entry, elapsed, cert_path in results:
         report.verdicts[name] = entry["verdict"]
         report.details[name] = entry
@@ -498,8 +505,14 @@ def scenario_separation(args, report: RunReport) -> int:
     _human(f"strong pencil: {strong.verdict}; weak pencil: {weak.verdict}")
     if strong.verdict != "no" or weak.verdict != "no":
         return EXIT_INCONCLUSIVE if "inconclusive" in (strong.verdict, weak.verdict) else EXIT_NEGATIVE
-    witness = find_dual_certificate(strong.problem, eps=args.eps or DEFAULT_EPS)
-    cert = certify_with_ladder(witness.y, strong.problem, _ladder(args.max_denominator))
+    try:
+        witness = find_dual_certificate(strong.problem, eps=args.eps or DEFAULT_EPS)
+        cert = certify_with_ladder(witness.y, strong.problem, _ladder(args.max_denominator))
+    except (CertificateSearchInconclusive, CertificationFailed) as err:
+        report.verdicts["certificate"] = "inconclusive"
+        report.details["certificate_error"] = str(err)
+        _human(f"no exact certificate: {err}")
+        return EXIT_INCONCLUSIVE
     verification = verify_certificate(cert, square)
     report.details["pairings"] = {
         label: _pairing_str(value) for label, value in cert.pairings.items()
@@ -596,7 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs=inputs, help="input file(s) or directory")
         p.add_argument("--eps", type=_positive_float, default=None, help="numeric tolerance")
         p.add_argument("--out", type=Path, default=None, help="output file")
-        p.add_argument("--jobs", type=int, default=MAX_WORKERS, help="parallel jobs for batches")
         if needs_square_flags:
             rep = p.add_mutually_exclusive_group()
             rep.add_argument("--exact", action="store_true", help="require exact input")
@@ -621,10 +633,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("dilate", cmd_dilate, "synthesize a commuting dilation from a decomposition")
     obs = add("obstruction-check", cmd_obstruction_check, "run the matrix-convex-hull obstruction")
     obs.add_argument("--mode", choices=(WEAK, STRONG), default=STRONG)
-    obs.add_argument("--max-denominator", type=int, default=None)
+    obs.add_argument("--max-denominator", type=_positive_int, default=None)
     fc = add("find-certificate", cmd_find_certificate, "search and exactly certify a dual witness")
     fc.add_argument("--mode", choices=(WEAK, STRONG), default=STRONG)
-    fc.add_argument("--max-denominator", type=int, default=None)
+    fc.add_argument("--max-denominator", type=_positive_int, default=None)
     vc = add(
         "verify-certificate",
         cmd_verify_certificate,
@@ -637,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
     rep.add_argument("--eps", type=_positive_float, default=None)
     rep.add_argument("--out", type=Path, default=None)
-    rep.add_argument("--max-denominator", type=int, default=None)
+    rep.add_argument("--max-denominator", type=_positive_int, default=None)
     rep.set_defaults(handler=cmd_reproduce)
     return parser
 

@@ -225,7 +225,7 @@ def extend_dilation_step(
     output validates as a magic square of block size s + 1 and its
     top-left corner compresses back to A.
     """
-    flo = a.to_float() if a.exact else a
+    flo = a.to_float()
     n, s = a.n, a.s
     if n != 3:
         raise ValueError(f"the extension step is defined for n=3, got n={n}")

@@ -31,7 +31,8 @@ re-verified over Q[i]: a Hermitian Y >= 0 with trace(Y B_j) = 0 for
 every direction B_j and trace(Y B_0) < 0, all in exact arithmetic.
 The directions depend only on (n, s, mode) and have Gaussian-integer
 entries: they are stored once, as complex numpy arrays, and converted
-exactly to Q[i] on demand, where a certificate is checked.
+exactly to Q[i] on demand, where a certificate is checked.  phi and psi
+are written once, on the representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -50,16 +51,26 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     affine_least_squares,
+    exact_from_float_matrix,
     hermitian_basis,
     hermitian_coordinate_weights,
     hermitian_coordinates,
     hermitian_from_coordinates,
     nullspace_exact,
     psd_check_exact,
-    rationalize,
 )
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, solve_feasibility
-from .structures import DEFAULT_TOL, MagicSquare, complete_corner
+from .structures import (
+    MagicSquare,
+    adjoint,
+    as_complex,
+    assemble,
+    complete_corner,
+    identity,
+    scalar,
+    vanishes,
+    zeros,
+)
 
 if TYPE_CHECKING:
     from .semiclassical import CommutingDilation
@@ -97,35 +108,6 @@ class CertificationFailed(ValueError):
         self.margin = margin
 
 
-# -- the two representations -------------------------------------------------
-#
-# Exact squares give ExactMatrix results over Q[i], float squares complex
-# arrays.  These helpers are the only places where the two differ.
-
-
-def _identity(s: int, exact: bool):
-    return ExactMatrix.identity(s) if exact else np.eye(s)
-
-
-def _zeros(s: int, exact: bool):
-    return ExactMatrix.zeros(s, s) if exact else np.zeros((s, s), dtype=np.complex128)
-
-
-def _assemble(grid, exact: bool):
-    return ExactMatrix.from_blocks(grid) if exact else np.block(grid)
-
-
-def _adjoint(m):
-    return m.h if isinstance(m, ExactMatrix) else m.conj().T
-
-
-def _vanishes(m, ref) -> bool:
-    """m == 0 exactly, or within 1e-8 relative to the size of `ref` for floats."""
-    if isinstance(m, ExactMatrix):
-        return m.is_zero()
-    return float(np.abs(m).max()) <= 1e-8 * (1.0 + float(np.abs(ref).max()))
-
-
 # -- stacked column, block diagonal, phi, psi --------------------------------
 
 
@@ -136,9 +118,9 @@ def col_and_diag(a: MagicSquare):
     """
     n, s = a.n, a.s
     blocks = [a.block(i, j) for i in range(n) for j in range(n)]
-    zero = _zeros(s, a.exact)
-    col = _assemble([[b] for b in blocks], a.exact)
-    diag = _assemble(
+    zero = zeros(s, s, a.exact)
+    col = assemble([[b] for b in blocks], a.exact)
+    diag = assemble(
         [[b if p == q else zero for q in range(n * n)] for p, b in enumerate(blocks)],
         a.exact,
     )
@@ -148,7 +130,7 @@ def col_and_diag(a: MagicSquare):
 def phi_matrix(a: MagicSquare):
     """diag(A) - col(A) col(A)*, Hermitian of size n^2 s."""
     col, diag = col_and_diag(a)
-    return diag - col @ _adjoint(col)
+    return diag - col @ adjoint(col)
 
 
 def psi_matrix(a: MagicSquare):
@@ -160,13 +142,11 @@ def psi_matrix(a: MagicSquare):
     n, s = a.n, a.s
     if n < 3:
         raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={n}")
-    alpha = Fraction(1, (n - 1) * (n - 2))
-    beta = Fraction(n - 1, n * (n - 2))
-    gamma = Fraction(1, n * (n - 2))
-    if not a.exact:
-        alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    eye = _identity(s, a.exact)
-    zero = _zeros(s, a.exact)
+    alpha = scalar(Fraction(1, (n - 1) * (n - 2)), a.exact)
+    beta = scalar(Fraction(n - 1, n * (n - 2)), a.exact)
+    gamma = scalar(Fraction(1, n * (n - 2)), a.exact)
+    eye = identity(s, a.exact)
+    zero = zeros(s, s, a.exact)
     grid = [[zero] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
@@ -181,7 +161,7 @@ def psi_matrix(a: MagicSquare):
                         + beta * (a.block(i, k) + a.block(j, l))
                         + gamma * (a.block(i, l) + a.block(j, k))
                     )
-    return _assemble(grid, a.exact)
+    return assemble(grid, a.exact)
 
 
 # -- variable spaces ---------------------------------------------------------
@@ -375,27 +355,28 @@ def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
         b0 = phi_matrix(a) + psi_matrix(a)
         candidates = _strong_candidates(n, s)
         expected = (n * n - 3 * n + 1) ** 2 * s * s
-    exact = a.exact
-    f0 = b0.to_complex() if exact else b0
+    f0 = as_complex(b0)
     pencil = SdpProblem(f0, candidates)
     if len(pencil.directions) != expected:
         raise RuntimeError(
             f"pencil has {len(pencil.directions)} directions, expected {expected}"
         )
     if mode == STRONG:
-        _check_kernel_identity(b0, n, s, exact)
+        _check_kernel_identity(b0, f0, n, s, a.exact)
     return ObstructionProblem(
-        square=a, mode=mode, pencil=pencil, b0_exact=b0 if exact else None
+        square=a, mode=mode, pencil=pencil, b0_exact=b0 if a.exact else None
     )
 
 
-def _check_kernel_identity(b0, n: int, s: int, exact: bool) -> None:
-    """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i."""
-    eye = _identity(s, exact)
-    zero = _zeros(s, exact)
+def _check_kernel_identity(b0, f0: np.ndarray, n: int, s: int, exact: bool) -> None:
+    """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i; for floats within 1e-8
+    relative to the size of B0, read from its complex copy f0."""
+    eye = identity(s, exact)
+    zero = zeros(s, s, exact)
+    tol = 1e-8 * (1.0 + float(np.abs(f0).max()))
     for i in range(n):
-        vec = _assemble([[eye if k == i else zero] for j in range(n) for k in range(n)], exact)
-        if not _vanishes(b0 @ vec, b0):
+        vec = assemble([[eye if k == i else zero] for j in range(n) for k in range(n)], exact)
+        if not vanishes(b0 @ vec, tol):
             raise RuntimeError(f"kernel identity broken at i={i}")
 
 
@@ -554,17 +535,7 @@ def exact_certify(
     d = problem.dim
     if y_num.shape != (d, d):
         raise ValueError(f"certificate has shape {y_num.shape}, expected {(d, d)}")
-    grid = [
-        [
-            GaussianRational(
-                rationalize(float(y_num[i, j].real), max_denominator),
-                rationalize(float(y_num[i, j].imag), max_denominator),
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    raw = ExactMatrix(grid)
+    raw = exact_from_float_matrix(y_num, max_denominator)
     y = Fraction(1, 2) * (raw + raw.h)
 
     weights = hermitian_coordinate_weights(d)
@@ -694,6 +665,6 @@ def member_witness_from_dilation(dilation: "CommutingDilation") -> MemberWitness
             blocks[(i, j)] = b
             r = (i * n + j) * s
             bcol[r : r + s, :] = b.conj().T
-    phi = phi_matrix(a.to_float() if a.exact else a)
+    phi = phi_matrix(a.to_float())
     x = bcol @ bcol.conj().T - phi
     return MemberWitness(x=x, blocks=blocks)

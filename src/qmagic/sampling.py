@@ -16,8 +16,8 @@ from .exact import ExactMatrix, GaussianRational
 from .structures import (
     MagicSquare,
     compress,
-    constant_square,
     permutations_lex,
+    zeros,
 )
 
 __all__ = [
@@ -76,7 +76,7 @@ def outer_direct_sum(a: MagicSquare, b: MagicSquare) -> MagicSquare:
     """
     if a.s != b.s or a.exact != b.exact:
         raise ValueError("outer_direct_sum needs matching block size and representation")
-    zero = ExactMatrix.zeros(a.s) if a.exact else np.zeros((a.s, a.s))
+    zero = zeros(a.s, a.s, a.exact)
     grid = [list(row) + [zero] * b.n for row in a.blocks]
     grid += [[zero] * a.n + list(row) for row in b.blocks]
     return MagicSquare(grid)

@@ -20,8 +20,6 @@ __all__ = [
     "Status",
     "SdpProblem",
     "SdpResult",
-    "herm_eig",
-    "realify",
     "solve_feasibility",
     "DEFAULT_EPS",
 ]
@@ -43,27 +41,6 @@ class Status(str, Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     INCONCLUSIVE = "inconclusive"
-
-
-def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: ascending values, unitary vectors."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    resid = float(np.abs(m - m.conj().T).max())
-    if resid > HERM_TOL:
-        raise NonHermitian(f"hermiticity residual {resid:.2e} exceeds {HERM_TOL}")
-    lam, u = np.linalg.eigh((m + m.conj().T) / 2)
-    return lam, u
-
-
-def realify(m: np.ndarray) -> np.ndarray:
-    """Standard symmetric doubling [[Re M, -Im M], [Im M, Re M]].
-
-    PSD-ness is preserved both ways; every eigenvalue of M appears twice.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def _gram_schmidt_keep(mats: list[np.ndarray], tol: float) -> list[int]:

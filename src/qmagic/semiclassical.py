@@ -31,8 +31,16 @@ from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
 from .structures import (
     DEFAULT_TOL,
     MagicSquare,
+    as_complex,
+    difference,
+    identity,
     permutations_lex,
     perm_rank,
+    psd_margin,
+    residual,
+    scalar,
+    vanishes,
+    zeros,
 )
 
 __all__ = [
@@ -80,7 +88,7 @@ class SemiclassicalDecomposition:
 
     def blocks(self) -> list:
         """Raw blocks of sum_pi P_pi (x) q_pi, without validation."""
-        zero = ExactMatrix.zeros(self.s) if self.exact else np.zeros((self.s, self.s), dtype=complex)
+        zero = zeros(self.s, self.s, self.exact)
         out = []
         for i in range(self.n):
             row = []
@@ -156,7 +164,7 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     nf = factorial(n)
     off, t_blocks = _lmi_layout(n, s)
     dim = t_blocks * s
-    numeric = a.to_float() if a.exact else a
+    numeric = a.to_float()
 
     def put(mat, bi, bj, block):
         r, c = bi * s, bj * s
@@ -302,36 +310,23 @@ def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
     No SDP involved; exact on exact input.
     """
     n, s = a.n, a.s
-    if n == 1:
-        ident = ExactMatrix.identity(s) if a.exact else np.eye(s, dtype=complex)
-        return SemiclassicalDecomposition(1, s, a.exact, {(0,): ident})
-    bound = Fraction(n - 2, n - 1)
-    scale = Fraction(1, factorial(n - 2) * n)
-    ident = ExactMatrix.identity(s) if a.exact else np.eye(s, dtype=complex)
-    sums = {}
+    ident = identity(s, a.exact)
+    if n == 1:  # the lone weight is I_s, complex like every float weight
+        return SemiclassicalDecomposition(1, s, a.exact, {(0,): zeros(s, s, a.exact) + ident})
+    bound = scalar(Fraction(n - 2, n - 1), a.exact)
+    scale = scalar(Fraction(1, factorial(n - 2) * n), a.exact)
+    weights = {}
     violations = []
     for sigma in permutations_lex(n):
-        acc = a.block(0, sigma[0])
-        for k in range(1, n):
-            acc = acc + a.block(k, sigma[k])
-        shifted = acc - ident * bound if a.exact else acc - float(bound) * ident
-        if a.exact:
-            chk = psd_check_exact(shifted)
-            if not chk.is_psd:
-                violations.append((sigma, chk.witness_value))
-                continue
+        acc = sum((a.block(k, sigma[k]) for k in range(1, n)), a.block(0, sigma[0]))
+        shifted = acc - ident * bound
+        ok, margin = psd_margin(shifted, DEFAULT_TOL)
+        if ok:
+            weights[sigma] = shifted * scale
         else:
-            lam = float(np.linalg.eigvalsh((shifted + shifted.conj().T) / 2).min())
-            if lam < -DEFAULT_TOL:
-                violations.append((sigma, lam))
-                continue
-        sums[sigma] = shifted
+            violations.append((sigma, margin))
     if violations:
         raise BoundViolated(violations)
-    weights = {
-        sigma: (m * scale if a.exact else float(scale) * m)
-        for sigma, m in sums.items()
-    }
     return SemiclassicalDecomposition(n, s, a.exact, weights)
 
 
@@ -361,8 +356,7 @@ def synthesize_commuting_dilation(dec: SemiclassicalDecomposition) -> CommutingD
     u = MagicSquare(blocks)
     v = np.zeros((nf * s, s), dtype=np.complex128)
     for k, sigma in enumerate(perms):
-        q = dec.weights[sigma]
-        qc = q.to_complex() if dec.exact else np.asarray(q, dtype=np.complex128)
+        qc = as_complex(dec.weights[sigma])
         lam, w = np.linalg.eigh((qc + qc.conj().T) / 2)
         root = (w * np.sqrt(np.clip(lam, 0, None))) @ w.conj().T
         v[k * s : (k + 1) * s, :] = root
@@ -376,48 +370,21 @@ def verify_positive_unital_map(
     positivity of each q_pi, unitality of their sum, and the generator
     identities sum_{pi(i)=j} q_pi = a_ij.  Exact decompositions are held
     to zero residual; float ones to tol."""
-    exact = dec.exact and a.exact
-    positivity = []
-    for sigma, q in dec.weights.items():
-        if dec.exact:
-            chk = psd_check_exact(q)
-            positivity.append((sigma, chk.is_psd, chk.witness_value if not chk.is_psd else Fraction(0)))
-        else:
-            lam = float(np.linalg.eigvalsh((q + np.asarray(q).conj().T) / 2).min())
-            positivity.append((sigma, lam >= -tol, lam))
-
-    total = None
-    for q in dec.weights.values():
-        total = q if total is None else total + q
-    if dec.exact:
-        unit = total - ExactMatrix.identity(dec.s)
-        unit_resid = Fraction(0) if unit.is_zero() else max(
-            abs(unit[i, j].re) + abs(unit[i, j].im)
-            for i in range(dec.s) for j in range(dec.s)
-        )
-    else:
-        unit_resid = float(np.abs(total - np.eye(dec.s)).max())
+    positivity = tuple((sigma, *psd_margin(q, tol)) for sigma, q in dec.weights.items())
+    weights = list(dec.weights.values())
+    unit = sum(weights[1:], weights[0]) - identity(dec.s, dec.exact)
 
     recon = dec.blocks()
-    gen = {}
-    for i in range(a.n):
-        for j in range(a.n):
-            if exact:
-                diff = recon[i][j] - a.block(i, j)
-                gen[(i, j)] = Fraction(0) if diff.is_zero() else max(
-                    abs(diff[r, c].re) + abs(diff[r, c].im)
-                    for r in range(dec.s) for c in range(dec.s)
-                )
-            else:
-                lhs = recon[i][j]
-                lhs = lhs.to_complex() if dec.exact else lhs
-                rhs = a.block(i, j)
-                rhs = rhs.to_complex() if a.exact else rhs
-                gen[(i, j)] = float(np.abs(lhs - rhs).max())
+    diffs = {
+        (i, j): difference(recon[i][j], a.block(i, j))
+        for i in range(a.n)
+        for j in range(a.n)
+    }
 
     ok = (
         all(p[1] for p in positivity)
-        and (unit_resid == 0 if dec.exact else unit_resid <= tol)
-        and all((r == 0 if exact else float(r) <= tol) for r in gen.values())
+        and vanishes(unit, tol)
+        and all(vanishes(d, tol) for d in diffs.values())
     )
-    return MapReport(ok, tuple(positivity), unit_resid, gen)
+    gen = {ij: residual(d) for ij, d in diffs.items()}
+    return MapReport(ok, positivity, residual(unit), gen)

@@ -3,6 +3,11 @@
 A quantum magic square is an n x n array of s x s PSD Hermitian blocks whose
 rows and columns each sum to the identity.  Squares carry either an exact
 (Gaussian-rational) or a floating representation; the two never mix silently.
+
+This module owns that split: its representation helpers (identity, zeros,
+assemble, adjoint, scalar, as_complex, difference, residual, vanishes,
+psd_margin) hold all block arithmetic that differs between the two, and the
+constructions here and in other modules are written once on top of them.
 """
 
 from __future__ import annotations
@@ -157,15 +162,81 @@ def _coerce_blocks(blocks):
     if len(set(tags)) > 1:
         raise MixedRepresentation("blocks mix exact and floating entries")
     exact = tags[0]
-    shapes = {
-        (b.rows, b.cols) if exact else b.shape for row in coerced for b in row
-    }
+    shapes = {b.shape for row in coerced for b in row}
     if len(shapes) != 1:
         raise ShapeMismatch(f"inconsistent block shapes: {sorted(shapes)}")
     (r, c) = shapes.pop()
     if r != c:
         raise ShapeMismatch("blocks must be square")
     return n, r, exact, tuple(tuple(row) for row in coerced)
+
+
+# -- the two representations -------------------------------------------------
+#
+# Exact blocks are ExactMatrix over Q[i], float blocks complex arrays; only
+# these helpers and the checks of validate_magic tell them apart.  Float tests
+# accept only when a comparison holds, so NaN entries fail them.
+
+
+def identity(s: int, exact: bool):
+    return ExactMatrix.identity(s) if exact else np.eye(s)
+
+
+def zeros(rows: int, cols: int, exact: bool):
+    return ExactMatrix.zeros(rows, cols) if exact else np.zeros((rows, cols), dtype=complex)
+
+
+def assemble(grid, exact: bool):
+    """One matrix from a 2d grid of blocks whose shapes tile."""
+    return ExactMatrix.from_blocks(grid) if exact else np.block(grid)
+
+
+def adjoint(m):
+    return m.h if isinstance(m, ExactMatrix) else m.conj().T
+
+
+def scalar(q: Fraction, exact: bool):
+    """The rational q as a coefficient for blocks: itself, or its float."""
+    return q if exact else float(q)
+
+
+def as_complex(m) -> np.ndarray:
+    """A complex array with the entries of m (converted from Q[i] if exact)."""
+    if isinstance(m, ExactMatrix):
+        return m.to_complex()
+    return np.asarray(m, dtype=np.complex128)
+
+
+def difference(x, y):
+    """x - y: over Q[i] when both are exact, else as complex arrays."""
+    if isinstance(x, ExactMatrix) and isinstance(y, ExactMatrix):
+        return x - y
+    return as_complex(x) - as_complex(y)
+
+
+def residual(m):
+    """The largest entry: max |re| + |im| over Q[i], the largest modulus for floats."""
+    if isinstance(m, ExactMatrix):
+        entries = (m[i, j] for i in range(m.rows) for j in range(m.cols))
+        return max((abs(z.re) + abs(z.im) for z in entries if z), default=Fraction(0))
+    return float(np.abs(m).max())
+
+
+def vanishes(m, tol: float) -> bool:
+    """m == 0: exactly over Q[i]; for floats, every entry within tol."""
+    if isinstance(m, ExactMatrix):
+        return m.is_zero()
+    return residual(m) <= tol
+
+
+def psd_margin(m, tol: float):
+    """(m >= 0, margin): exactly by LDL*, with the witness value v* m v (0 when
+    PSD) as margin; for floats the least eigenvalue of the Hermitian part, >= -tol."""
+    if isinstance(m, ExactMatrix):
+        check = psd_check_exact(m)
+        return check.is_psd, Fraction(0) if check.is_psd else check.witness_value
+    lam = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    return lam >= -tol, lam
 
 
 # -- validation -------------------------------------------------------------
@@ -185,56 +256,36 @@ class ValidationReport:
     violations: tuple[Violation, ...] = field(default_factory=tuple)
 
 
-def _psd_violation(block, exact, loc, tol):
-    if exact:
-        if not block.is_hermitian():
-            return Violation("not_hermitian", loc, "exact")
-        res = psd_check_exact(block)
-        if not res.is_psd:
-            return Violation("block_not_psd", loc, res.witness_value)
-        return None
-    herm_resid = float(np.abs(block - block.conj().T).max())
-    if herm_resid > tol:
-        return Violation("not_hermitian", loc, herm_resid)
-    lam = float(np.linalg.eigvalsh((block + block.conj().T) / 2).min())
-    if lam < -tol:
-        return Violation("block_not_psd", loc, lam)
-    return None
+def _mismatch(kind, loc, x, y, tol):
+    """A violation unless x == y (exactly over Q[i], entrywise within tol for
+    floats); its margin is "exact" or the largest float deviation."""
+    if isinstance(x, ExactMatrix):
+        return None if x == y else Violation(kind, loc, "exact")
+    r = residual(x - y)
+    return None if r <= tol else Violation(kind, loc, r)
+
+
+def _psd_violation(block, loc, tol):
+    herm = _mismatch("not_hermitian", loc, block, adjoint(block), tol)
+    if herm:
+        return herm
+    ok, margin = psd_margin(block, tol)
+    return None if ok else Violation("block_not_psd", loc, margin)
 
 
 def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the magic-square axioms; report every violation with its margin."""
     n, s, exact, grid = _coerce_blocks(blocks)
-    violations = []
+    ident = identity(s, exact)
+    found = [_psd_violation(grid[i][j], (i, j), tol) for i in range(n) for j in range(n)]
     for i in range(n):
-        for j in range(n):
-            v = _psd_violation(grid[i][j], exact, (i, j), tol)
-            if v:
-                violations.append(v)
-    ident = ExactMatrix.identity(s) if exact else np.eye(s)
-    for i in range(n):
-        rs = grid[i][0]
-        for j in range(1, n):
-            rs = rs + grid[i][j]
-        if exact:
-            if rs != ident:
-                violations.append(Violation("row_sum", (i,), "exact"))
-        else:
-            resid = float(np.abs(rs - ident).max())
-            if resid > tol:
-                violations.append(Violation("row_sum", (i,), resid))
+        row_sum = sum(grid[i][1:], grid[i][0])
+        found.append(_mismatch("row_sum", (i,), row_sum, ident, tol))
     for j in range(n):
-        cs = grid[0][j]
-        for i in range(1, n):
-            cs = cs + grid[i][j]
-        if exact:
-            if cs != ident:
-                violations.append(Violation("col_sum", (j,), "exact"))
-        else:
-            resid = float(np.abs(cs - ident).max())
-            if resid > tol:
-                violations.append(Violation("col_sum", (j,), resid))
-    return ValidationReport(not violations, tol, tuple(violations))
+        col_sum = sum((grid[i][j] for i in range(1, n)), grid[0][j])
+        found.append(_mismatch("col_sum", (j,), col_sum, ident, tol))
+    violations = tuple(v for v in found if v)
+    return ValidationReport(not violations, tol, violations)
 
 
 class MagicSquare:
@@ -349,33 +400,17 @@ def direct_sum(a: MagicSquare, b: MagicSquare, *, tol: float = DEFAULT_TOL) -> M
         raise SizeMismatch(f"direct_sum needs equal n, got {a.n} and {b.n}")
     if a.exact != b.exact:
         raise MixedRepresentation("direct_sum across representations")
-    if a.exact:
-        grid = [
-            [ExactMatrix.block_diag([x, y]) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.blocks, b.blocks)
-        ]
-    else:
-        grid = [
-            [
-                np.block(
-                    [
-                        [x, np.zeros((a.s, b.s))],
-                        [np.zeros((b.s, a.s)), y],
-                    ]
-                )
-                for x, y in zip(ra, rb)
-            ]
-            for ra, rb in zip(a.blocks, b.blocks)
-        ]
+    upper, lower = zeros(a.s, b.s, a.exact), zeros(b.s, a.s, a.exact)
+    grid = [
+        [assemble([[x, upper], [lower, y]], a.exact) for x, y in zip(ra, rb)]
+        for ra, rb in zip(a.blocks, b.blocks)
+    ]
     return MagicSquare(grid, tol=tol)
 
 
 def embed_pad(a: MagicSquare, *, tol: float = DEFAULT_TOL) -> MagicSquare:
     """Extend to size n+1 by adjoining an identity corner: [[A, 0], [0, I_s]]."""
-    if a.exact:
-        zero, ident = ExactMatrix.zeros(a.s), ExactMatrix.identity(a.s)
-    else:
-        zero, ident = np.zeros((a.s, a.s)), np.eye(a.s)
+    zero, ident = zeros(a.s, a.s, a.exact), identity(a.s, a.exact)
     grid = [list(row) + [zero] for row in a.blocks]
     grid.append([zero] * a.n + [ident])
     return MagicSquare(grid, tol=tol)
@@ -390,14 +425,8 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
     rows = [list(r) for r in corner]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ShapeMismatch("corner must be a 2x2 array of blocks")
-    coerced = [[_coerce_block(b) for b in r] for r in rows]
-    tags = {t for r in coerced for (_, t) in r}
-    if len(tags) > 1:
-        raise MixedRepresentation("corner mixes exact and floating blocks")
-    exact = tags.pop()
-    c = [[b for (b, _) in r] for r in coerced]
-    s = c[0][0].rows if exact else c[0][0].shape[0]
-    ident = ExactMatrix.identity(s) if exact else np.eye(s)
+    _, s, exact, c = _coerce_blocks(rows)
+    ident = identity(s, exact)
     grid = [
         [c[0][0], c[0][1], ident - c[0][0] - c[0][1]],
         [c[1][0], c[1][1], ident - c[1][0] - c[1][1]],
@@ -410,7 +439,7 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
     completed = [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
     offending = [
         loc for loc in completed
-        if _psd_violation(grid[loc[0]][loc[1]], exact, loc, tol) is not None
+        if _psd_violation(grid[loc[0]][loc[1]], loc, tol) is not None
     ]
     if offending:
         raise CompletionNotPSD(offending)
@@ -419,8 +448,5 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
 
 def constant_square(n: int, s: int, *, exact: bool = True) -> MagicSquare:
     """The square with every block (1/n) I_s."""
-    if exact:
-        b = ExactMatrix.identity(s) * Fraction(1, n)
-    else:
-        b = np.eye(s) / n
+    b = identity(s, exact) * scalar(Fraction(1, n), exact)
     return MagicSquare([[b for _ in range(n)] for _ in range(n)])

@@ -94,7 +94,7 @@ def test_validate_invalid_square(run, workdir):
 
 
 def test_validate_batch_directory(run, workdir):
-    code, report = run("validate", workdir / "batch", "--jobs", 2)
+    code, report = run("validate", workdir / "batch")
     assert code == 0
     assert len(report["verdicts"]) == 2
     assert all(v == "valid" for v in report["verdicts"].values())
@@ -306,6 +306,25 @@ def test_eps_must_be_finite_positive(run, workdir, command, eps):
     assert "--eps" in report["verdicts"]["error"]
 
 
+@pytest.mark.parametrize("command", ["obstruction-check", "find-certificate", "reproduce"])
+@pytest.mark.parametrize("bound", ["-5", "0", "2.5", "ten"])
+def test_max_denominator_must_be_positive_integer(run, workdir, command, bound):
+    target = "separation" if command == "reproduce" else workdir / "counterexample.json"
+    code, report = run(command, target, "--max-denominator", bound)
+    assert code == 3
+    assert report["command"] == command
+    assert "--max-denominator" in report["verdicts"]["error"]
+
+
+@pytest.mark.parametrize("command", ["obstruction-check", "check-semiclassical"])
+def test_out_refused_with_several_inputs(run, workdir, command):
+    out = workdir / f"{command}.several.json"
+    code, report = run(command, workdir / "batch", "--out", out)
+    assert code == 3
+    assert "--out" in report["verdicts"]["error"]
+    assert not out.exists()
+
+
 def test_find_certificate_unverified_is_inconclusive(run, workdir, monkeypatch):
     monkeypatch.setattr("qmagic.cli.verify_certificate", lambda cert, square: {"ok": False})
     out = workdir / "unverified.cert.json"
@@ -345,6 +364,15 @@ def test_reproduce_separation(run, workdir):
         Fraction(report["details"]["pairings"][f"B{k}"]) == 0 for k in range(1, 5)
     )
     assert out.exists()
+
+
+def test_reproduce_separation_failed_certification_is_inconclusive(run, workdir):
+    out = workdir / "sep10.cert.json"
+    code, report = run("reproduce", "separation", "--max-denominator", 10, "--out", out)
+    assert code == 2
+    assert report["verdicts"] == {"strong": "no", "weak": "no", "certificate": "inconclusive"}
+    assert "exact certification failed" in report["details"]["certificate_error"]
+    assert not out.exists()
 
 
 # -- shipped artifacts -------------------------------------------------------------

@@ -6,8 +6,6 @@ from qmagic.sdp import (
     NonHermitian,
     SdpProblem,
     Status,
-    herm_eig,
-    realify,
     solve_feasibility,
 )
 
@@ -15,61 +13,6 @@ from qmagic.sdp import (
 def rand_herm(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (z + z.conj().T) / 2
-
-
-class TestHermEig:
-    def test_diagonal(self):
-        lam, _ = herm_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(lam, [1.0, 3.0])
-
-    def test_pauli_like(self):
-        lam, u = herm_eig(np.array([[0, -1j], [1j, 0]]))
-        assert np.allclose(lam, [-1.0, 1.0])
-        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = rand_herm(rng, 10)
-            lam, u = herm_eig(m)
-            scale = 1 + np.linalg.norm(m)
-            assert np.abs((u * lam) @ u.conj().T - m).max() <= 1e-10 * scale
-            assert np.abs(u.conj().T @ u - np.eye(10)).max() <= 1e-10
-            assert np.all(np.diff(lam) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestRealify:
-    def test_real_input_gives_two_copies(self):
-        m = np.array([[2.0, 1.0], [1.0, 3.0]])
-        r = realify(m)
-        assert np.array_equal(r[:2, :2], m)
-        assert np.array_equal(r[2:, 2:], m)
-        assert np.array_equal(r[:2, 2:], np.zeros((2, 2)))
-
-    def test_imaginary_antisymmetric_block(self):
-        r = realify(np.array([[0, 1j], [-1j, 0]]))
-        assert np.allclose(np.sort(np.linalg.eigvalsh(r)), [-1, -1, 1, 1])
-
-    def test_psd_equivalence_on_random_instances(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            m = rand_herm(rng, 4)
-            if rng.uniform() < 0.5:
-                m = m @ m.conj().T  # force PSD half the time
-            complex_psd = np.linalg.eigvalsh(m).min() >= -1e-12
-            real_psd = np.linalg.eigvalsh(realify(m)).min() >= -1e-12
-            assert complex_psd == real_psd
-
-    def test_doubled_spectrum(self):
-        rng = np.random.default_rng(2)
-        m = rand_herm(rng, 3)
-        lam = np.linalg.eigvalsh(m)
-        lam2 = np.linalg.eigvalsh(realify(m))
-        assert np.allclose(lam2, np.sort(np.repeat(lam, 2)))
 
 
 class TestSdpProblem:

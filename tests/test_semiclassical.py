@@ -8,6 +8,7 @@ import pytest
 from qmagic.exact import ExactMatrix, psd_check_exact
 from qmagic.obstruction import counterexample_m2_3
 from qmagic.sampling import (
+    perturbed_constant_decomposition,
     random_exact_decomposition,
     random_member_square,
     square_from_decomposition,
@@ -28,6 +29,7 @@ from qmagic.structures import (
     compress,
     constant_square,
     permutations_lex,
+    validate_magic,
     validate_quantum_permutation,
 )
 
@@ -190,6 +192,58 @@ def test_dilation_entries_commute():
         float(np.abs(a @ b - b @ a).max()) for a in mats for b in mats
     )
     assert worst == 0.0
+
+
+# -- one code path for both representations ----------------------------------
+
+
+def _close(exact_block, float_block) -> bool:
+    return float(np.abs(exact_block.to_complex() - float_block).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_exact_and_float_copies_agree(n, s):
+    """The float copy of an exact member gets the same answers, within 1e-12."""
+    rng = np.random.default_rng(10 * n + s)
+    weights = random_exact_decomposition(rng, n, s)
+    sq = square_from_decomposition(weights)
+    flo = sq.to_float()
+
+    assert validate_magic(sq.blocks).ok and validate_magic(flo.blocks).ok
+    bad = [list(row) for row in sq.blocks]
+    bad[0][0] = bad[0][0] * 2
+    fbad = [[b.to_complex() for b in row] for row in bad]
+    exact_bad, float_bad = validate_magic(bad), validate_magic(fbad)
+    assert [(v.kind, v.location) for v in exact_bad.violations] == [
+        (v.kind, v.location) for v in float_bad.violations
+    ]
+
+    dec = exact_dec(n, s, weights)
+    fdec = SemiclassicalDecomposition(n, s, False, {k: q.to_complex() for k, q in weights.items()})
+    for row, frow in zip(dec.blocks(), fdec.blocks()):
+        assert all(_close(b, fb) for b, fb in zip(row, frow))
+
+    exact_map, float_map = verify_positive_unital_map(dec, sq), verify_positive_unital_map(fdec, flo)
+    assert exact_map.ok and float_map.ok
+    assert [p[:2] for p in exact_map.positivity] == [p[:2] for p in float_map.positivity]
+    assert exact_map.unitality_residual == 0 and float_map.unitality_residual <= 1e-12
+    assert all(r == 0 for r in exact_map.generator_residuals.values())
+    assert all(r <= 1e-12 for r in float_map.generator_residuals.values())
+
+    # random members mostly violate the interior bound; near-constant ones meet it
+    near_constant = square_from_decomposition(perturbed_constant_decomposition(rng, n, s))
+    for a in (sq, near_constant):
+        try:
+            interior = interior_map_decomposition(a)
+        except BoundViolated as err:
+            with pytest.raises(BoundViolated) as float_err:
+                interior_map_decomposition(a.to_float())
+            assert [p for p, _ in err.violations] == [p for p, _ in float_err.value.violations]
+        else:
+            float_interior = interior_map_decomposition(a.to_float())
+            assert list(interior.weights) == list(float_interior.weights)
+            assert all(_close(q, float_interior.weights[p]) for p, q in interior.weights.items())
 
 
 # -- the finite map conditions -----------------------------------------------

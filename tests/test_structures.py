@@ -114,6 +114,14 @@ class TestValidateMagic:
         assert validate_magic(blocks).ok
         assert not validate_magic(blocks, tol=1e-14).ok
 
+    def test_nan_entries_flagged(self):
+        # NaN compares false both ways; every float test must fail, not pass.
+        nan = np.full((1, 1), np.nan)
+        report = validate_magic([[nan, np.eye(1)], [np.eye(1), nan]])
+        assert not report.ok
+        kinds = {v.kind for v in report.violations}
+        assert {"not_hermitian", "row_sum", "col_sum"} <= kinds
+
 
 class TestValidateQuantumPermutation:
     def test_classical_permutation(self):
