@@ -479,6 +479,10 @@ def cmd_verify_certificate(args, report: RunReport) -> int:
         raise UsageError("no square: pass --square FILE or use a certificate with one embedded")
     if not square.exact:
         raise UsageError("exact verification requires an exact square")
+    if (square.n, square.s) != (cert.n, cert.s):
+        raise UsageError(
+            f"certificate is for n={cert.n}, s={cert.s}, square has n={square.n}, s={square.s}"
+        )
     outcome = verify_certificate(cert, square)
     verdict = "verified" if outcome["ok"] else "rejected"
     report.verdicts[str(path)] = verdict

@@ -29,10 +29,14 @@ infeasibility certificate for either pencil proves that A is not in the
 matrix convex hull.  Certificates are located numerically and then
 re-verified over Q[i]: a Hermitian Y >= 0 with trace(Y B_j) = 0 for
 every direction B_j and trace(Y B_0) < 0, all in exact arithmetic.
-The directions depend only on (n, s, mode) and have Gaussian-integer
-entries: they are stored once, as complex numpy arrays, and converted
-exactly to Q[i] on demand, where a certificate is checked.  phi and psi
-are written once, on the representation helpers of `structures`.
+Both pencils come from one builder: the directions are the Kronecker
+products H_a (x) H_b (x) h over a Hermitian basis H of Z (weak) or Z_e
+(strong) and the Hermitian basis h of Mat_s, so they form a basis of the
+variable space by construction.  They depend only on (n, s, mode), have
+Gaussian-integer entries, are stored once as the (m, d, d) complex stack
+of an `SdpProblem`, and are converted exactly to Q[i] on demand, where a
+certificate is checked.  phi and psi are written once, on the
+representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -164,57 +168,53 @@ def psi_matrix(a: MagicSquare):
     return assemble(grid, a.exact)
 
 
-# -- variable spaces ---------------------------------------------------------
+# -- the pencils ------------------------------------------------------------
 
 
-def z_basis(n: int) -> list[ExactMatrix]:
-    """Basis of the zero-diagonal matrices: E_ij for i != j, lex order."""
-    if n < 2:
-        raise NotDefinedForSmallN(f"zero-diagonal space is trivial for n={n}")
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return [ExactMatrix([[int((r, c) == ij) for c in range(n)] for r in range(n)]) for ij in slots]
-
-
-def ze_basis(n: int) -> list[ExactMatrix]:
-    """Exact basis of zero-diagonal matrices with vanishing row and column sums.
-
-    Computed as the rational nullspace of the row/column sum functionals on
-    the off-diagonal coordinates; the complex dimension is n^2 - 3n + 1.
+def zero_diagonal_basis(n: int, doubly_null: bool = False) -> np.ndarray:
+    """Hermitian basis of Z, or of Z_e when `doubly_null`, as a stack of
+    Gaussian-integer arrays: real symmetric S first, then i K for real
+    antisymmetric K, each fixed by its entries on the slots i < j.  For Z_e
+    those entries run over the rational nullspace of the row-sum
+    functionals, S e = 0 (a slot (i, j) counts +1 in rows i and j) and
+    K e = 0 (+1 in row i, -1 in row j); Z has no functionals.  The real
+    dimension is n^2 - n for Z and n^2 - 3n + 1 for Z_e.
     """
-    if n < 3:
-        raise NotDefinedForSmallN(f"need n >= 3 for a nonzero space, got n={n}")
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rows = []
-    for i in range(n):
-        rows.append([1 if p == i else 0 for (p, q) in slots])
-    for j in range(n):
-        rows.append([1 if q == j else 0 for (p, q) in slots])
-    kernel = nullspace_exact(ExactMatrix(rows))
+    if n < (3 if doubly_null else 2):
+        raise NotDefinedForSmallN(f"the space is trivial for n={n}")
+    slots = np.triu_indices(n, 1)
     out = []
-    for vec in kernel:
-        grid = [[GaussianRational(0)] * n for _ in range(n)]
-        for idx, (p, q) in enumerate(slots):
-            grid[p][q] = vec[idx, 0]
-        out.append(ExactMatrix(grid))
-    expected = n * n - 3 * n + 1
+    for sign, unit in ((1, 1), (-1, 1j)):
+        kernel = np.eye(len(slots[0]))
+        if doubly_null:
+            rows = [[int(i == r) + sign * int(j == r) for i, j in zip(*slots)] for r in range(n)]
+            kernel = [v.to_complex()[:, 0].real for v in nullspace_exact(ExactMatrix(rows))]
+        for coords in kernel:
+            upper = np.zeros((n, n), dtype=np.complex128)
+            upper[slots] = unit * coords
+            out.append(upper + sign * upper.T)
+    expected = n * n - 3 * n + 1 if doubly_null else n * n - n
     if len(out) != expected:
-        raise RuntimeError(f"kernel dimension {len(out)}, expected {expected}")
-    e = ExactMatrix.column([1] * n)
-    for z in out:
-        if not (z @ e).is_zero() or not (z.h @ e).is_zero():
-            raise RuntimeError("basis element does not annihilate the all-ones vector")
-    return out
+        raise RuntimeError(f"basis has {len(out)} elements, expected {expected}")
+    return np.array(out)
 
 
-def _hermitian_generator_3() -> ExactMatrix:
-    """The Hermitian generator of the n=3 doubly-null space, [[0,i,-i],...]."""
-    z = GaussianRational(0)
-    pi = GaussianRational(0, 1)
-    mi = GaussianRational(0, -1)
-    return ExactMatrix([[z, pi, mi], [mi, z, pi], [pi, mi, z]])
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a_i, b_j) for every pair of two stacks, i outer."""
+    (p, r, c), (q, u, v) = a.shape, b.shape
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(p * q, r * u, c * v)
 
 
-# -- the two pencils ---------------------------------------------------------
+def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
+    """The directions kron(kron(H_a, H_b), h) over the Hermitian basis H of
+    Z (weak) or Z_e (strong) and h of Her_s: a basis of the Hermitian part
+    of the variable space, (dim H)^2 s^2 Gaussian-integer arrays."""
+    z = zero_diagonal_basis(n, doubly_null=mode == STRONG)
+    herm = np.array([h.to_complex() for h in hermitian_basis(s)])
+    # complex products of signed entries leave negative zeros; adding zero
+    # clears them, so the entries match ExactMatrix.to_complex bit for bit
+    return _kron_pairs(_kron_pairs(z, z), herm) + 0.0
 
 
 def _exact_gaussian_integers(m: np.ndarray) -> ExactMatrix:
@@ -275,65 +275,6 @@ class ObstructionCheckResult:
     y: np.ndarray | None = None  # numeric dual witness on "no"
 
 
-def _hermitian_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric and antisymmetric Hermitian parts t + t*, it + (it)*."""
-    ti = 1j * t
-    return t + t.conj().T, ti + ti.conj().T
-
-
-def _weak_directions(n: int, s: int) -> np.ndarray:
-    """Hermitian basis of Z (x) Z (x) Her_s, real dimension (n^2-n)^2 s^2.
-
-    Ordered slot pairs come in conjugate-transpose partners
-    ((i,j),(k,l)) <-> ((j,i),(l,k)); each canonical pair contributes the
-    symmetric and antisymmetric Hermitian combinations for every block
-    basis element.
-    """
-    herm = [h.to_complex() for h in hermitian_basis(s)]
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    units = dict(zip(slots, (z.to_complex() for z in z_basis(n))))
-    seen = set()
-    out = []
-    for ij in slots:
-        for kl in slots:
-            partner = ((ij[1], ij[0]), (kl[1], kl[0]))
-            if partner in seen:
-                continue
-            seen.add((ij, kl))
-            t2 = np.kron(units[ij], units[kl])
-            for h in herm:
-                out.extend(_hermitian_pair(np.kron(t2, h)))
-    return np.array(out)
-
-
-def _strong_candidates(n: int, s: int) -> np.ndarray:
-    """Hermitian spanning set of Z_e (x) Z_e (x) Her_s.
-
-    For n = 3 the doubly-null space has the Hermitian generator g, so
-    g (x) g (x) h is already Hermitian and the set is a basis in the
-    fixed block order (diagonal units and symmetric/antisymmetric
-    off-diagonal pairs).  For n >= 4 the generators are not Hermitian
-    and the symmetric/antisymmetric combinations overshoot by a factor
-    of two; the pencil deduplication keeps a basis.
-    """
-    herm = [h.to_complex() for h in hermitian_basis(s)]
-    if n == 3:
-        g = _hermitian_generator_3().to_complex()
-        gg = np.kron(g, g)
-        out = [np.kron(gg, h) for h in herm]
-    else:
-        basis = [z.to_complex() for z in ze_basis(n)]
-        out = []
-        for za in basis:
-            for zb in basis:
-                t2 = np.kron(za, zb)
-                for h in herm:
-                    out.extend(_hermitian_pair(np.kron(t2, h)))
-    # complex products of signed entries leave negative zeros; adding zero
-    # clears them, so the entries match ExactMatrix.to_complex bit for bit
-    return np.array(out) + 0.0
-
-
 def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
     """Assemble the weak or strong feasibility pencil for a magic square.
 
@@ -344,25 +285,11 @@ def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
     """
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
-    n, s = a.n, a.s
-    if mode == WEAK and n < 2:
-        raise NotDefinedForSmallN("weak pencil needs n >= 2")
-    if mode == WEAK:
-        b0 = phi_matrix(a)
-        candidates = _weak_directions(n, s)
-        expected = (n * n - n) ** 2 * s * s
-    else:
-        b0 = phi_matrix(a) + psi_matrix(a)
-        candidates = _strong_candidates(n, s)
-        expected = (n * n - 3 * n + 1) ** 2 * s * s
+    b0 = phi_matrix(a) if mode == WEAK else phi_matrix(a) + psi_matrix(a)
     f0 = as_complex(b0)
-    pencil = SdpProblem(f0, candidates)
-    if len(pencil.directions) != expected:
-        raise RuntimeError(
-            f"pencil has {len(pencil.directions)} directions, expected {expected}"
-        )
+    pencil = SdpProblem(f0, pencil_directions(a.n, a.s, mode))
     if mode == STRONG:
-        _check_kernel_identity(b0, f0, n, s, a.exact)
+        _check_kernel_identity(b0, f0, a.n, a.s, a.exact)
     return ObstructionProblem(
         square=a, mode=mode, pencil=pencil, b0_exact=b0 if a.exact else None
     )
@@ -392,15 +319,15 @@ def check_mconv_obstruction(
     quantum permutation matrices and comes with a numeric dual witness.
     "yes" only reports that the obstruction is silent (the pencil is
     feasible, with a numeric X achieving B0 + X >= -eps); it does not
-    prove membership.  Weak and strong verdicts agree on every square.
+    prove membership.  The weak and strong pencils are equivalent, so
+    their exact verdicts agree on every square; numerically, the padded
+    counterexample embed_pad(counterexample_m2_3()) is a known exception,
+    "no" in strong mode and "inconclusive" in weak mode.
     """
     problem = build_obstruction(a, mode)
     res = solve_feasibility(problem.pencil, eps)
     if res.status is Status.FEASIBLE:
-        x = np.zeros((problem.dim, problem.dim), dtype=np.complex128)
-        for xi, d in zip(res.x, problem.pencil.directions):
-            x = x + float(xi) * d
-        return ObstructionCheckResult("yes", problem, res, x=x)
+        return ObstructionCheckResult("yes", problem, res, x=problem.pencil.combine(res.x))
     if res.status is Status.INFEASIBLE:
         return ObstructionCheckResult("no", problem, res, y=res.y)
     return ObstructionCheckResult("inconclusive", problem, res)
@@ -500,11 +427,10 @@ def find_dual_certificate(
     theta = max(theta, min(bound, 4 * d * eps))
     y = (1 - theta) * y + theta * np.eye(d) / d
     y = (y + y.conj().T) / 2
-    pairings = [float(np.real(np.trace(y @ b))) for b in problem.pencil.directions]
     return DualWitness(
         y=y,
         trace_b0=float(np.real(np.trace(y @ f0))),
-        pairing_max=max((abs(p) for p in pairings), default=0.0),
+        pairing_max=float(np.abs(problem.pencil.pairings(y)).max(initial=0.0)),
         min_eigenvalue=float(np.linalg.eigvalsh(y).min()),
     )
 

@@ -1,10 +1,14 @@
 """Dense Hermitian semidefinite feasibility: decide sup { t : F0 + sum x_i F_i >= t I }.
 
+An `SdpProblem` holds the directions F_i as one (m, d, d) complex stack, with
+the affine map x -> sum x_i F_i (`combine`) and its adjoint (`pairings`).
 The solver follows the central path of the log-det barrier with damped Newton
-steps, entirely in complex Hermitian arithmetic.  Feasibility is certified by
-re-verifying the returned primal point; infeasibility by a polished dual
-matrix Y with trace(Y F_i) = 0, trace(Y) = 1, Y PSD and trace(Y F0) < 0.
-Anything the witnesses cannot settle is reported Inconclusive.
+steps; each step takes its gradient and Gram matrix from one batched product
+M^-1/2 F_i M^-1/2 over the stack.  Feasibility is certified by re-verifying
+the returned primal point; infeasibility by a dual Y, polished by PSD
+clipping alternated with affine projection, with trace(Y F_i) = 0,
+trace(Y) = 1, Y PSD and trace(Y F0) < 0.  Anything the witnesses cannot
+settle is reported Inconclusive.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-7
 HERM_TOL = 1e-9
-DEDUP_TOL = 1e-10
 
 
 class NonHermitian(ValueError):
@@ -43,57 +46,62 @@ class Status(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _gram_schmidt_keep(mats: list[np.ndarray], tol: float) -> list[int]:
-    """Indices of a maximal independent subset (first occurrence wins)."""
-    basis: list[np.ndarray] = []
-    keep: list[int] = []
-    for k, m in enumerate(mats):
-        v = m.reshape(-1)
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            continue
-        w = v.copy()
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        if np.linalg.norm(w) > tol * norm0:
-            basis.append(w / np.linalg.norm(w))
-            keep.append(k)
-    return keep
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """Each complex matrix of a stack as one real row: the row products are
+    the real Frobenius pairings Re tr(A* B), without copying the stack."""
+    m, rows, cols = stack.shape
+    return stack.reshape(m, rows * cols).view(np.float64)
+
+
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(F + F*) / 2 for every F of a stack, which must be Hermitian within HERM_TOL."""
+    adj = stack.conj().swapaxes(1, 2)
+    resid = float(np.abs(stack - adj).max(initial=0.0))
+    if resid > HERM_TOL:
+        raise NonHermitian(f"hermiticity residual {resid:.2e}")
+    return (stack + adj) / 2
 
 
 class SdpProblem:
-    """Pencil feasibility data.  Directions are deduplicated at construction;
-    `kept` maps the stored directions back to positions in the input list."""
+    """Pencil feasibility data: F0 and the directions F_i as one (m, d, d)
+    complex stack.  The directions must be linearly independent; the
+    solver re-verifies every witness, so dependent directions can only
+    stall it to Inconclusive, never turn a verdict."""
 
-    __slots__ = ("f0", "directions", "dim", "kept")
+    __slots__ = ("f0", "directions", "dim")
 
     def __init__(self, f0, directions=()):
         f0 = np.asarray(f0, dtype=np.complex128)
-        dirs = [np.asarray(f, dtype=np.complex128) for f in directions]
         d = f0.shape[0]
-        for m in [f0, *dirs]:
-            if m.shape != (d, d):
-                raise DimensionMismatch(f"matrix of shape {m.shape}, expected {(d, d)}")
-            resid = float(np.abs(m - m.conj().T).max())
-            if resid > HERM_TOL:
-                raise NonHermitian(f"hermiticity residual {resid:.2e}")
-        kept = _gram_schmidt_keep(dirs, DEDUP_TOL)
-        object.__setattr__(self, "f0", (f0 + f0.conj().T) / 2)
-        object.__setattr__(
-            self, "directions", tuple((dirs[k] + dirs[k].conj().T) / 2 for k in kept)
-        )
+        try:
+            dirs = np.asarray(directions, dtype=np.complex128)
+        except ValueError:  # a ragged list of matrices
+            raise DimensionMismatch("directions have different shapes") from None
+        if dirs.size == 0:
+            dirs = dirs.reshape(0, d, d)
+        if f0.shape != (d, d) or dirs.shape[1:] != (d, d):
+            raise DimensionMismatch(
+                f"shapes {f0.shape} and {dirs.shape[1:]}, expected {(d, d)}"
+            )
+        object.__setattr__(self, "f0", _hermitian_part(f0[None])[0])
+        object.__setattr__(self, "directions", _hermitian_part(dirs))
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "kept", tuple(kept))
 
     def __setattr__(self, name, value):
         raise AttributeError("SdpProblem is immutable")
 
+    def combine(self, x: np.ndarray) -> np.ndarray:
+        """sum x_i F_i for real coefficients x."""
+        return np.tensordot(np.asarray(x, dtype=float), self.directions, axes=1)
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """F0 + sum x_i F_i for real coefficients x over the stored directions."""
-        out = self.f0.copy()
-        for xi, f in zip(x, self.directions):
-            out = out + float(xi) * f
-        return out
+        """F0 + sum x_i F_i for real coefficients x."""
+        return self.f0 + self.combine(x)
+
+    def pairings(self, y: np.ndarray) -> np.ndarray:
+        """[Re tr(Y F_i)], the adjoint of `combine`."""
+        y = np.ascontiguousarray(y, dtype=np.complex128)
+        return _real_rows(self.directions) @ y.reshape(-1).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -104,24 +112,19 @@ class SdpResult:
     y: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> bool:
-        return self.status is Status.FEASIBLE
 
-
-def _dual_polish(
-    y0: np.ndarray, constraints: list[np.ndarray], targets: list[float], rounds: int
-) -> np.ndarray:
-    """Alternate PSD clipping with exact affine projection; end on affine."""
-    vecs = np.stack([c.reshape(-1) for c in constraints])
-    gram = vecs.conj() @ vecs.T
-    gram_inv = np.linalg.pinv(gram.real)
-    t = np.array(targets, dtype=float)
+def _dual_polish(y0: np.ndarray, stack: np.ndarray, rounds: int) -> np.ndarray:
+    """Alternate PSD clipping with exact projection onto the affine set
+    {trace(Y F_i) = 0 for every F_i of the stack, trace(Y) = 1}; end on affine."""
+    d = y0.shape[0]
+    rows = _real_rows(np.concatenate([stack, np.eye(d, dtype=np.complex128)[None]]))
+    gram_inv = np.linalg.pinv(rows @ rows.T)
+    targets = np.zeros(len(rows))
+    targets[-1] = 1.0
 
     def affine(y):
-        r = vecs.conj() @ y.reshape(-1)
-        mu = gram_inv @ (r.real - t)
-        return y - np.tensordot(mu, np.stack(constraints), axes=1)
+        mu = gram_inv @ (rows @ y.reshape(-1).view(np.float64) - targets)
+        return y - (mu @ rows).view(np.complex128).reshape(d, d)
 
     y = (y0 + y0.conj().T) / 2
     for _ in range(rounds):
@@ -138,37 +141,29 @@ def solve_feasibility(
 
     Feasible: the returned x re-verifies lambda_min(F(x)) >= -eps.
     Infeasible: the returned Y re-verifies the four dual conditions with
-    trace(Y F0) <= -10 eps.  Otherwise Inconclusive with diagnostics.
+    trace(Y F0) <= -10 eps.  Otherwise Inconclusive with diagnostics and
+    the last primal point x, whose lambda_min(F(x)) is t_star.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = problem.dim
-    dirs = list(problem.directions)
-    m = len(dirs)
-    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(problem.f0)).max()))
-
-    tilted = dirs + [-np.eye(d, dtype=np.complex128)]
-    lam0 = float(np.linalg.eigvalsh(problem.f0).min())
+    stack = problem.directions
+    m = len(stack)
+    eye = np.eye(d, dtype=np.complex128)
+    lam0 = np.linalg.eigvalsh(problem.f0)
+    scale = max(1.0, float(np.abs(lam0).max()))
     y = np.zeros(m + 1)
-    y[m] = lam0 - scale  # strictly feasible start: F0 - t I >= scale I
+    y[m] = lam0[0] - scale  # strictly feasible start: F0 - t I >= scale I
 
     mu = scale
     mu_end = 0.1 * eps / d
     iters = 0
     stalled = False
-    mat = problem.f0 - y[m] * np.eye(d)
 
     def pencil(yv):
-        out = problem.f0 - yv[m] * np.eye(d)
-        for k in range(m):
-            out = out + yv[k] * dirs[k]
-        return (out + out.conj().T) / 2
+        return problem.evaluate(yv[:m]) - yv[m] * eye
 
-    def logdet_min(a):
-        lam = np.linalg.eigvalsh(a)
-        if lam[0] <= 0:
-            return None, lam[0]
-        return float(np.log(lam).sum()), lam[0]
+    mat = pencil(y)
 
     while mu > mu_end and iters < max_iter and not stalled:
         for _ in range(60):
@@ -178,11 +173,14 @@ def solve_feasibility(
                 stalled = True
                 break
             isqrt = (u / np.sqrt(lam)) @ u.conj().T
-            gmats = [isqrt @ f @ isqrt for f in tilted]
-            grad = np.array([g.trace().real for g in gmats])
+            # M^-1/2 F M^-1/2 for every direction, and -M^-1 for the t-direction -I
+            gmats = np.empty((m + 1, d, d), dtype=np.complex128)
+            np.matmul(isqrt @ stack, isqrt, out=gmats[:m])
+            gmats[m] = -(isqrt @ isqrt)
+            grad = np.trace(gmats, axis1=1, axis2=2).real
             grad[m] += 1.0 / mu
-            gstack = np.stack([g.reshape(-1) for g in gmats])
-            k = (gstack @ gstack.conj().T).real
+            flat = gmats.reshape(m + 1, d * d)
+            k = (flat @ flat.conj().T).real
             try:
                 step = np.linalg.solve(k, grad)
             except np.linalg.LinAlgError:
@@ -193,8 +191,8 @@ def solve_feasibility(
             alpha = 1.0
             while alpha > 1e-13:
                 cand = y + alpha * step
-                ld, lmin = logdet_min(pencil(cand))
-                if ld is not None and ld + cand[m] / mu > f_cur - 1e-12:
+                lam_c = np.linalg.eigvalsh(pencil(cand))
+                if lam_c[0] > 0 and np.log(lam_c).sum() + cand[m] / mu > f_cur - 1e-12:
                     y = cand
                     mat = pencil(y)
                     break
@@ -207,8 +205,7 @@ def solve_feasibility(
         mu *= 0.2
 
     x = y[:m]
-    fx = problem.evaluate(x)
-    lam_min = float(np.linalg.eigvalsh(fx).min())
+    lam_min = float(np.linalg.eigvalsh(problem.evaluate(x)).min())
     diagnostics = {
         "iterations": iters,
         "mu_final": mu,
@@ -224,31 +221,18 @@ def solve_feasibility(
 
     # Infeasibility route: polish the barrier dual mu M^{-1} into a certificate.
     lam, u = np.linalg.eigh(mat)
-    if lam[0] > 0:
-        y_raw = (u / lam) @ u.conj().T
-    else:
-        bottom = u[:, :1]
-        y_raw = bottom @ bottom.conj().T
+    y_raw = (u / lam) @ u.conj().T if lam[0] > 0 else np.outer(u[:, 0], u[:, 0].conj())
     y_raw = y_raw / y_raw.trace().real
-    constraints = dirs + [np.eye(d, dtype=np.complex128)]
-    targets = [0.0] * m + [1.0]
-    y_cert = _dual_polish(y_raw, constraints, targets, rounds=80)
+    y_cert = _dual_polish(y_raw, stack, rounds=80)
 
-    pairings = np.array([float((y_cert @ f).trace().real) for f in dirs])
+    pair_max = float(np.abs(problem.pairings(y_cert)).max(initial=0.0))
     p0 = float((y_cert @ problem.f0).trace().real)
     y_min = float(np.linalg.eigvalsh((y_cert + y_cert.conj().T) / 2).min())
-    diagnostics.update(
-        {
-            "dual_pairing_max": float(np.abs(pairings).max()) if m else 0.0,
-            "dual_f0_pairing": p0,
-            "dual_lambda_min": y_min,
-        }
-    )
-    pair_ok = m == 0 or float(np.abs(pairings).max()) <= eps
-    if p0 <= -10 * eps and pair_ok and y_min >= -eps:
+    diagnostics.update(dual_pairing_max=pair_max, dual_f0_pairing=p0, dual_lambda_min=y_min)
+    if p0 <= -10 * eps and pair_max <= eps and y_min >= -eps:
         return SdpResult(
             Status.INFEASIBLE, t_star=p0, y=y_cert, residuals=diagnostics
         )
     if iters >= max_iter:
         diagnostics["iteration_limit"] = True
-    return SdpResult(Status.INCONCLUSIVE, t_star=lam_min, residuals=diagnostics)
+    return SdpResult(Status.INCONCLUSIVE, t_star=lam_min, x=x, residuals=diagnostics)

@@ -35,7 +35,6 @@ from .structures import (
     difference,
     identity,
     permutations_lex,
-    perm_rank,
     psd_margin,
     residual,
     scalar,
@@ -180,33 +179,24 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
             put(f0, off[3] + i, off[4] + j, blk)
             put(f0, off[4] + j, off[3] + i, blk.conj().T)
 
-    basis = [h.to_complex() for h in hermitian_basis(s)]
-    dirs = []
-    for sigma in permutations_lex(n):
-        rho = perm_rank(sigma)
-        for h in basis:
-            d = np.zeros((dim, dim), dtype=np.complex128)
+    basis = np.array([h.to_complex() for h in hermitian_basis(s)])
+    dirs = np.zeros((nf, len(basis), dim, dim), dtype=np.complex128)
+    for rho, sigma in enumerate(permutations_lex(n)):
+        for d, h in zip(dirs[rho], basis):
             put(d, off[0], off[1], -h)
             put(d, off[1], off[0], -h)
             put(d, off[2] + rho, off[2] + rho, h)
             for i in range(n):
                 put(d, off[3] + i, off[4] + sigma[i], -h)
                 put(d, off[4] + sigma[i], off[3] + i, -h)
-            dirs.append(d)
-    return SdpProblem(f0, dirs)
+    return SdpProblem(f0, dirs.reshape(-1, dim, dim))
 
 
 def _weights_from_x(n: int, s: int, x: np.ndarray) -> dict:
-    basis = [h.to_complex() for h in hermitian_basis(s)]
-    out = {}
-    k = 0
-    for sigma in permutations_lex(n):
-        q = np.zeros((s, s), dtype=np.complex128)
-        for h in basis:
-            q = q + float(x[k]) * h
-            k += 1
-        out[sigma] = q
-    return out
+    """q_pi = sum_h x_(pi, h) h, the LMI coordinates read back as weights."""
+    basis = np.array([h.to_complex() for h in hermitian_basis(s)])
+    q = np.tensordot(np.reshape(x, (-1, len(basis))), basis, axes=1)
+    return dict(zip(permutations_lex(n), q))
 
 
 def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
@@ -282,10 +272,7 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     elif a.exact and res.residuals.get("primal_lambda_min", -1) > -1e-4:
         # The solver could not resolve, but a nearly feasible point exists;
         # exact repair may still rationalize it into the set.
-        x = res.x
-        if x is None:
-            x = np.zeros(len(problem.directions))
-        weights = _weights_from_x(a.n, a.s, x)
+        weights = _weights_from_x(a.n, a.s, res.x)
     else:
         return CheckResult("inconclusive", residuals=res.residuals)
     for max_den in REPAIR_DENOMINATORS:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactMatrix, GaussianRational
-from .obstruction import ObstructionCertificate
+from .obstruction import STRONG, WEAK, ObstructionCertificate
 from .semiclassical import SemiclassicalDecomposition
 from .structures import InvalidMagicSquare, MagicSquare
 
@@ -98,9 +98,9 @@ def float_matrix_from_json(data) -> np.ndarray:
         raise FormatError("expected a nested array for a float matrix")
     try:
         return np.array(
-            [[complex(x[0], x[1]) for x in row] for row in data], dtype=np.complex128
+            [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
         )
-    except (TypeError, IndexError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad float matrix entry: {err}") from None
 
 
@@ -126,8 +126,10 @@ def square_from_json(data, tol: float | None = None) -> MagicSquare:
     if rep not in ("exact", "float"):
         raise FormatError(f"repr must be 'exact' or 'float', got {rep!r}")
     blocks = data["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(r, list) for r in blocks):
+        raise FormatError("blocks must be an array of arrays")
     n = data.get("n", len(blocks))
-    if not isinstance(blocks, list) or len(blocks) != n or any(len(r) != n for r in blocks):
+    if not blocks or len(blocks) != n or any(len(r) != n for r in blocks):
         raise FormatError(f"blocks do not form an {n} x {n} grid")
     parse = exact_matrix_from_json if rep == "exact" else float_matrix_from_json
     grid = [[parse(b) for b in row] for row in blocks]
@@ -241,19 +243,32 @@ def certificate_from_json(data) -> tuple[ObstructionCertificate, MagicSquare | N
     missing = {"n", "s", "mode", "Y", "pairings"} - set(data)
     if missing:
         raise FormatError(f"certificate is missing keys: {sorted(missing)}")
+    n, s = (_positive_int(data, key) for key in ("n", "s"))
+    if data["mode"] not in (WEAK, STRONG):
+        raise FormatError(f"mode must be {WEAK!r} or {STRONG!r}, got {data['mode']!r}")
+    if not isinstance(data["pairings"], dict):
+        raise FormatError("pairings must be an object of label: rational")
     pairings = {
         label: GaussianRational(rational_from_json(value))
         for label, value in data["pairings"].items()
     }
-    cert = ObstructionCertificate(
-        n=int(data["n"]),
-        s=int(data["s"]),
-        mode=data["mode"],
-        y_exact=exact_matrix_from_json(data["Y"]),
-        pairings=pairings,
-    )
+    y = exact_matrix_from_json(data["Y"])
+    if y.shape != (n * n * s, n * n * s):
+        raise FormatError(f"Y has shape {y.shape}, expected {(n * n * s, n * n * s)}")
+    cert = ObstructionCertificate(n=n, s=s, mode=data["mode"], y_exact=y, pairings=pairings)
     square = square_from_json(data["square"]) if "square" in data else None
+    if square is not None and (square.n, square.s) != (n, s):
+        raise FormatError(
+            f"embedded square has n={square.n}, s={square.s}; the certificate n={n}, s={s}"
+        )
     return cert, square
+
+
+def _positive_int(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"{key} must be a positive integer, got {value!r}")
+    return value
 
 
 # -- files -------------------------------------------------------------------------

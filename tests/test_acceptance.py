@@ -30,8 +30,8 @@ from qmagic.obstruction import (
     counterexample_m2_3,
     find_dual_certificate,
     member_witness_from_dilation,
+    pencil_directions,
     phi_matrix,
-    _weak_directions,
 )
 from qmagic.sampling import (
     perturbed_constant_decomposition,
@@ -130,7 +130,7 @@ def test_criterion_03_induction_step(counterexample):
     # compression identity: with V = v (x) v (x) I for the coordinate
     # embedding v, V* (phi(A') + X') V = phi(A) + V* X' V for 20 random X'
     rng = np.random.default_rng(42)
-    directions = _weak_directions(4, 2)
+    directions = pencil_directions(4, 2, WEAK)
     v = np.vstack([np.eye(3), np.zeros((1, 3))])
     big = np.kron(np.kron(v, v), np.eye(2))
     phi_small = np.asarray(phi_matrix(counterexample).to_complex())

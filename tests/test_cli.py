@@ -272,6 +272,55 @@ def test_verify_certificate_needs_square(run, strong_cert, workdir):
     assert code == 3
 
 
+def test_validate_blocks_not_a_grid(run, workdir):
+    data = square_to_json(constant_square(2, 1))
+    data["blocks"] = 5
+    path = workdir / "blocks5.json"
+    dump_json(data, path)
+    code, report = run("validate", path)
+    assert code == 3
+    assert "error" in report["verdicts"]
+
+
+def _resize_y(data):
+    data["Y"] = [row[:-1] for row in data["Y"][:-1]]
+
+
+def _embed_other_square(data):
+    data["square"] = square_to_json(constant_square(3, 1))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda data: data.update(n="x"),
+        lambda data: data.update(pairings=[1]),
+        _resize_y,
+        lambda data: data.update(mode="bogus"),
+        _embed_other_square,
+    ],
+    ids=["n-not-int", "pairings-list", "y-shape", "mode", "embedded-size"],
+)
+def test_verify_certificate_malformed_is_usage_error(run, strong_cert, workdir, mutate):
+    _, _, cert_path = strong_cert
+    data = json.loads(cert_path.read_text())
+    mutate(data)
+    bad = workdir / "malformed.cert.json"
+    dump_json(data, bad)
+    code, report = run("verify-certificate", bad)
+    assert code == 3
+    assert "error" in report["verdicts"]
+
+
+def test_verify_certificate_square_size_mismatch(run, strong_cert, workdir):
+    _, _, cert_path = strong_cert
+    other = workdir / "constant3_1.json"
+    dump_square(constant_square(3, 1), other)
+    code, report = run("verify-certificate", cert_path, "--square", other)
+    assert code == 3
+    assert "n=3, s=2" in report["verdicts"]["error"]
+
+
 def test_find_certificate_feasible_square(run, workdir):
     code, report = run("find-certificate", workdir / "constant3.json")
     assert code == 1

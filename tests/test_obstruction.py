@@ -20,14 +20,11 @@ from qmagic.obstruction import (
     member_witness_from_dilation,
     phi_matrix,
     psi_matrix,
+    pencil_directions,
     verify_certificate,
-    z_basis,
-    ze_basis,
+    zero_diagonal_basis,
     _exact_gaussian_integers,
-    _hermitian_generator_3,
     _pairing,
-    _strong_candidates,
-    _weak_directions,
 )
 from qmagic.sampling import random_member_square
 from qmagic.semiclassical import (
@@ -183,33 +180,37 @@ def test_kernel_identity_exact(cex):
 # -- variable spaces ---------------------------------------------------------
 
 
-def test_z_basis_small():
-    basis = z_basis(2)
-    assert len(basis) == 2
-    assert basis[0][0, 1] == GaussianRational(1)
-    assert basis[1][1, 0] == GaussianRational(1)
+def _generator_3() -> ExactMatrix:
+    """The Hermitian generator [[0, i, -i], [-i, 0, i], [i, -i, 0]] of Z_e at n = 3."""
+    z, pi, mi = GaussianRational(0), GaussianRational(0, 1), GaussianRational(0, -1)
+    return ExactMatrix([[z, pi, mi], [mi, z, pi], [pi, mi, z]])
+
+
+def test_ze_basis_n3_is_the_generator():
+    assert np.array_equal(zero_diagonal_basis(3, doubly_null=True), [_generator_3().to_complex()])
+
+
+@pytest.mark.parametrize(
+    "n, doubly_null", [(n, False) for n in (2, 3, 4, 5)] + [(n, True) for n in (3, 4, 5, 6)]
+)
+def test_zero_diagonal_basis(n, doubly_null):
+    basis = zero_diagonal_basis(n, doubly_null=doubly_null)
+    assert len(basis) == (n * n - 3 * n + 1 if doubly_null else n * n - n)
+    assert np.array_equal(basis, np.round(basis))
+    assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+    assert np.all(np.diagonal(basis, axis1=1, axis2=2) == 0)
+    if doubly_null:  # kills e on both sides
+        e = np.ones(n)
+        assert np.all(basis @ e == 0) and np.all(e @ basis == 0)
+    flat = basis.reshape(len(basis), -1)
+    assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == len(basis)
+
+
+def test_zero_diagonal_basis_small_n():
     with pytest.raises(NotDefinedForSmallN):
-        z_basis(1)
-
-
-def test_ze_basis_n3_matches_generator():
-    (gen,) = ze_basis(3)
-    g = _hermitian_generator_3()
-    # the rational generator is an exact scalar multiple of the Hermitian one
-    assert gen == GaussianRational(0, 1) * g
-
-
-def test_ze_basis_n4():
-    basis = ze_basis(4)
-    assert len(basis) == 5
-    e = ExactMatrix.column([1] * 4)
-    for z in basis:
-        assert (z @ e).is_zero()
-        assert (z.h @ e).is_zero()
-        for k in range(4):
-            assert z[k, k] == GaussianRational(0)
+        zero_diagonal_basis(1)
     with pytest.raises(NotDefinedForSmallN):
-        ze_basis(2)
+        zero_diagonal_basis(2, doubly_null=True)
 
 
 # -- pencils -----------------------------------------------------------------
@@ -226,7 +227,7 @@ def test_build_dimensions(cex, strong_problem):
 
 
 def test_strong_directions_are_generator_tensors(strong_problem):
-    g = _hermitian_generator_3()
+    g = _generator_3()
     gg = g.kron(g)
     b1 = gg.kron(ExactMatrix([[1, 0], [0, 0]]))
     b3 = gg.kron(ExactMatrix([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]]))
@@ -243,56 +244,39 @@ def test_directions_traceless_and_hermitian(cex):
             assert tr.re == 0 and tr.im == 0
 
 
-def _exact_unit(n, i, j):
-    return ExactMatrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
-
-
-def _exact_hermitian_pair(t):
-    ti = GaussianRational(0, 1) * t
-    return [t + t.h, ti + ti.h]
-
-
-def reference_weak_directions(n, s):
-    """The weak directions as dense exact Kronecker products, in pencil order."""
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    seen = set()
-    out = []
-    for ij in slots:
-        for kl in slots:
-            if ((ij[1], ij[0]), (kl[1], kl[0])) in seen:
-                continue
-            seen.add((ij, kl))
-            t2 = _exact_unit(n, *ij).kron(_exact_unit(n, *kl))
-            for h in hermitian_basis(s):
-                out.extend(_exact_hermitian_pair(t2.kron(h)))
-    return out
-
-
-def reference_strong_candidates(n, s):
-    """The strong candidates as dense exact Kronecker products, in pencil order."""
-    if n == 3:
-        g = _hermitian_generator_3()
-        return [g.kron(g).kron(h) for h in hermitian_basis(s)]
-    out = []
-    for za in ze_basis(n):
-        for zb in ze_basis(n):
-            for h in hermitian_basis(s):
-                out.extend(_exact_hermitian_pair(za.kron(zb).kron(h)))
-    return out
+def reference_directions(n, s, mode):
+    """The pencil directions as dense exact Kronecker products, in pencil order."""
+    z = [_exact_gaussian_integers(b) for b in zero_diagonal_basis(n, mode == "strong")]
+    return [za.kron(zb).kron(h) for za in z for zb in z for h in hermitian_basis(s)]
 
 
 @pytest.mark.parametrize(
-    "build, reference, n, s",
-    [(_weak_directions, reference_weak_directions, n, s)
-     for n, s in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)]]
-    + [(_strong_candidates, reference_strong_candidates, n, s)
-       for n, s in [(3, 1), (3, 2), (3, 3), (4, 1)]],
+    "mode, n, s",
+    [("weak", n, s) for n, s in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)]]
+    + [("strong", n, s) for n, s in [(3, 1), (3, 2), (3, 3), (4, 1)]],
 )
-def test_numpy_directions_match_exact_kron(build, reference, n, s):
-    got = build(n, s)
-    want = np.array([b.to_complex() for b in reference(n, s)])
+def test_numpy_directions_match_exact_kron(mode, n, s):
+    got = pencil_directions(n, s, mode)
+    want = np.array([b.to_complex() for b in reference_directions(n, s, mode)])
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # no negative zeros either
+
+
+@pytest.mark.parametrize(
+    "mode, n, s",
+    [("weak", n, s) for n in (2, 3, 4) for s in (1, 2)]
+    + [("strong", n, s) for n in (3, 4, 5) for s in (1, 2)],
+)
+def test_pencil_directions_form_a_basis(mode, n, s):
+    dirs = pencil_directions(n, s, mode)
+    dim = n * n - 3 * n + 1 if mode == "strong" else n * n - n
+    assert dirs.shape == (dim * dim * s * s, n * n * s, n * n * s)
+    assert np.array_equal(dirs, np.round(dirs))
+    assert np.array_equal(dirs, dirs.conj().swapaxes(1, 2))
+    assert np.all(np.trace(dirs, axis1=1, axis2=2) == 0)
+    flat = dirs.reshape(len(dirs), -1)
+    # Hermitian matrices are independent over R iff their real coordinates are
+    assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == len(dirs)
 
 
 def test_directions_exact_converts_pencil(strong_problem):
@@ -355,6 +339,16 @@ def test_embedded_counterexample_fails(cex):
     assert out.verdict == "no"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known numerical exception: the weak primal stops at lambda_min -7.7e-4, "
+    "but the polished dual pairs +2.8e-3 with B0, so the verdict is inconclusive",
+)
+def test_embedded_counterexample_weak_agrees_with_strong(cex):
+    out = check_mconv_obstruction(embed_pad(cex).to_float(), "weak")
+    assert out.verdict == "no"
+
+
 def test_compression_identity_on_random_directions(cex):
     rng = np.random.default_rng(7)
     big = embed_pad(cex)
@@ -364,9 +358,7 @@ def test_compression_identity_on_random_directions(cex):
     w = np.kron(np.kron(v, v), np.eye(s))
     phi_small = phi_matrix(cex).to_complex()
     phi_big = phi_matrix(big).to_complex()
-    from qmagic.obstruction import _weak_directions
-
-    dirs = _weak_directions(4, 2)
+    dirs = pencil_directions(4, 2, "weak")
     for _ in range(20):
         coef = rng.standard_normal(len(dirs))
         xp = sum(c * d for c, d in zip(coef, dirs))

@@ -16,15 +16,24 @@ def rand_herm(rng, d):
 
 
 class TestSdpProblem:
-    def test_deduplication(self):
+    def test_directions_are_one_stack(self):
         f = np.array([[1.0, 0], [0, -1.0]])
-        p = SdpProblem(np.eye(2), [f, 2 * f, np.eye(2)])
-        assert p.kept == (0, 2)
-        assert len(p.directions) == 2
+        p = SdpProblem(np.eye(2), [f, np.eye(2)])
+        assert p.directions.shape == (2, 2, 2)
+        assert p.directions.dtype == np.complex128
+        assert SdpProblem(np.eye(3)).directions.shape == (0, 3, 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             SdpProblem(np.eye(2), [np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            SdpProblem(np.eye(2), [np.eye(2), np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            SdpProblem(np.ones((2, 3)))
+
+    def test_non_hermitian_direction_rejected(self):
+        with pytest.raises(NonHermitian):
+            SdpProblem(np.eye(2), [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):
@@ -33,6 +42,22 @@ class TestSdpProblem:
     def test_evaluate(self):
         p = SdpProblem(np.eye(2), [np.diag([1.0, -1.0])])
         assert np.allclose(p.evaluate([2.0]), np.diag([3.0, -1.0]))
+
+    def test_combine_and_pairings_match_loops(self):
+        rng = np.random.default_rng(6)
+        for m in (0, 1, 5):
+            dirs = [rand_herm(rng, 4) for _ in range(m)]
+            p = SdpProblem(rand_herm(rng, 4), dirs)
+            x = rng.normal(size=m)
+            looped = sum((xi * f for xi, f in zip(x, dirs)), np.zeros((4, 4), complex))
+            assert np.allclose(p.combine(x), looped, atol=1e-12)
+            assert np.allclose(p.evaluate(x), p.f0 + looped, atol=1e-12)
+            y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            want = [float((y @ f).trace().real) for f in dirs]
+            assert p.pairings(y).shape == (m,)
+            assert np.allclose(p.pairings(y), want, atol=1e-12)
+            # the adjoint identity <Y, sum x F> = sum x_i <Y, F_i> (real part)
+            assert np.isclose((y @ p.combine(x)).trace().real, x @ p.pairings(y))
 
 
 class TestSolveFeasibility:
@@ -73,8 +98,11 @@ class TestSolveFeasibility:
 
     def test_inconclusive_band(self):
         # true optimum sits inside (-10 eps, -eps): neither witness can exist
-        res = solve_feasibility(SdpProblem(np.diag([1.0, -5e-7])), eps=1e-7)
+        prob = SdpProblem(np.diag([1.0, -5e-7]))
+        res = solve_feasibility(prob, eps=1e-7)
         assert res.status is Status.INCONCLUSIVE
+        assert res.x is not None
+        assert np.linalg.eigvalsh(prob.evaluate(res.x)).min() == res.t_star
 
     def test_witnesses_reverify_on_random_instances(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,11 @@
 """JSON grammar round trips and rejection of malformed input."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmagic.exact import ExactMatrix, GaussianRational
@@ -110,6 +111,12 @@ def test_float_matrix_roundtrip():
 def test_float_matrix_rejects_bare_numbers():
     with pytest.raises(FormatError):
         float_matrix_from_json([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("entry", [[0.5, 0.0, 7.0], [0.5], "ab", {"re": 1, "im": 0}, [10**400, 0]])
+def test_float_matrix_rejects_entries_that_are_not_pairs(entry):
+    with pytest.raises(FormatError):
+        float_matrix_from_json([[entry]])
 
 
 # -- squares -------------------------------------------------------------------
@@ -227,7 +234,7 @@ def test_decomposition_rejections():
 
 
 def toy_certificate():
-    y = ExactMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    y = Fraction(1, 18) * ExactMatrix.identity(18)
     return ObstructionCertificate(
         n=3, s=2, mode="strong", y_exact=y, pairings={"B0": Fraction(-1, 9), "B1": Fraction(0)}
     )
@@ -269,6 +276,98 @@ def test_certificate_rejects_complex_pairing():
     cert.pairings["B2"] = GaussianRational(0, 1)
     with pytest.raises(FormatError, match="not real"):
         certificate_to_json(cert)
+
+
+def test_certificate_grammar_rejections():
+    base = certificate_to_json(toy_certificate(), square=constant_square(3, 2))
+    for key, value in [
+        ("n", "x"), ("n", 0), ("s", True), ("mode", "bogus"), ("pairings", [1]),
+        ("Y", exact_matrix_to_json(ExactMatrix.identity(4))),
+        ("square", square_to_json(constant_square(3, 1))),
+    ]:
+        with pytest.raises(FormatError):
+            certificate_from_json({**base, key: value})
+
+
+# -- fuzzing the grammar -----------------------------------------------------------
+
+_KEYS = ["n", "s", "repr", "blocks", "mode", "Y", "pairings", "square", "re", "im", "B0"]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-3", "1/0", "x", "exact", "float", "weak", "strong"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the value at path replaced, or deleted."""
+    if not path:
+        return value if value is not _DELETE else None
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _valid_documents():
+    rng = np.random.default_rng(11)
+    cert = ObstructionCertificate(
+        n=2, s=1, mode="weak", y_exact=Fraction(1, 4) * ExactMatrix.identity(4),
+        pairings={"B0": Fraction(-1, 9), "B1": Fraction(0)},
+    )
+    return {
+        square_from_json: [
+            square_to_json(constant_square(2, 1)),
+            square_to_json(random_member_square(rng, 2, 2)),
+        ],
+        certificate_from_json: [certificate_to_json(cert, square=constant_square(2, 1))],
+    }
+
+
+_DOCUMENTS = _valid_documents()
+
+
+def _parses_or_refuses(parse, data):
+    try:
+        parse(data)
+    except (FormatError, InvalidMagicSquare):
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([square_from_json, certificate_from_json]), _JSON)
+def test_fuzz_arbitrary_json(parse, data):
+    _parses_or_refuses(parse, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_documents(data):
+    parse = data.draw(st.sampled_from(sorted(_DOCUMENTS, key=lambda f: f.__name__)))
+    doc = data.draw(st.sampled_from(_DOCUMENTS[parse]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_JSON | st.just(_DELETE))
+    _parses_or_refuses(parse, _mutated(doc, path, value))
 
 
 # -- files ------------------------------------------------------------------------
