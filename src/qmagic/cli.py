@@ -65,7 +65,7 @@ from .serialize import (
     square_from_json,
     square_to_json,
 )
-from .structures import InvalidMagicSquare, MagicSquare, constant_square
+from .structures import DEFAULT_TOL, InvalidMagicSquare, MagicSquare, constant_square
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -287,7 +287,8 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
 
 
 def _floats(d: dict) -> dict:
-    return {k: float(v) for k, v in d.items()}
+    """Residuals for JSON: floats become Python floats, ints and bools keep their type."""
+    return {k: float(v) if isinstance(v, (float, np.floating)) else v for k, v in d.items()}
 
 
 # -- decompose ------------------------------------------------------------------
@@ -611,7 +612,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         if inputs:
             p.add_argument("inputs", nargs=inputs, help="input file(s) or directory")
-        p.add_argument("--eps", type=_positive_float, default=None, help="numeric tolerance")
+        p.add_argument(
+            "--eps", type=_positive_float, default=None,
+            help="one value for two tolerances: the tolerance to which a float input "
+            f"square is validated (default {DEFAULT_TOL:g}) and, in commands that run "
+            f"the solver, the solver's epsilon (default {DEFAULT_EPS:g})",
+        )
         p.add_argument("--out", type=Path, default=None, help="output file")
         if needs_square_flags:
             rep = p.add_mutually_exclusive_group()
@@ -651,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--square", type=Path, default=None, help="square file (overrides embedded)")
     rep = sub.add_parser("reproduce", help="rerun a scripted headline scenario")
     rep.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
-    rep.add_argument("--eps", type=_positive_float, default=None)
+    rep.add_argument("--eps", type=_positive_float, default=None, help="the solver's epsilon")
     rep.add_argument("--out", type=Path, default=None)
     rep.add_argument("--max-denominator", type=_positive_int, default=None)
     rep.set_defaults(handler=cmd_reproduce)

@@ -3,11 +3,16 @@
 Every certification path in this package runs on the types defined here.
 Floating point enters only through the explicit conversion helpers
 (`rationalize`, `ExactMatrix.to_complex`, `exact_from_float_matrix`).
+
+`affine_least_squares` is the one exact orthogonal projection onto an affine
+set; its shape-only work (rank selection, inverse Gram) is cached per
+constraint system, since every caller's constraints depend only on a shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -24,8 +29,6 @@ __all__ = [
     "rref_exact",
     "rank_exact",
     "nullspace_exact",
-    "solve_exact",
-    "independent_rows",
     "affine_least_squares",
     "hermitian_coordinates",
     "hermitian_from_coordinates",
@@ -81,10 +84,6 @@ class GaussianRational:
     def norm2(self) -> Fraction:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -221,21 +220,6 @@ class ExactMatrix:
                 out.append(row)
         return cls(out)
 
-    @classmethod
-    def block_diag(cls, blocks) -> "ExactMatrix":
-        blocks = list(blocks)
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        grid = [[_ZERO] * m for _ in range(n)]
-        r = c = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[r + i][c + j] = b._e[i][j]
-            r += b.rows
-            c += b.cols
-        return cls(grid)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -316,12 +300,6 @@ class ExactMatrix:
         """Conjugate transpose."""
         return ExactMatrix(
             [[self._e[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    @property
-    def t(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
     def conj(self) -> "ExactMatrix":
@@ -549,24 +527,36 @@ def nullspace_exact(m: ExactMatrix) -> list[ExactMatrix]:
     return basis
 
 
-def solve_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
-    """One exact solution of A x = b (columns of b solved jointly), or None."""
-    if a.rows != b.rows:
-        raise ValueError("incompatible shapes")
-    aug = ExactMatrix.from_blocks([[a, b]])
-    red, pivots = rref_exact(aug)
-    if any(p >= a.cols for p in pivots):
-        return None
-    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            sol[c][j] = red[r, a.cols + j]
-    return ExactMatrix(sol)
+@cache
+def _projection_operator(
+    rows: tuple[tuple[Fraction, ...], ...], weights: tuple[Fraction, ...]
+):
+    """The shape-only half of `affine_least_squares`, computed once per system.
 
-
-def independent_rows(m: ExactMatrix) -> tuple[int, ...]:
-    """Indices of a maximal linearly independent subset of rows (first wins)."""
-    return rref_exact(m.t)[1]
+    Returns the sparse support of every row, the indices of the first
+    maximal independent subset of rows, the inverse weights, and the exact
+    inverse of the weighted Gram matrix A_k W^-1 A_k* of those rows.
+    """
+    support = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+    winv = tuple(Fraction(1) / w for w in weights)
+    keep = rref_exact(ExactMatrix(zip(*rows)))[1]  # pivot columns of A* = first independent rows
+    k = len(keep)
+    gram = [
+        [
+            sum((c * winv[j] * rows[q][j] for j, c in support[p]), Fraction(0))
+            for q in keep
+        ]
+        for p in keep
+    ]
+    red, pivots = rref_exact(
+        ExactMatrix([g + [int(p == q) for q in range(k)] for p, g in enumerate(gram)])
+    )
+    if pivots != tuple(range(k)):
+        raise ValueError("degenerate constraint system")
+    gram_inv = tuple(
+        tuple((q, red[p, k + q].re) for q in range(k) if red[p, k + q]) for p in range(k)
+    )
+    return support, keep, winv, gram_inv
 
 
 def affine_least_squares(
@@ -578,37 +568,31 @@ def affine_least_squares(
     """Minimize sum_i w_i (x_i - x0_i)^2 subject to A x = b, exactly.
 
     All data is real rational.  The system must be consistent; redundant
-    rows are allowed and are dropped via exact rank selection.
+    rows are allowed and are dropped via exact rank selection.  The rank
+    selection and the inverse Gram matrix depend only on (A, w) and are
+    cached per system, so a call costs one residual, one rational matvec
+    and the exact check that every original row holds.
     """
     n = len(x0)
     if weights is None:
         weights = [Fraction(1)] * n
-    winv = [Fraction(1) / w for w in weights]
-    amat = ExactMatrix([[GaussianRational(x) for x in row] for row in a_rows])
-    keep = independent_rows(amat)
-    rows = [a_rows[i] for i in keep]
-    rhs = [b[i] - sum(a_rows[i][j] * x0[j] for j in range(n)) for i in keep]
-    k = len(rows)
-    # Gram matrix A W^-1 A* restricted to the independent rows.
-    gram = [
-        [
-            sum(rows[p][j] * winv[j] * rows[q][j] for j in range(n))
-            for q in range(k)
-        ]
-        for p in range(k)
-    ]
-    mu = solve_exact(
-        ExactMatrix([[GaussianRational(g) for g in row] for row in gram]),
-        ExactMatrix.column([GaussianRational(v) for v in rhs]),
+    support, keep, winv, gram_inv = _projection_operator(
+        tuple(map(tuple, a_rows)), tuple(weights)
     )
-    if mu is None:
-        raise ValueError("degenerate constraint system")
-    x = list(x0)
-    for j in range(n):
-        x[j] = x0[j] + winv[j] * sum(rows[p][j] * mu[p, 0].re for p in range(k))
+
+    def apply(row, v):
+        return sum((c * v[j] for j, c in row), Fraction(0))
+
+    rhs = [b[i] - apply(support[i], x0) for i in keep]
+    mu = [apply(row, rhs) for row in gram_inv]
+    step = [Fraction(0)] * n
+    for i, m in zip(keep, mu):
+        for j, c in support[i]:
+            step[j] += c * m
+    x = [x0[j] + winv[j] * step[j] for j in range(n)]
     # The projection must satisfy every original row, including dropped ones.
-    for row, target in zip(a_rows, b):
-        if sum(row[j] * x[j] for j in range(n)) != target:
+    for row, target in zip(support, b):
+        if apply(row, x) != target:
             raise ValueError("inconsistent affine constraints")
     return x
 

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
 
 from .exact import (
-    ExactMatrix,
     affine_least_squares,
     exact_from_float_matrix,
     hermitian_basis,
-    hermitian_coordinate_weights,
     hermitian_coordinates,
     hermitian_from_coordinates,
     psd_check_exact,
@@ -199,44 +198,47 @@ def _weights_from_x(n: int, s: int, x: np.ndarray) -> dict:
     return dict(zip(permutations_lex(n), q))
 
 
+@cache
+def _incidence_rows(n: int) -> tuple:
+    """0/1 rows, one per (i, j) in row-major order, over the permutations in
+    lex order: row (i, j) marks the pi with pi(i) = j."""
+    perms = permutations_lex(n)
+    return tuple(
+        tuple(Fraction(int(sigma[i] == j)) for sigma in perms)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
     """Rationalize numeric weights and project them exactly onto the affine
-    set {sum q = I, sum_pi P_pi (x) q_pi = A}; None if PSD breaks."""
+    set {sum_pi P_pi (x) q_pi = A}; None if PSD breaks.
+
+    The constraints sum_{pi(i)=j} q_pi = a_ij act on one Hermitian coordinate
+    at a time with the same incidence rows, and the Frobenius weight of a
+    coordinate is the same for every pi, so the weighted projection is the
+    unweighted projection of each coordinate separately.  sum_pi q_pi = I
+    needs no rows of its own: it is the sum of the constraints of any row
+    of the exact magic square A.
+    """
     n, s = a.n, a.s
     perms = permutations_lex(n)
-    s2 = s * s
-    x0: list[Fraction] = []
+    x0 = []
     for sigma in perms:
         q = exact_from_float_matrix(weights[sigma], max_denominator)
-        q = (q + q.h) * Fraction(1, 2)
-        x0.extend(hermitian_coordinates(q))
-    nvars = len(perms) * s2
-    rows, rhs = [], []
-    ident_coords = hermitian_coordinates(ExactMatrix.identity(s))
-    for c in range(s2):
-        row = [Fraction(0)] * nvars
-        for k in range(len(perms)):
-            row[k * s2 + c] = Fraction(1)
-        rows.append(row)
-        rhs.append(ident_coords[c])
-    for i in range(n):
-        for j in range(n):
-            target = hermitian_coordinates(a.block(i, j))
-            for c in range(s2):
-                row = [Fraction(0)] * nvars
-                for k, sigma in enumerate(perms):
-                    if sigma[i] == j:
-                        row[k * s2 + c] = Fraction(1)
-                rows.append(row)
-                rhs.append(target[c])
-    w = hermitian_coordinate_weights(s) * len(perms)
+        x0.append(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
+    targets = [hermitian_coordinates(a.block(i, j)) for i in range(n) for j in range(n)]
+    rows = _incidence_rows(n)
     try:
-        x = affine_least_squares(rows, rhs, x0, weights=w)
+        coords = [
+            affine_least_squares(rows, [t[c] for t in targets], [x[c] for x in x0])
+            for c in range(s * s)
+        ]
     except ValueError:
         return None
     out = {}
     for k, sigma in enumerate(perms):
-        q = hermitian_from_coordinates(s, x[k * s2 : (k + 1) * s2])
+        q = hermitian_from_coordinates(s, [x[k] for x in coords])
         if not psd_check_exact(q).is_psd:
             return None
         out[sigma] = q
@@ -246,9 +248,13 @@ def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
 def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult:
     """Decide semiclassicality through the LMI.
 
-    Yes carries a decomposition (exactly repaired when A is exact); No
-    carries the solver's dual certificate; boundary cases the margins
-    cannot settle come back Inconclusive.
+    Yes carries a decomposition; No carries the solver's dual certificate;
+    boundary cases the margins cannot settle come back Inconclusive.  When
+    A is exact, the solver's weights are rationalized at each bound of
+    REPAIR_DENOMINATORS in turn and projected exactly, one Hermitian
+    coordinate at a time, onto the n^2 x n! incidence system; its
+    projection operator is built once per n and reused across rungs and
+    squares.  The first rung whose weights stay PSD gives the exact yes.
     """
     problem = build_semiclassical_lmi(a)
     res = solve_feasibility(problem, eps=eps)

@@ -8,17 +8,22 @@ inconclusive, usage).
 import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmagic.cli import main
-from qmagic.obstruction import counterexample_m2_3
+from qmagic.exact import ExactMatrix
+from qmagic.obstruction import ObstructionCertificate, counterexample_m2_3
 from qmagic.sampling import random_member_square
 from qmagic.serialize import (
     birkhoff_from_json,
+    certificate_to_json,
     decomposition_from_json,
     dump_json,
     dump_square,
@@ -26,6 +31,7 @@ from qmagic.serialize import (
     square_to_json,
 )
 from qmagic.structures import constant_square, validate_quantum_permutation
+from test_serialize import _DELETE, _JSON, _mutated, _paths
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +166,12 @@ def test_check_semiclassical_yes(run, workdir):
     assert all(
         (rebuilt.block(i, j) - target.block(i, j)).is_zero() for i in range(3) for j in range(3)
     )
+    residuals = entry["residuals"]
+    assert type(residuals["iterations"]) is int
+    assert type(residuals["stalled"]) is bool
+    assert type(residuals["repair_denominator"]) is int
+    assert type(residuals["mu_final"]) is float
+    assert report["residuals"][str(workdir / "constant3.json")] == residuals
 
 
 def test_check_semiclassical_no(run, workdir):
@@ -436,3 +448,76 @@ def test_verify_shipped_certificate(run):
     checks = report["details"]["checks"]
     assert checks["psd"] and checks["pairings_zero"]
     assert Fraction(checks["trace_b0"]) < 0
+
+
+# -- fuzzing the exit-code contract ------------------------------------------------
+#
+# Generated and mutated documents go through main() for the commands that run
+# no solver.  Whatever the input, the answer is an exit code in 0..3 and one
+# JSON report on stdout, never an exception.
+
+_BAD_RATIONALS = ["1/0", "x", "", "1/2/3", "0.5", "--1", 0.5, float("nan"), None, [1, 0], True]
+_ENTRIES = st.sampled_from(["0", "1", "1/2", "-1/3"]) | st.sampled_from(_BAD_RATIONALS)
+_SQUARE_FLAGS = st.sampled_from([(), ("--exact",), ("--float",), ("--eps", "1e-3")])
+
+
+def _square_doc(n, s, exact):
+    square = constant_square(n, s)
+    return square_to_json(square if exact else square.to_float())
+
+
+def _certificate_doc(n, s, mode):
+    d = n * n * s
+    cert = ObstructionCertificate(
+        n=n, s=s, mode=mode, y_exact=Fraction(1, d) * ExactMatrix.identity(d),
+        pairings={"B0": Fraction(-1)},
+    )
+    return certificate_to_json(cert, square=constant_square(n, s))
+
+
+def _birkhoff_doc(n, wrapped):
+    matrix = [[f"1/{n}"] * n for _ in range(n)]
+    return {"matrix": matrix} if wrapped else matrix
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(["validate", "birkhoff", "verify-certificate"]))
+    if command == "validate":
+        doc = _square_doc(
+            draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.booleans())
+        )
+    elif command == "birkhoff":
+        # a valid 6 x 6 input spends about 4.5 s in magic_space_dimension(6),
+        # so the unmutated documents stop at n = 5
+        doc = _birkhoff_doc(draw(st.integers(1, 5)), draw(st.booleans()))
+    else:
+        n, s, mode = draw(st.sampled_from([(2, 1, "weak"), (2, 2, "weak"), (3, 1, "strong")]))
+        doc = _certificate_doc(n, s, mode)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(
+            _ENTRIES
+            | st.integers(1, 6)
+            | _JSON
+            | st.just(_DELETE)
+            | st.builds(_square_doc, st.integers(1, 6), st.integers(1, 3), st.booleans())
+        )
+        doc = _mutated(doc, path, value)
+    flags = _SQUARE_FLAGS if command == "validate" else st.sampled_from([(), ("--eps", "1e-3")])
+    return command, doc, draw(flags)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_invocations())
+def test_fuzz_cli_exit_codes_and_reports(invocation):
+    command, doc, flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *flags])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()

@@ -15,13 +15,11 @@ from qmagic.exact import (
     hermitian_coordinate_weights,
     hermitian_coordinates,
     hermitian_from_coordinates,
-    independent_rows,
     nullspace_exact,
     psd_check_exact,
     rank_exact,
     rationalize,
     rref_exact,
-    solve_exact,
 )
 
 G = GaussianRational
@@ -234,18 +232,6 @@ class TestElimination:
             assert len(basis) == 5 - rank_exact(m)
             for v in basis:
                 assert (m @ v).is_zero()
-
-    def test_solve_and_inconsistency(self):
-        a = ExactMatrix([[1, 2], [3, 4]])
-        b = ExactMatrix.column([gr(5), gr(6)])
-        x = solve_exact(a, b)
-        assert a @ x == b
-        bad = ExactMatrix([[1, 1], [2, 2]])
-        assert solve_exact(bad, ExactMatrix.column([0, 1])) is None
-
-    def test_independent_rows(self):
-        m = ExactMatrix([[1, 0], [2, 0], [0, 1]])
-        assert independent_rows(m) == (0, 2)
 
     def test_rref_idempotent(self):
         m = ExactMatrix([[2, 4, 6], [1, 2, 4]])

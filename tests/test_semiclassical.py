@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmagic.exact import ExactMatrix, psd_check_exact
+from qmagic.exact import (
+    ExactMatrix,
+    _projection_operator,
+    affine_least_squares,
+    exact_from_float_matrix,
+    hermitian_coordinate_weights,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
+    psd_check_exact,
+)
 from qmagic.obstruction import counterexample_m2_3
 from qmagic.sampling import (
     perturbed_constant_decomposition,
@@ -15,9 +24,11 @@ from qmagic.sampling import (
 )
 from qmagic.sdp import Status, solve_feasibility
 from qmagic.semiclassical import (
+    REPAIR_DENOMINATORS,
     BoundViolated,
     SemiclassicalDecomposition,
     TooLarge,
+    _exact_repair,
     build_semiclassical_lmi,
     check_semiclassical,
     interior_map_decomposition,
@@ -114,6 +125,92 @@ def test_float_member_square_accepted():
     assert out.verdict == "yes"
     report = verify_positive_unital_map(out.decomposition, sq, tol=1e-5)
     assert report.ok
+
+
+# -- exact repair ------------------------------------------------------------
+
+
+def _block_system_repair(a: MagicSquare, weights: dict, max_denominator: int) -> dict:
+    """Reference repair: one Frobenius-weighted projection of all n! s^2
+    coordinates onto the full block system {sum q = I, sum_pi P_pi (x) q_pi
+    = A}, identity block included.  No PSD check."""
+    n, s = a.n, a.s
+    perms = permutations_lex(n)
+    s2 = s * s
+    x0 = []
+    for sigma in perms:
+        q = exact_from_float_matrix(weights[sigma], max_denominator)
+        x0.extend(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
+    nvars = len(perms) * s2
+    rows, rhs = [], []
+    ident_coords = hermitian_coordinates(ExactMatrix.identity(s))
+    for c in range(s2):
+        row = [Fraction(0)] * nvars
+        for k in range(len(perms)):
+            row[k * s2 + c] = Fraction(1)
+        rows.append(row)
+        rhs.append(ident_coords[c])
+    for i in range(n):
+        for j in range(n):
+            target = hermitian_coordinates(a.block(i, j))
+            for c in range(s2):
+                row = [Fraction(0)] * nvars
+                for k, sigma in enumerate(perms):
+                    if sigma[i] == j:
+                        row[k * s2 + c] = Fraction(1)
+                rows.append(row)
+                rhs.append(target[c])
+    w = hermitian_coordinate_weights(s) * len(perms)
+    x = affine_least_squares(rows, rhs, x0, weights=w)
+    return {
+        sigma: hermitian_from_coordinates(s, x[k * s2 : (k + 1) * s2])
+        for k, sigma in enumerate(perms)
+    }
+
+
+def _noisy_float_weights(rng, weights: dict) -> dict:
+    """Float copies of exact weights with a small Hermitian perturbation, so
+    that no rung rationalizes them back onto the affine set."""
+    out = {}
+    for sigma, q in weights.items():
+        s = q.rows
+        noise = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        out[sigma] = q.to_complex() + 1e-6 * (noise + noise.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("n,s", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_exact_repair_matches_block_system_projection(n, s):
+    rng = np.random.default_rng(100 * n + s)
+    q = random_exact_decomposition(rng, n, s)
+    sq = square_from_decomposition(q)
+    weights = _noisy_float_weights(rng, q)
+    for den in REPAIR_DENOMINATORS:
+        reference = _block_system_repair(sq, weights, den)
+        repaired = _exact_repair(sq, weights, den)
+        if repaired is None:
+            assert not all(psd_check_exact(q).is_psd for q in reference.values())
+            continue
+        assert repaired == reference
+        dec = exact_dec(n, s, repaired)
+        assert dec.reconstruct() == sq
+        total = sum(repaired.values(), ExactMatrix.zeros(s))
+        assert total == ExactMatrix.identity(s)
+    assert repaired is not None
+
+
+def test_exact_repair_builds_one_operator_per_system():
+    rng = np.random.default_rng(5)
+    q = random_exact_decomposition(rng, 3, 2)
+    sq = square_from_decomposition(q)
+    weights = _noisy_float_weights(rng, q)
+    _projection_operator.cache_clear()
+    for den in REPAIR_DENOMINATORS:
+        assert _exact_repair(sq, weights, den) is not None
+    info = _projection_operator.cache_info()
+    # one incidence system for n = 3, projected once per coordinate and rung
+    assert info.misses == 1
+    assert info.hits == len(REPAIR_DENOMINATORS) * 2 * 2 - 1
 
 
 # -- interior decomposition formula ------------------------------------------
