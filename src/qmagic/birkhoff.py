@@ -8,8 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import ExactMatrix, GaussianRational, rank_exact, nullspace_exact
-from .structures import perm_matrix_exact, permutations_lex
+from .exact import ExactMatrix, GaussianRational, nullspace_exact
+from .structures import perm_matrix_exact
 
 __all__ = [
     "NotDoublyStochastic",
@@ -138,16 +138,12 @@ def birkhoff_decompose(m) -> list[tuple[tuple[int, ...], Fraction]]:
 
 
 def magic_space_dimension(n: int) -> int:
-    """Rank of the span of all n! permutation matrices, by exact elimination."""
+    """Rank of the span of all n! permutation matrices: (n-1)^2 + 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_N:
         raise ValueError(f"n! enumeration capped at n <= {MAX_N}")
-    rows = []
-    for sigma in permutations_lex(n):
-        p = perm_matrix_exact(sigma)
-        rows.append([p[i, j] for i in range(n) for j in range(n)])
-    return rank_exact(ExactMatrix(rows))
+    return (n - 1) ** 2 + 1
 
 
 def is_extreme_point(m) -> bool:

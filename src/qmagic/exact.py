@@ -4,6 +4,10 @@ Every certification path in this package runs on the types defined here.
 Floating point enters only through the explicit conversion helpers
 (`rationalize`, `ExactMatrix.to_complex`, `exact_from_float_matrix`).
 
+`psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
+(a rounded float inverse Cholesky factor, then Gershgorin), else by a
+rational `LDL*`, which decides every rejection.
+
 `affine_least_squares` is the one exact orthogonal projection onto an affine
 set; its shape-only work (rank selection, inverse Gram) is cached per
 constraint system, since every caller's constraints depend only on a shape.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isfinite
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -384,9 +388,10 @@ def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
 class PsdCheck:
     """Outcome of an exact PSD test.
 
-    When `is_psd`, the pivoted factorization P M P* = L D L* is returned
-    (`permutation`, `lower`, `pivots`).  Otherwise `witness` is a column
-    vector v with v* M v = `witness_value` < 0.
+    When `is_psd` and the `LDL*` ran, the pivoted factorization
+    P M P* = L D L* is returned (`permutation`, `lower`, `pivots`); a
+    congruence proof returns none.  Otherwise `witness` is a column vector v
+    with v* M v = `witness_value` < 0.
     """
 
     def __init__(self, is_psd, permutation=None, lower=None, pivots=None,
@@ -403,14 +408,58 @@ class PsdCheck:
 
 
 def psd_check_exact(m: ExactMatrix) -> PsdCheck:
-    """Decide M >= 0 exactly via LDL* with largest-magnitude diagonal pivoting.
+    """Decide M >= 0 exactly: a congruence proof of M > 0, else `LDL*`.
+
+    The congruence proof (`_congruence_proves_pd`) only ever accepts, and
+    only positive definite matrices.  Every other matrix, singular PSD and
+    indefinite ones included, goes to the `LDL*` (`_ldl_psd_check`), which
+    decides every rejection and its witness.
+    """
+    if not m.is_hermitian():
+        raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix")
+    if _congruence_proves_pd(m):
+        return PsdCheck(True)
+    return _ldl_psd_check(m)
+
+
+def _congruence_proves_pd(m: ExactMatrix) -> bool:
+    """True only if M > 0, proven in Gaussian integers.
+
+    A float inverse Cholesky factor of M, each column scaled to about 2^30
+    and rounded, gives an upper triangular Gaussian-integer T; a nonzero
+    diagonal makes it invertible.  With D the common denominator, Z =
+    T* (D M) T is computed exactly; a real diagonal that beats each row's
+    off-diagonal sum of |re| + |im| gives Z > 0 by Gershgorin, so M > 0.
+    """
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(m.to_complex())).conj().T
+    except (np.linalg.LinAlgError, OverflowError):
+        return False
+    with np.errstate(all="ignore"):
+        t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=0))))
+    if not np.isfinite(t).all() or not t.diagonal().all():
+        return False
+    entries = [q for row in m._e for z in row for q in (z.re, z.im)]
+    den = lcm(*(q.denominator for q in entries))
+    ints = np.array([q.numerator * (den // q.denominator) for q in entries], dtype=object)
+    n_re, n_im = ints.reshape(m.rows, m.cols, 2).transpose(2, 0, 1)
+    t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
+    nt_re, nt_im = n_re @ t_re - n_im @ t_im, n_re @ t_im + n_im @ t_re
+    z_re = t_re.T @ nt_re + t_im.T @ nt_im
+    z_im = t_re.T @ nt_im - t_im.T @ nt_re
+    # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest
+    row_sums = (np.abs(z_re) + np.abs(z_im)).sum(axis=1)
+    return not z_im.diagonal().any() and bool((2 * z_re.diagonal() > row_sums).all())
+
+
+def _ldl_psd_check(m: ExactMatrix) -> PsdCheck:
+    """Decide M >= 0 for a Hermitian M via LDL* with largest-magnitude
+    diagonal pivoting.
 
     Zero pivots are accepted only when the entire residual block is zero;
     a negative pivot (or a nonzero residual with all-zero diagonal) yields
     an explicit negativity witness.
     """
-    if not m.is_hermitian():
-        raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix")
     d = m.rows
     s = m.row_list()
     perm = list(range(d))

@@ -10,8 +10,9 @@ from qmagic.birkhoff import (
     magic_space_dimension,
     validate_doubly_stochastic,
 )
+from qmagic.exact import ExactMatrix, rank_exact
 from qmagic.sampling import random_doubly_stochastic
-from qmagic.structures import perm_matrix_exact
+from qmagic.structures import perm_matrix_exact, permutations_lex
 
 F = Fraction
 
@@ -94,7 +95,11 @@ class TestMagicSpaceDimension:
 
     def test_formula_up_to_five(self):
         for n in range(1, 6):
-            assert magic_space_dimension(n) == (n - 1) ** 2 + 1
+            rows = []
+            for sigma in permutations_lex(n):
+                p = perm_matrix_exact(sigma)
+                rows.append([p[i, j] for i in range(n) for j in range(n)])
+            assert magic_space_dimension(n) == rank_exact(ExactMatrix(rows))
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -488,9 +488,7 @@ def _invocations(draw):
             draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.booleans())
         )
     elif command == "birkhoff":
-        # a valid 6 x 6 input spends about 4.5 s in magic_space_dimension(6),
-        # so the unmutated documents stop at n = 5
-        doc = _birkhoff_doc(draw(st.integers(1, 5)), draw(st.booleans()))
+        doc = _birkhoff_doc(draw(st.integers(1, 6)), draw(st.booleans()))
     else:
         n, s, mode = draw(st.sampled_from([(2, 1, "weak"), (2, 2, "weak"), (3, 1, "strong")]))
         doc = _certificate_doc(n, s, mode)

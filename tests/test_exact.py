@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmagic import exact
 from qmagic.exact import (
     ExactMatrix,
     GaussianRational,
@@ -21,6 +24,8 @@ from qmagic.exact import (
     rationalize,
     rref_exact,
 )
+from qmagic.exact import _congruence_proves_pd, _ldl_psd_check
+from qmagic.serialize import certificate_from_json
 
 G = GaussianRational
 F = Fraction
@@ -153,7 +158,7 @@ class TestPsdCheck:
                 ]
             )
             m = g.h @ g
-            res = psd_check_exact(m)
+            res = _ldl_psd_check(m)
             assert res.is_psd
             assert all(p >= 0 for p in res.pivots)
             perm, low, piv = res.permutation, res.lower, res.pivots
@@ -180,6 +185,74 @@ class TestPsdCheck:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             psd_check_exact(ExactMatrix([[0, 1], [2, 0]]))
+        with pytest.raises(NonHermitianInput):
+            psd_check_exact(ExactMatrix([[2, gr(1, 1)], [gr(1, 1), 2]]))
+        with pytest.raises(NonHermitianInput):
+            psd_check_exact(ExactMatrix([[gr(1, 1)]]))
+
+
+def _random_gaussian(rng, rows, cols):
+    def q():
+        return F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    return ExactMatrix([[gr(q(), q()) for _ in range(cols)] for _ in range(rows)])
+
+
+def _random_hermitian(rng, d):
+    g = _random_gaussian(rng, d, d)
+    return F(1, 2) * (g + g.h)
+
+
+def _psd_property_cases(rng):
+    """Gaussian-rational Hermitian matrices around the PSD boundary, d in 1..8."""
+    for d in range(1, 9):
+        yield ExactMatrix.zeros(d)
+        for _ in range(4):
+            yield _random_hermitian(rng, d)
+            g = _random_gaussian(rng, int(rng.integers(1, d + 1)), d)
+            singular = g.h @ g  # PSD, rank below d unless the draw has d rows
+            yield singular
+            for k in (2, 8, 17, 40):
+                for sign in (1, -1):
+                    yield singular + ExactMatrix.identity(d) * F(sign, 10**k)
+            huge = F(int(rng.integers(1, 10**6)), 10**100 + int(rng.integers(1, 10**6)))
+            yield singular * huge + ExactMatrix.identity(d) * F(1, 10**101 + 3)
+            yield singular * huge - ExactMatrix.identity(d) * F(1, 10**120 + 7)
+    yield ExactMatrix([[F(1, 10**150 + 1)]])
+    yield ExactMatrix([[F(-1, 10**150 + 1)]])
+
+
+def test_congruence_proof_agrees_with_ldl():
+    rng = np.random.default_rng(2024)
+    proven = fallback = 0
+    for m in _psd_property_cases(rng):
+        ldl = _ldl_psd_check(m)
+        fast = psd_check_exact(m)
+        assert fast.is_psd == ldl.is_psd
+        assert fast.witness_value == ldl.witness_value
+        if _congruence_proves_pd(m):
+            assert ldl.is_psd
+            proven += 1
+        else:
+            fallback += 1
+    # both paths must be exercised for the comparison to mean anything
+    assert proven > 100 and fallback > 100
+
+
+def test_congruence_proves_counterexample_certificate(monkeypatch):
+    path = Path(__file__).parent / "data" / "counterexample.cert.json"
+    cert = certificate_from_json(json.loads(path.read_text()))[0]
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return _ldl_psd_check(m)
+
+    monkeypatch.setattr(exact, "_ldl_psd_check", counted)
+    assert psd_check_exact(cert.y_exact).is_psd
+    assert calls == []
+    assert not psd_check_exact(-cert.y_exact).is_psd
+    assert len(calls) == 1
 
 
 class TestRationalize:
