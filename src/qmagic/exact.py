@@ -38,6 +38,7 @@ __all__ = [
     "hermitian_from_coordinates",
     "hermitian_coordinate_weights",
     "hermitian_basis",
+    "hermitian_basis_stack",
 ]
 
 
@@ -708,3 +709,8 @@ def hermitian_basis(s: int) -> list[ExactMatrix]:
                 out.append(ExactMatrix(sym))
                 out.append(ExactMatrix(anti))
     return out
+
+
+def hermitian_basis_stack(s: int) -> np.ndarray:
+    """`hermitian_basis(s)` as one (s^2, s, s) complex stack, for pencils."""
+    return np.array([h.to_complex() for h in hermitian_basis(s)])

@@ -56,14 +56,14 @@ from .exact import (
     GaussianRational,
     affine_least_squares,
     exact_from_float_matrix,
-    hermitian_basis,
+    hermitian_basis_stack,
     hermitian_coordinate_weights,
     hermitian_coordinates,
     hermitian_from_coordinates,
     nullspace_exact,
     psd_check_exact,
 )
-from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, solve_feasibility
+from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
 from .structures import (
     MagicSquare,
     adjoint,
@@ -199,22 +199,14 @@ def zero_diagonal_basis(n: int, doubly_null: bool = False) -> np.ndarray:
     return np.array(out)
 
 
-def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a_i, b_j) for every pair of two stacks, i outer."""
-    (p, r, c), (q, u, v) = a.shape, b.shape
-    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return prod.reshape(p * q, r * u, c * v)
-
-
 def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     """The directions kron(kron(H_a, H_b), h) over the Hermitian basis H of
     Z (weak) or Z_e (strong) and h of Her_s: a basis of the Hermitian part
     of the variable space, (dim H)^2 s^2 Gaussian-integer arrays."""
     z = zero_diagonal_basis(n, doubly_null=mode == STRONG)
-    herm = np.array([h.to_complex() for h in hermitian_basis(s)])
     # complex products of signed entries leave negative zeros; adding zero
     # clears them, so the entries match ExactMatrix.to_complex bit for bit
-    return _kron_pairs(_kron_pairs(z, z), herm) + 0.0
+    return kron_pairs(kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
 
 
 def _exact_gaussian_integers(m: np.ndarray) -> ExactMatrix:

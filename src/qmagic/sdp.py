@@ -24,6 +24,7 @@ __all__ = [
     "Status",
     "SdpProblem",
     "SdpResult",
+    "kron_pairs",
     "solve_feasibility",
     "DEFAULT_EPS",
 ]
@@ -60,6 +61,14 @@ def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     if resid > HERM_TOL:
         raise NonHermitian(f"hermiticity residual {resid:.2e}")
     return (stack + adj) / 2
+
+
+def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a_i, b_j) for every pair of two stacks, i outer: the directions
+    of a pencil over a tensor product of two variable spaces."""
+    (p, r, c), (q, u, v) = a.shape, b.shape
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(p * q, r * u, c * v)
 
 
 class SdpProblem:

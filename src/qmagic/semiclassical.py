@@ -2,11 +2,12 @@
 and synthesis of commuting quantum-permutation dilations.
 
 A square A is semiclassical when A = sum_pi P_pi (x) q_pi with PSD weights
-q_pi summing to the identity.  The LMI encodes exactly this: its pencil is
-PSD at t = 0 iff such weights exist, with zero diagonal blocks forcing the
-equality constraints.  The pencil is never positive definite, so membership
-is decided by the eps-resolution semantics of the solver plus, for exact
-input, an exact rational repair of the recovered weights.
+q_pi summing to the identity.  The LMI is posed in the weights themselves:
+the equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n through
+the n^2 x n! incidence matrix, which leaves the block-diagonal pencil
+blockdiag(q_pi) over the kernel of that matrix.  Membership is decided by
+the eps-resolution semantics of the solver plus, for exact input, an exact
+rational repair of the recovered weights on the same incidence system.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import numpy as np
 from .exact import (
     affine_least_squares,
     exact_from_float_matrix,
-    hermitian_basis,
+    hermitian_basis_stack,
     hermitian_coordinates,
     hermitian_from_coordinates,
     psd_check_exact,
 )
-from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
+from .birkhoff import magic_space_dimension
+from .sdp import SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility, DEFAULT_EPS
 from .structures import (
     DEFAULT_TOL,
     MagicSquare,
@@ -140,74 +142,58 @@ class MapReport:
 # -- the membership LMI -----------------------------------------------------
 
 
-def _lmi_layout(n: int, s: int):
-    """Block-row offsets (units of s) for sizes [1, 1, n!, n, n]."""
-    nf = factorial(n)
-    off = [0, 1, 2, 2 + nf, 2 + nf + n]
-    return off, (2 + nf + 2 * n)
+@cache
+def _incidence(n: int) -> np.ndarray:
+    """The n^2 x n! 0/1 matrix of the constraints sum_{pi(i)=j} q_pi = a_ij:
+    row (i, j), in row-major order, marks the pi (in lex order) with pi(i) = j."""
+    perms = permutations_lex(n)
+    m = np.array([[int(sigma[i] == j) for sigma in perms] for i in range(n) for j in range(n)])
+    m.flags.writeable = False
+    return m
+
+
+@cache
+def _elimination(n: int) -> tuple:
+    """The min-norm particular-solution operator (n! x n^2) of the incidence
+    map and an orthonormal basis of its kernel, one row per kernel vector;
+    the rank is (n-1)^2 + 1."""
+    m = _incidence(n)
+    pinv = np.linalg.pinv(m)
+    kernel = np.linalg.svd(m)[2][magic_space_dimension(n) :]
+    pinv.flags.writeable = kernel.flags.writeable = False
+    return pinv, kernel
 
 
 def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
-    """Pencil whose PSD-ness at t = 0 is equivalent to semiclassicality.
+    """The weights q_pi as a block-diagonal pencil, PSD at some x iff A is
+    semiclassical.
 
-    Dimension (n! + 2n + 2) s.  Constant part: identity coupling in the two
-    leading scalar slots plus the blocks a_ij in the (4,5) band; directions
-    (one per permutation and Hermitian basis element) subtract the same
-    couplings so that PSD-ness forces sum q_pi = I, q_pi >= 0 and
-    sum_pi P_pi (x) q_pi = A.
+    The equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n:
+    every solution is q0 + sum_r v_r (x) X_r, with q0 the min-norm solution
+    and v_r an orthonormal kernel basis of the incidence map.  F0 is
+    blockdiag(q0_pi), of dimension n! s (I / n! for the constant square),
+    and the directions are kron(diag(v_r), h_b) over the Hermitian basis
+    h_b of Mat_s: (n! - (n-1)^2 - 1) s^2 of them, none for n <= 2.
+    sum_pi q_pi = I needs no constraint of its own: it is the sum of the
+    constraints of any row of A.
     """
     n, s = a.n, a.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
+    pinv, kernel = _elimination(n)
+    q0 = np.tensordot(pinv, np.reshape(a.to_float().blocks, (n * n, s, s)), axes=1)
+    nf = len(q0)
+    f0 = np.einsum("pq,pab->paqb", np.eye(nf), q0).reshape(nf * s, nf * s)
+    return SdpProblem(f0, kron_pairs(kernel[:, :, None] * np.eye(nf), hermitian_basis_stack(s)))
+
+
+def _weights_from_x(problem: SdpProblem, n: int, x: np.ndarray) -> dict:
+    """q_pi = q0_pi + sum_(r,b) x_(r,b) v_r[pi] h_b: the diagonal blocks of
+    the pencil at x."""
     nf = factorial(n)
-    off, t_blocks = _lmi_layout(n, s)
-    dim = t_blocks * s
-    numeric = a.to_float()
-
-    def put(mat, bi, bj, block):
-        r, c = bi * s, bj * s
-        mat[r : r + s, c : c + s] += block
-
-    f0 = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(s)
-    put(f0, off[0], off[1], eye)
-    put(f0, off[1], off[0], eye)
-    for i in range(n):
-        for j in range(n):
-            blk = numeric.block(i, j)
-            put(f0, off[3] + i, off[4] + j, blk)
-            put(f0, off[4] + j, off[3] + i, blk.conj().T)
-
-    basis = np.array([h.to_complex() for h in hermitian_basis(s)])
-    dirs = np.zeros((nf, len(basis), dim, dim), dtype=np.complex128)
-    for rho, sigma in enumerate(permutations_lex(n)):
-        for d, h in zip(dirs[rho], basis):
-            put(d, off[0], off[1], -h)
-            put(d, off[1], off[0], -h)
-            put(d, off[2] + rho, off[2] + rho, h)
-            for i in range(n):
-                put(d, off[3] + i, off[4] + sigma[i], -h)
-                put(d, off[4] + sigma[i], off[3] + i, -h)
-    return SdpProblem(f0, dirs.reshape(-1, dim, dim))
-
-
-def _weights_from_x(n: int, s: int, x: np.ndarray) -> dict:
-    """q_pi = sum_h x_(pi, h) h, the LMI coordinates read back as weights."""
-    basis = np.array([h.to_complex() for h in hermitian_basis(s)])
-    q = np.tensordot(np.reshape(x, (-1, len(basis))), basis, axes=1)
-    return dict(zip(permutations_lex(n), q))
-
-
-@cache
-def _incidence_rows(n: int) -> tuple:
-    """0/1 rows, one per (i, j) in row-major order, over the permutations in
-    lex order: row (i, j) marks the pi with pi(i) = j."""
-    perms = permutations_lex(n)
-    return tuple(
-        tuple(Fraction(int(sigma[i] == j)) for sigma in perms)
-        for i in range(n)
-        for j in range(n)
-    )
+    s = problem.dim // nf
+    f = problem.evaluate(x).reshape(nf, s, nf, s)
+    return dict(zip(permutations_lex(n), np.einsum("papb->pab", f)))
 
 
 def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
@@ -228,7 +214,7 @@ def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
         q = exact_from_float_matrix(weights[sigma], max_denominator)
         x0.append(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
     targets = [hermitian_coordinates(a.block(i, j)) for i in range(n) for j in range(n)]
-    rows = _incidence_rows(n)
+    rows = _incidence(n).tolist()
     try:
         coords = [
             affine_least_squares(rows, [t[c] for t in targets], [x[c] for x in x0])
@@ -258,38 +244,39 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     """
     problem = build_semiclassical_lmi(a)
     res = solve_feasibility(problem, eps=eps)
+    residuals = {
+        **res.residuals, "lmi_dim": problem.dim, "lmi_directions": len(problem.directions),
+    }
     if res.status is Status.INFEASIBLE:
-        return CheckResult("no", dual=res, residuals=res.residuals)
+        return CheckResult("no", dual=res, residuals=residuals)
+    # When the solver could not resolve but a nearly feasible point exists,
+    # exact repair may still rationalize it into the set.
+    near = a.exact and res.residuals["primal_lambda_min"] > -1e-4
+    if res.status is Status.INCONCLUSIVE and not near:
+        return CheckResult("inconclusive", residuals=residuals)
 
-    if res.status is Status.FEASIBLE:
-        weights = _weights_from_x(a.n, a.s, res.x)
-        if not a.exact:
-            dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
-            recon = dec.blocks()
-            resid = max(
-                float(np.abs(recon[i][j] - a.block(i, j)).max())
-                for i in range(a.n)
-                for j in range(a.n)
-            )
-            return CheckResult(
-                "yes", decomposition=dec,
-                residuals={**res.residuals, "reconstruction": resid},
-            )
-    elif a.exact and res.residuals.get("primal_lambda_min", -1) > -1e-4:
-        # The solver could not resolve, but a nearly feasible point exists;
-        # exact repair may still rationalize it into the set.
-        weights = _weights_from_x(a.n, a.s, res.x)
-    else:
-        return CheckResult("inconclusive", residuals=res.residuals)
+    weights = _weights_from_x(problem, a.n, res.x)
+    if not a.exact:
+        dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
+        recon = dec.blocks()
+        resid = max(
+            float(np.abs(recon[i][j] - a.block(i, j)).max())
+            for i in range(a.n)
+            for j in range(a.n)
+        )
+        return CheckResult(
+            "yes", decomposition=dec,
+            residuals={**residuals, "reconstruction": resid},
+        )
     for max_den in REPAIR_DENOMINATORS:
         repaired = _exact_repair(a, weights, max_den)
         if repaired is not None:
             dec = SemiclassicalDecomposition(a.n, a.s, True, repaired)
             return CheckResult(
                 "yes", decomposition=dec,
-                residuals={**res.residuals, "repair_denominator": max_den},
+                residuals={**residuals, "repair_denominator": max_den},
             )
-    return CheckResult("inconclusive", residuals=res.residuals)
+    return CheckResult("inconclusive", residuals=residuals)
 
 
 # -- closed-form interior decomposition -------------------------------------

@@ -171,6 +171,9 @@ def test_check_semiclassical_yes(run, workdir):
     assert type(residuals["stalled"]) is bool
     assert type(residuals["repair_denominator"]) is int
     assert type(residuals["mu_final"]) is float
+    # the pencil of n = 3, s = 2: n! s = 12 rows, (n! - (n-1)^2 - 1) s^2 = 4 directions
+    assert type(residuals["lmi_dim"]) is int and residuals["lmi_dim"] == 12
+    assert type(residuals["lmi_directions"]) is int and residuals["lmi_directions"] == 4
     assert report["residuals"][str(workdir / "constant3.json")] == residuals
 
 

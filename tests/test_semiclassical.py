@@ -7,6 +7,7 @@ import pytest
 
 from qmagic.exact import (
     ExactMatrix,
+    GaussianRational,
     _projection_operator,
     affine_least_squares,
     exact_from_float_matrix,
@@ -58,15 +59,15 @@ def exact_dec(n, s, weights) -> SemiclassicalDecomposition:
 
 def test_lmi_dimensions_n3_s2():
     p = build_semiclassical_lmi(constant_square(3, 2))
-    assert p.dim == (6 + 2 * 3 + 2) * 2 == 28
-    assert len(p.directions) == 6 * 4 == 24
+    assert p.dim == 6 * 2 == 12  # n! s
+    assert len(p.directions) == (6 - (3 - 1) ** 2 - 1) * 2**2 == 4
 
 
 def test_lmi_dimensions_n2_s1():
     sq = scalar_square([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
     p = build_semiclassical_lmi(sq)
-    assert p.dim == (2 + 2 * 2 + 2) * 1 == 8
-    assert len(p.directions) == 2
+    assert p.dim == 2
+    assert len(p.directions) == 0  # the weights are determined for n <= 2
 
 
 def test_lmi_guard():
@@ -74,11 +75,116 @@ def test_lmi_guard():
         build_semiclassical_lmi(constant_square(6, 1))
 
 
-def test_lmi_never_strictly_feasible():
-    # forced zero diagonal entries cap every pencil value at lambda_min <= 0
-    res = solve_feasibility(build_semiclassical_lmi(constant_square(3, 1)))
+def test_lmi_constant_square_is_strictly_feasible():
+    # the weights of the constant square are q_pi = I/n!, an interior point
+    p = build_semiclassical_lmi(constant_square(3, 1))
+    assert np.allclose(p.f0, np.eye(6) / 6, rtol=0, atol=1e-12)
+    res = solve_feasibility(p)
     assert res.status is Status.FEASIBLE
-    assert res.t_star <= 1e-7
+    assert res.t_star == pytest.approx(1 / 6, abs=1e-9)
+
+
+def _member(rng, n: int, s: int) -> MagicSquare:
+    """A random exact semiclassical square; the only one for n = 1."""
+    if n == 1:
+        return constant_square(1, s)
+    return square_from_decomposition(random_exact_decomposition(rng, n, s))
+
+
+def _diagonal_blocks(m: np.ndarray, count: int) -> np.ndarray:
+    s = m.shape[0] // count
+    return np.einsum("papb->pab", m.reshape(count, s, count, s))
+
+
+PENCIL_SHAPES = [(n, s) for n in range(1, 5) for s in range(1, 4) if (n, s) != (4, 3)]
+
+
+@pytest.mark.parametrize("n,s", PENCIL_SHAPES)
+def test_lmi_pencil_structure(n, s):
+    rng = np.random.default_rng(10 * n + s)
+    sq = _member(rng, n, s)
+    p = build_semiclassical_lmi(sq)
+    perms = permutations_lex(n)
+    nf = len(perms)
+    assert p.dim == nf * s
+    assert len(p.directions) == (nf - (n - 1) ** 2 - 1) * s * s
+    # every matrix of the pencil is block diagonal with one s x s block per pi
+    for m in [p.f0, *p.directions]:
+        off = m.reshape(nf, s, nf, s).copy()
+        off[np.arange(nf), :, np.arange(nf), :] = 0
+        assert not off.any()
+    q0 = _diagonal_blocks(p.f0, nf)
+    flo = sq.to_float()
+    for i in range(n):
+        for j in range(n):
+            hits = [k for k, sigma in enumerate(perms) if sigma[i] == j]
+            assert np.abs(q0[hits].sum(axis=0) - flo.block(i, j)).max() <= 1e-12
+            for d in p.directions:
+                assert np.abs(_diagonal_blocks(d, nf)[hits].sum(axis=0)).max() <= 1e-12
+
+
+def _rank_one(v) -> ExactMatrix:
+    return ExactMatrix([[x * y for y in v] for x in v])
+
+
+def _boundary_squares():
+    """Exact members whose weights are rank one and sit on 2 or 3 permutations."""
+    p = _rank_one([Fraction(3, 5), Fraction(4, 5)])
+    q = _rank_one([Fraction(-4, 5), Fraction(3, 5)])
+    out = []
+    for n in (3, 4):
+        perms = permutations_lex(n)
+        half = q * Fraction(1, 2)
+        for weights in (
+            {perms[0]: p, perms[-1]: q},
+            {perms[0]: p, perms[1]: half, perms[-1]: half},
+        ):
+            full = {sigma: weights.get(sigma, ExactMatrix.zeros(2)) for sigma in perms}
+            out.append(square_from_decomposition(full))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sq",
+    [
+        pytest.param(_member(np.random.default_rng(20 * n + s), n, s), id=f"random-{n}-{s}")
+        for n, s in PENCIL_SHAPES
+    ]
+    + [pytest.param(sq, id=f"boundary-{k}") for k, sq in enumerate(_boundary_squares())],
+)
+def test_lmi_members_get_exact_weights(sq):
+    out = check_semiclassical(sq)
+    assert out.verdict == "yes"
+    dec = out.decomposition
+    assert dec.exact
+    assert all(psd_check_exact(q).is_psd for q in dec.weights.values())
+    assert dec.reconstruct() == sq
+
+
+def _orbit(a: MagicSquare, rows, cols, u: ExactMatrix) -> MagicSquare:
+    """Rows and columns permuted and every block conjugated by the unitary u."""
+    return MagicSquare([[u.h @ a.block(r, c) @ u for c in cols] for r in rows])
+
+
+ROTATION = ExactMatrix([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+PHASE = ExactMatrix([[GaussianRational(0, 1), 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "rows,cols,u",
+    [
+        ((0, 1, 2), (0, 1, 2), ExactMatrix.identity(2)),
+        ((2, 0, 1), (1, 0, 2), ROTATION),
+        ((1, 2, 0), (0, 2, 1), PHASE),
+        ((0, 2, 1), (2, 1, 0), ROTATION @ PHASE),
+    ],
+)
+def test_lmi_counterexample_orbit_is_refused(rows, cols, u):
+    sq = _orbit(counterexample_m2_3(), rows, cols, u)
+    out = check_semiclassical(sq)
+    assert out.verdict == "no"
+    assert out.dual is not None and out.dual.status is Status.INFEASIBLE
+    assert out.dual.y is not None and out.dual.t_star < 0
 
 
 # -- membership decisions ----------------------------------------------------
