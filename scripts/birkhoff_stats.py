@@ -40,7 +40,7 @@ def run(config: StatsConfig) -> int:
             assert total == 1, "weights must sum to one exactly"
             counts[len(terms)] += 1
         worst = max(counts)
-        dim = magic_space_dimension(n) if n <= 6 else None
+        dim = magic_space_dimension(n)
         histogram = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
         print(
             f"n={n}: bound={bound} affine_dim={dim} worst={worst} "

@@ -6,7 +6,6 @@ Everything here is exact rational arithmetic; floating inputs are refused.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .exact import ExactMatrix, GaussianRational, nullspace_exact
 from .structures import perm_matrix_exact
@@ -18,9 +17,6 @@ __all__ = [
     "magic_space_dimension",
     "is_extreme_point",
 ]
-
-MAX_N = 6
-
 
 class NotDoublyStochastic(ValueError):
     pass
@@ -141,8 +137,6 @@ def magic_space_dimension(n: int) -> int:
     """Rank of the span of all n! permutation matrices: (n-1)^2 + 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MAX_N:
-        raise ValueError(f"n! enumeration capped at n <= {MAX_N}")
     return (n - 1) ** 2 + 1
 
 

@@ -39,7 +39,6 @@ from .obstruction import (
     find_dual_certificate,
     verify_certificate,
 )
-from .exact import GaussianRational
 from .sampling import random_doubly_stochastic
 from .sdp import DEFAULT_EPS
 from .semiclassical import (
@@ -99,11 +98,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
-
-
-def _pairing_str(value) -> str:
-    z = GaussianRational._coerce(value)
-    return rational_to_json(z.re)
 
 
 @dataclass
@@ -240,8 +234,7 @@ def cmd_birkhoff(args, report: RunReport) -> int:
     report.details["terms"] = payload
     report.details["count"] = len(terms)
     report.details["bound"] = (n - 1) ** 2 + 1
-    if n <= 6:
-        report.details["affine_dimension"] = magic_space_dimension(n)
+    report.details["affine_dimension"] = magic_space_dimension(n)
     if args.out:
         dump_json(payload, args.out)
         report.certificates.append(str(args.out))
@@ -393,7 +386,7 @@ def cmd_obstruction_check(args, report: RunReport) -> int:
                     cert_path = args.out or path.with_suffix(".cert.json")
                     dump_json(certificate_to_json(cert, square=square), cert_path)
                     entry["certificate"] = str(cert_path)
-                    entry["trace_B0"] = _pairing_str(cert.pairings["B0"])
+                    entry["trace_B0"] = rational_to_json(cert.pairings["B0"])
                 except (CertificateSearchInconclusive, CertificationFailed) as err:
                     entry["certificate_error"] = str(err)
         code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(res.verdict, EXIT_INCONCLUSIVE)
@@ -448,7 +441,7 @@ def cmd_find_certificate(args, report: RunReport) -> int:
     report.verdicts[str(path)] = "certified" if verification["ok"] else "inconclusive"
     report.certificates.append(str(out))
     report.details["pairings"] = {
-        label: _pairing_str(value) for label, value in cert.pairings.items()
+        label: rational_to_json(value) for label, value in cert.pairings.items()
     }
     report.details["reverified"] = bool(verification["ok"])
     report.residuals["numeric_dual"] = {
@@ -456,7 +449,7 @@ def cmd_find_certificate(args, report: RunReport) -> int:
         "pairing_max": witness.pairing_max,
         "min_eigenvalue": witness.min_eigenvalue,
     }
-    approx = float(GaussianRational._coerce(cert.pairings["B0"]).re)
+    approx = float(cert.pairings["B0"])
     _human(f"{path}: exact certificate written to {out} (trace vs B0 = {approx:.6e})")
     if not verification["ok"]:
         _human(f"{path}: the written certificate does not re-verify")
@@ -520,7 +513,7 @@ def scenario_separation(args, report: RunReport) -> int:
         return EXIT_INCONCLUSIVE
     verification = verify_certificate(cert, square)
     report.details["pairings"] = {
-        label: _pairing_str(value) for label, value in cert.pairings.items()
+        label: rational_to_json(value) for label, value in cert.pairings.items()
     }
     report.details["certificate_ok"] = bool(verification["ok"])
     report.verdicts["certificate"] = "verified" if verification["ok"] else "rejected"

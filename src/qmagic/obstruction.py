@@ -33,9 +33,11 @@ Both pencils come from one builder: the directions are the Kronecker
 products H_a (x) H_b (x) h over a Hermitian basis H of Z (weak) or Z_e
 (strong) and the Hermitian basis h of Mat_s, so they form a basis of the
 variable space by construction.  They depend only on (n, s, mode), have
-Gaussian-integer entries, are stored once as the (m, d, d) complex stack
-of an `SdpProblem`, and are converted exactly to Q[i] on demand, where a
-certificate is checked.  phi and psi are written once, on the
+Gaussian-integer entries and are stored once as the (m, d, d) complex
+stack of an `SdpProblem`.  For Hermitian Y each pairing trace(Y B_j) is a
+fixed integer functional of Y's Hermitian coordinates; certificates are
+checked on those coordinates with the rows of `pairing_rows`, computed
+once per (n, s, mode).  phi and psi are written once, on the
 representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
@@ -45,8 +47,8 @@ reports that this particular obstruction is silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +73,7 @@ from .structures import (
     assemble,
     complete_corner,
     identity,
+    residual,
     scalar,
     vanishes,
     zeros,
@@ -209,11 +212,24 @@ def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     return kron_pairs(kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
 
 
-def _exact_gaussian_integers(m: np.ndarray) -> ExactMatrix:
-    """The exact copy of a complex array whose entries are Gaussian integers."""
-    if not np.array_equal(m, np.round(m)):
+@cache
+def pairing_rows(n: int, s: int, mode: str) -> tuple[tuple[int, ...], ...]:
+    """The pairings Y -> trace(Y B_j) as integer rows on Y's Hermitian
+    coordinates: row j is the coordinates of B_j, in the order of
+    `hermitian_coordinates`, times their Frobenius weights.  Read once per
+    shape from `pencil_directions`."""
+    dirs = pencil_directions(n, s, mode)
+    if not np.array_equal(dirs, np.round(dirs)):
         raise ValueError("direction has an entry that is not a Gaussian integer")
-    return ExactMatrix([[(int(z.real), int(z.imag)) for z in row] for row in m.tolist()])
+    if not np.array_equal(dirs, dirs.conj().swapaxes(1, 2)):
+        raise ValueError("direction is not Hermitian")
+    d = dirs.shape[1]
+    rows, cols = np.triu_indices(d, 1)
+    upper = dirs[:, rows, cols]
+    off = np.stack([upper.real, upper.imag], axis=2).reshape(len(dirs), -1)
+    coords = np.hstack([np.diagonal(dirs, axis1=1, axis2=2).real, off])
+    weights = np.array(hermitian_coordinate_weights(d), dtype=float)
+    return tuple(tuple(int(c) for c in row) for row in (coords * weights).tolist())
 
 
 @dataclass(frozen=True)
@@ -221,9 +237,8 @@ class ObstructionProblem:
     """A feasibility pencil B_0 + sum_j x_j B_j >= 0 over a tensor space.
 
     The directions B_j are stored once, as the Gaussian-integer complex
-    arrays `pencil.directions`; `directions_exact` converts them to Q[i]
-    on first use, for certificates.  `b0_exact` is present only for exact
-    squares.
+    arrays `pencil.directions`; certificates pair with them through
+    `pairing_rows`.  `b0_exact` is present only for exact squares.
     """
 
     square: MagicSquare
@@ -234,13 +249,6 @@ class ObstructionProblem:
     @property
     def dim(self) -> int:
         return self.pencil.dim
-
-    @cached_property
-    def directions_exact(self) -> tuple[ExactMatrix, ...]:
-        return tuple(_exact_gaussian_integers(b) for b in self.pencil.directions)
-
-    def labels(self) -> list[str]:
-        return [f"B{j + 1}" for j in range(len(self.pencil.directions))]
 
 
 @dataclass(frozen=True)
@@ -275,27 +283,35 @@ def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
     In strong mode the kernel identity on e (x) e_i (x) I_s is verified
     at build time.
     """
-    if mode not in (WEAK, STRONG):
-        raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
-    b0 = phi_matrix(a) if mode == WEAK else phi_matrix(a) + psi_matrix(a)
-    f0 = as_complex(b0)
-    pencil = SdpProblem(f0, pencil_directions(a.n, a.s, mode))
-    if mode == STRONG:
-        _check_kernel_identity(b0, f0, a.n, a.s, a.exact)
+    b0 = constant_term(a, mode)
+    pencil = SdpProblem(as_complex(b0), pencil_directions(a.n, a.s, mode))
     return ObstructionProblem(
         square=a, mode=mode, pencil=pencil, b0_exact=b0 if a.exact else None
     )
 
 
-def _check_kernel_identity(b0, f0: np.ndarray, n: int, s: int, exact: bool) -> None:
-    """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i; for floats within 1e-8
-    relative to the size of B0, read from its complex copy f0."""
-    eye = identity(s, exact)
-    zero = zeros(s, s, exact)
-    tol = 1e-8 * (1.0 + float(np.abs(f0).max()))
+def constant_term(a: MagicSquare, mode: str):
+    """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
+    mode, where the kernel identity on e (x) e_i (x) I_s is verified."""
+    if mode not in (WEAK, STRONG):
+        raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
+    if mode == WEAK:
+        return phi_matrix(a)
+    b0 = phi_matrix(a) + psi_matrix(a)
+    _check_kernel_identity(b0, a.n, a.s, a.exact)
+    return b0
+
+
+def _check_kernel_identity(b0, n: int, s: int, exact: bool) -> None:
+    """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i, that is, the block
+    columns (j, i) of B0 sum to zero over j; exactly, or for floats within
+    1e-8 relative to the size of B0."""
+    d = n * n * s
+    tol = 0.0 if exact else 1e-8 * (1.0 + residual(b0))
     for i in range(n):
-        vec = assemble([[eye if k == i else zero] for j in range(n) for k in range(n)], exact)
-        if not vanishes(b0 @ vec, tol):
+        spans = [((j * n + i) * s, (j * n + i + 1) * s) for j in range(n)]
+        cols = [b0.block(0, d, c0, c1) if exact else b0[:, c0:c1] for c0, c1 in spans]
+        if not vanishes(sum(cols[1:], cols[0]), tol):
             raise RuntimeError(f"kernel identity broken at i={i}")
 
 
@@ -427,12 +443,17 @@ def find_dual_certificate(
     )
 
 
-def _pairing(y: ExactMatrix, b: ExactMatrix) -> GaussianRational:
-    """trace(Y B) = sum_ij Y_ij B_ji, summed over the nonzero entries of B."""
-    return sum(
-        (y[i, j] * b[j, i] for j in range(b.rows) for i in range(b.cols) if b[j, i]),
-        GaussianRational(0),
-    )
+def _pairings(y: list[Fraction], n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
+    """trace(Y B) from the Hermitian coordinates y of Y: B1 ... Bm through
+    `pairing_rows`, in direction order, then B0.  Y and every B are
+    Hermitian, so every pairing is real."""
+    weights = hermitian_coordinate_weights(b0.rows)
+    b0_row = [w * c for w, c in zip(weights, hermitian_coordinates(b0), strict=True)]
+    rows = [(f"B{j + 1}", row) for j, row in enumerate(pairing_rows(n, s, mode))]
+    return {
+        label: sum((c * r for c, r in zip(y, row, strict=True) if r), Fraction(0))
+        for label, row in [*rows, ("B0", b0_row)]
+    }
 
 
 def exact_certify(
@@ -457,36 +478,19 @@ def exact_certify(
     raw = exact_from_float_matrix(y_num, max_denominator)
     y = Fraction(1, 2) * (raw + raw.h)
 
-    weights = hermitian_coordinate_weights(d)
-    coords = hermitian_coordinates(y)
-    rows = []
-    for b in problem.directions_exact:
-        bc = hermitian_coordinates(b)
-        rows.append([w * c for w, c in zip(weights, bc)])
+    n, s, mode = problem.square.n, problem.square.s, problem.mode
+    rows = pairing_rows(n, s, mode)
     targets = [Fraction(0)] * len(rows)
-    projected = affine_least_squares(rows, targets, coords, weights=weights)
-    y = hermitian_from_coordinates(d, projected)
-
-    pairings = {
-        label: _pairing(y, b).re
-        for label, b in zip(problem.labels(), problem.directions_exact)
-    }
+    weights = hermitian_coordinate_weights(d)
+    coords = affine_least_squares(rows, targets, hermitian_coordinates(y), weights=weights)
+    y = hermitian_from_coordinates(d, coords)
+    pairings = _pairings(coords, n, s, mode, problem.b0_exact)
     check = psd_check_exact(y)
     if not check.is_psd:
         raise CertificationFailed("psd", check.witness_value)
-    p0 = _pairing(y, problem.b0_exact)
-    if p0.im != 0:
-        raise CertificationFailed("negativity", p0)
-    if p0.re >= 0:
-        raise CertificationFailed("negativity", p0.re)
-    pairings["B0"] = p0.re
-    return ObstructionCertificate(
-        n=problem.square.n,
-        s=problem.square.s,
-        mode=problem.mode,
-        y_exact=y,
-        pairings=pairings,
-    )
+    if pairings["B0"] >= 0:
+        raise CertificationFailed("negativity", pairings["B0"])
+    return ObstructionCertificate(n=n, s=s, mode=mode, y_exact=y, pairings=pairings)
 
 
 def certify_with_ladder(
@@ -511,9 +515,11 @@ def certify_with_ladder(
 def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     """Re-verify a certificate against a square by exact arithmetic alone.
 
-    Rebuilds the pencil, recomputes every pairing, and reruns the exact
-    PSD check.  No numeric solver is involved.  Returns a report dict
-    with an overall `ok` flag.
+    Builds the constant term B0 for the certificate's mode, recomputes
+    every pairing from Y's Hermitian coordinates, and reruns the exact PSD
+    check.  No pencil and no numeric solver is involved.  A stored pairing
+    that disagrees fails its check.  Returns a report dict with an overall
+    `ok` flag.
     """
     if not a.exact:
         raise ValueError("exact verification needs an exact square")
@@ -521,30 +527,25 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
         raise ValueError(
             f"certificate is for n={cert.n}, s={cert.s}, square has n={a.n}, s={a.s}"
         )
-    problem = build_obstruction(a, cert.mode)
     y = cert.y_exact
-    report = {"ok": True}
+    d = a.n * a.n * a.s
+    if y.shape != (d, d):
+        raise ValueError(f"certificate Y has shape {y.shape}, expected {(d, d)}")
+    b0 = constant_term(a, cert.mode)
     if not y.is_hermitian():
         return {"ok": False, "hermitian": False}
     check = psd_check_exact(y)
-    report["psd"] = check.is_psd
-    pair_ok = True
-    for label, b in zip(problem.labels(), problem.directions_exact):
-        p = _pairing(y, b)
-        zero = p.re == 0 and p.im == 0
-        pair_ok = pair_ok and zero
-        stored = cert.pairings.get(label)
-        if stored is not None and GaussianRational._coerce(stored) != p:
-            pair_ok = False
-    report["pairings_zero"] = pair_ok
-    p0 = _pairing(y, problem.b0_exact)
-    report["trace_b0"] = p0.re
-    report["negativity"] = p0.im == 0 and p0.re < 0
-    stored = cert.pairings.get("B0")
-    if stored is not None and GaussianRational._coerce(stored) != p0:
-        report["negativity"] = False
-    report["ok"] = bool(report["psd"] and pair_ok and report["negativity"])
-    return report
+    pairings = _pairings(hermitian_coordinates(y), a.n, a.s, cert.mode, b0)
+    p0 = pairings.pop("B0")
+    pair_ok = all(p == 0 and cert.pairings.get(label, p) == p for label, p in pairings.items())
+    negativity = p0 < 0 and cert.pairings.get("B0", p0) == p0
+    return {
+        "ok": bool(check.is_psd and pair_ok and negativity),
+        "psd": check.is_psd,
+        "pairings_zero": pair_ok,
+        "trace_b0": p0,
+        "negativity": negativity,
+    }
 
 
 # -- feasibility witnesses from dilations ------------------------------------

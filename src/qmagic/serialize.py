@@ -248,10 +248,7 @@ def certificate_from_json(data) -> tuple[ObstructionCertificate, MagicSquare | N
         raise FormatError(f"mode must be {WEAK!r} or {STRONG!r}, got {data['mode']!r}")
     if not isinstance(data["pairings"], dict):
         raise FormatError("pairings must be an object of label: rational")
-    pairings = {
-        label: GaussianRational(rational_from_json(value))
-        for label, value in data["pairings"].items()
-    }
+    pairings = {label: rational_from_json(value) for label, value in data["pairings"].items()}
     y = exact_matrix_from_json(data["Y"])
     if y.shape != (n * n * s, n * n * s):
         raise FormatError(f"Y has shape {y.shape}, expected {(n * n * s, n * n * s)}")

@@ -111,7 +111,8 @@ def test_criterion_02_separation_with_exact_certificate(certified, counterexampl
     problem = result.problem
     p0 = (cert.y_exact @ problem.b0_exact).trace()
     assert p0.im == 0 and p0.re < 0
-    for b in problem.directions_exact:
+    for arr in problem.pencil.directions:
+        b = ExactMatrix([[(int(z.real), int(z.imag)) for z in row] for row in arr.tolist()])
         p = (cert.y_exact @ b).trace()
         assert p.re == 0 and p.im == 0
     # re-verification through the exact-only CLI path in < 5 s

@@ -442,6 +442,15 @@ def test_reproduce_separation_failed_certification_is_inconclusive(run, workdir)
 # -- shipped artifacts -------------------------------------------------------------
 
 
+def test_find_certificate_reproduces_shipped_certificate(run, workdir):
+    """find-certificate on the counterexample writes the versioned bytes."""
+    out = workdir / "found.cert.json"
+    code, _ = run("find-certificate", workdir / "counterexample.json", "--out", out)
+    assert code == 0
+    shipped = Path(__file__).parent / "data" / "counterexample.cert.json"
+    assert out.read_bytes() == shipped.read_bytes()
+
+
 def test_verify_shipped_certificate(run):
     """The versioned certificate stays verifiable by exact arithmetic alone."""
     path = Path(__file__).parent / "data" / "counterexample.cert.json"

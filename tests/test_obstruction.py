@@ -5,28 +5,41 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmagic.exact import ExactMatrix, GaussianRational, hermitian_basis, psd_check_exact
+from qmagic import obstruction
+from qmagic.exact import (
+    ExactMatrix,
+    GaussianRational,
+    hermitian_basis,
+    hermitian_coordinates,
+    psd_check_exact,
+)
 from qmagic.obstruction import (
     CertificateNotFound,
     CertificationFailed,
     NotDefinedForSmallN,
+    ObstructionCertificate,
     build_obstruction,
     certify_with_ladder,
     check_mconv_obstruction,
     col_and_diag,
+    constant_term,
     counterexample_m2_3,
     exact_certify,
     find_dual_certificate,
     member_witness_from_dilation,
+    pairing_rows,
     phi_matrix,
     psi_matrix,
     pencil_directions,
     verify_certificate,
     zero_diagonal_basis,
-    _exact_gaussian_integers,
-    _pairing,
+    _pairings,
 )
-from qmagic.sampling import random_member_square
+from qmagic.sampling import (
+    random_exact_decomposition,
+    random_member_square,
+    square_from_decomposition,
+)
 from qmagic.semiclassical import (
     interior_map_decomposition,
     synthesize_commuting_dilation,
@@ -48,6 +61,12 @@ def permutation_square(sigma) -> MagicSquare:
     p = perm_matrix_exact(sigma)
     n = len(sigma)
     return scalar_square([[p[i, j] for j in range(n)] for i in range(n)])
+
+
+def _exact_gaussian_integers(m: np.ndarray) -> ExactMatrix:
+    """Reference converter: the exact copy of a Gaussian-integer complex array."""
+    assert np.array_equal(m, np.round(m))
+    return ExactMatrix([[(int(z.real), int(z.imag)) for z in row] for row in m.tolist()])
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +184,25 @@ def test_psi_float_agrees_with_exact(cex):
     assert float(np.abs(diff).max()) <= 1e-12
 
 
+def test_broken_kernel_identity_is_refused(cex, monkeypatch):
+    # u = e_1 (x) (e_1 - e_2) (x) e_1 pairs to zero with every e_i (x) e (x) I_s
+    # but not with e (x) e_1 (x) I_s, so only the stated identity sees u u*
+    u = [0] * 18
+    u[0], u[2] = 1, -1
+    uu = ExactMatrix([[a * b for b in u] for a in u])
+    for square in (cex, cex.to_float()):
+        bump = Fraction(1, 1000) * uu if square.exact else uu.to_complex() / 1000
+        broken = psi_matrix(square) + bump
+        monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
+        with pytest.raises(RuntimeError, match="kernel identity"):
+            build_obstruction(square, "strong")
+        if square.exact:
+            dummy = ObstructionCertificate(3, 2, "strong", ExactMatrix.identity(18))
+            with pytest.raises(RuntimeError, match="kernel identity"):
+                verify_certificate(dummy, square)
+        monkeypatch.undo()
+
+
 def test_kernel_identity_exact(cex):
     n, s = cex.n, cex.s
     total = phi_matrix(cex) + psi_matrix(cex)
@@ -219,7 +257,6 @@ def test_zero_diagonal_basis_small_n():
 def test_build_dimensions(cex, strong_problem):
     assert strong_problem.dim == 18
     assert len(strong_problem.pencil.directions) == 4
-    assert strong_problem.labels() == ["B1", "B2", "B3", "B4"]
     weak = build_obstruction(cex, "weak")
     assert len(weak.pencil.directions) == 144
     small = build_obstruction(constant_square(3, 1), "strong")
@@ -231,14 +268,15 @@ def test_strong_directions_are_generator_tensors(strong_problem):
     gg = g.kron(g)
     b1 = gg.kron(ExactMatrix([[1, 0], [0, 0]]))
     b3 = gg.kron(ExactMatrix([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]]))
-    assert strong_problem.directions_exact[0] == b1
-    assert strong_problem.directions_exact[2] == b3
+    dirs = strong_problem.pencil.directions
+    assert _exact_gaussian_integers(dirs[0]) == b1
+    assert _exact_gaussian_integers(dirs[2]) == b3
 
 
 def test_directions_traceless_and_hermitian(cex):
     for mode in ("weak", "strong"):
         problem = build_obstruction(cex, mode)
-        for b in problem.directions_exact:
+        for b in map(_exact_gaussian_integers, problem.pencil.directions):
             assert b.is_hermitian()
             tr = b.trace()
             assert tr.re == 0 and tr.im == 0
@@ -279,31 +317,49 @@ def test_pencil_directions_form_a_basis(mode, n, s):
     assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == len(dirs)
 
 
-def test_directions_exact_converts_pencil(strong_problem):
-    exact = strong_problem.directions_exact
-    assert exact is strong_problem.directions_exact
-    for b, arr in zip(exact, strong_problem.pencil.directions):
-        assert np.array_equal(b.to_complex(), arr)
-    with pytest.raises(ValueError):
-        _exact_gaussian_integers(np.array([[0.5, 1j], [-1j, 0]]))
+@pytest.mark.parametrize(
+    "mode, n, s",
+    [("weak", n, s) for n, s in [(2, 1), (3, 1), (3, 2)]]
+    + [("strong", n, s) for n, s in [(3, 1), (3, 2), (4, 1)]],
+)
+def test_pairing_rows_match_trace_of_product(mode, n, s):
+    """trace(Y B) from the dense product Y @ B, for Y = (Yr + i Yi) / den: an
+    exact integer matmul for every direction, a product over Q[i] for B0."""
+    rng = np.random.default_rng(5 + 10 * n + s)
+    d = n * n * s
+    g = rng.integers(-9, 10, size=(2, d, d))
+    yr, yi = g[0] + g[0].T, g[1] - g[1].T
+    den = int(rng.integers(2, 50))
+    y = ExactMatrix(
+        [
+            [GaussianRational(Fraction(int(a), den), Fraction(int(b), den)) for a, b in zip(ra, ri)]
+            for ra, ri in zip(yr, yi)
+        ]
+    )
+    b0 = constant_term(square_from_decomposition(random_exact_decomposition(rng, n, s)), mode)
+    got = _pairings(hermitian_coordinates(y), n, s, mode, b0)
+    dirs = pencil_directions(n, s, mode)
+    assert list(got) == [f"B{j + 1}" for j in range(len(dirs))] + ["B0"]
+    assert np.array_equal(dirs, np.round(dirs))
+    br, bi = dirs.real.astype(np.int64), dirs.imag.astype(np.int64)
+    for j in range(len(dirs)):
+        assert np.trace(yr @ bi[j] + yi @ br[j]) == 0
+        assert got[f"B{j + 1}"] == Fraction(int(np.trace(yr @ br[j] - yi @ bi[j])), den)
+    assert got["B0"] == (y @ b0).trace()
+    rows = pairing_rows(n, s, mode)
+    assert rows is pairing_rows(n, s, mode)
+    assert all(type(c) is int for row in rows for c in row)
 
 
-def test_pairing_matches_trace_of_product(strong_problem):
-    rng = np.random.default_rng(5)
-    d = strong_problem.dim
-    for _ in range(3):
-        grid = [[GaussianRational(0)] * d for _ in range(d)]
-        for i in range(d):
-            grid[i][i] = GaussianRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))))
-            for j in range(i + 1, d):
-                z = GaussianRational(
-                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
-                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
-                )
-                grid[i][j], grid[j][i] = z, z.conjugate()
-        y = ExactMatrix(grid)
-        for b in (*strong_problem.directions_exact, strong_problem.b0_exact):
-            assert _pairing(y, b) == (y @ b).trace()
+def test_pairing_rows_refuse_bad_directions(monkeypatch):
+    bad = np.zeros((1, 2, 2), dtype=complex)
+    bad[0, 0, 1] = bad[0, 1, 0] = 0.5
+    monkeypatch.setattr(obstruction, "pencil_directions", lambda n, s, mode: bad)
+    with pytest.raises(ValueError, match="Gaussian integer"):
+        pairing_rows(7, 5, "strong")
+    bad[0, 0, 1], bad[0, 1, 0] = 1, -1
+    with pytest.raises(ValueError, match="Hermitian"):
+        pairing_rows(7, 5, "strong")
 
 
 def test_build_rejects_bad_mode(cex):
@@ -535,3 +591,12 @@ def test_verify_certificate_rejects_tampering(cex, cert):
     assert not verify_certificate(tampered, cex)["ok"]
     # a certificate for one square does not verify against another
     assert not verify_certificate(cert, constant_square(3, 2))["ok"]
+
+
+@pytest.mark.parametrize("size", [16, 20])
+def test_verify_certificate_refuses_misshapen_y(cex, size):
+    """Pairings are read position by position, so Y must be n^2 s x n^2 s."""
+    y = ExactMatrix.identity(size)
+    for mode in ("weak", "strong"):
+        with pytest.raises(ValueError, match="shape"):
+            verify_certificate(ObstructionCertificate(3, 2, mode, y), cex)
