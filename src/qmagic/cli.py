@@ -60,6 +60,7 @@ from .serialize import (
     exact_matrix_from_json,
     float_matrix_to_json,
     load_json,
+    load_square,
     rational_to_json,
     square_from_json,
     square_to_json,
@@ -176,7 +177,7 @@ def cmd_validate(args, report: RunReport) -> int:
     def work(path: Path):
         start = time.perf_counter()
         try:
-            square = load_square_checked(path, args)
+            square = _coerce_repr(load_square(path, tol=args.eps), args)
             entry = {
                 "verdict": "valid",
                 "n": square.n,
@@ -204,11 +205,6 @@ def cmd_validate(args, report: RunReport) -> int:
     for path in files:
         _record(report, path)
     return _combine(code for code, *_ in results)
-
-
-def load_square_checked(path: Path, args) -> MagicSquare:
-    square = square_from_json(load_json(path), tol=args.eps if args.eps else None)
-    return _coerce_repr(square, args)
 
 
 # -- birkhoff -----------------------------------------------------------------
@@ -251,7 +247,7 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
 
     def work(path: Path):
         start = time.perf_counter()
-        square = load_square_checked(path, args)
+        square = _coerce_repr(load_square(path, tol=args.eps), args)
         res = check_semiclassical(square, eps=args.eps or DEFAULT_EPS)
         entry = {"verdict": res.verdict, "residuals": _floats(res.residuals)}
         if res.verdict == "yes" and res.decomposition is not None:
@@ -290,7 +286,7 @@ def _floats(d: dict) -> dict:
 def cmd_decompose(args, report: RunReport) -> int:
     path = _gather(args.inputs)[0]
     _record(report, path)
-    square = load_square_checked(path, args)
+    square = _coerce_repr(load_square(path, tol=args.eps), args)
     if args.interior:
         dec = interior_map_decomposition(square)
         verdict = "yes"
@@ -371,7 +367,7 @@ def cmd_obstruction_check(args, report: RunReport) -> int:
 
     def work(path: Path):
         start = time.perf_counter()
-        square = load_square_checked(path, args)
+        square = _coerce_repr(load_square(path, tol=args.eps), args)
         res = check_mconv_obstruction(square, mode=args.mode, eps=args.eps or DEFAULT_EPS)
         entry = {"verdict": res.verdict, "mode": args.mode}
         cert_path = None
@@ -412,7 +408,7 @@ def cmd_obstruction_check(args, report: RunReport) -> int:
 def cmd_find_certificate(args, report: RunReport) -> int:
     path = _gather(args.inputs)[0]
     _record(report, path)
-    square = square_from_json(load_json(path))
+    square = load_square(path)
     if not square.exact:
         raise UsageError("exact certification requires an exact input square")
     if args.mode != STRONG:
@@ -465,7 +461,7 @@ def cmd_verify_certificate(args, report: RunReport) -> int:
     _record(report, path)
     cert, embedded = certificate_from_json(load_json(path))
     if args.square:
-        square = square_from_json(load_json(Path(args.square)))
+        square = load_square(Path(args.square))
         _record(report, Path(args.square))
     else:
         square = embedded

@@ -5,8 +5,9 @@ Floating point enters only through the explicit conversion helpers
 (`rationalize`, `ExactMatrix.to_complex`, `exact_from_float_matrix`).
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
-(a rounded float inverse Cholesky factor, then Gershgorin), else by a
-rational `LDL*`, which decides every rejection.
+(a rounded float inverse Cholesky factor, then Gershgorin), else by an exact
+Hermitian elimination (Schur complements, largest-diagonal pivoting), which
+decides every rejection.
 
 `affine_least_squares` is the one exact orthogonal projection onto an affine
 set; its shape-only work (rank selection, inverse Gram) is cached per
@@ -15,6 +16,7 @@ constraint system, since every caller's constraints depend only on a shape.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isfinite, lcm
@@ -386,41 +388,36 @@ def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
 # -- positive semidefiniteness with certificate ----------------------------
 
 
+@dataclass(frozen=True)
 class PsdCheck:
     """Outcome of an exact PSD test.
 
-    When `is_psd` and the `LDL*` ran, the pivoted factorization
-    P M P* = L D L* is returned (`permutation`, `lower`, `pivots`); a
-    congruence proof returns none.  Otherwise `witness` is a column vector v
-    with v* M v = `witness_value` < 0.
+    When M is not PSD, `witness_value` is a value v* M v < 0 of its
+    quadratic form, read off an exact Hermitian elimination (Schur
+    complements, largest-diagonal pivoting) without forming v.
     """
 
-    def __init__(self, is_psd, permutation=None, lower=None, pivots=None,
-                 witness=None, witness_value=None):
-        self.is_psd = is_psd
-        self.permutation = permutation
-        self.lower = lower
-        self.pivots = pivots
-        self.witness = witness
-        self.witness_value = witness_value
+    is_psd: bool
+    witness_value: Fraction | None = None
 
     def __bool__(self):
         return self.is_psd
 
 
 def psd_check_exact(m: ExactMatrix) -> PsdCheck:
-    """Decide M >= 0 exactly: a congruence proof of M > 0, else `LDL*`.
+    """Decide M >= 0 exactly: a congruence proof of M > 0, else an exact
+    Hermitian elimination (Schur complements, largest-diagonal pivoting).
 
     The congruence proof (`_congruence_proves_pd`) only ever accepts, and
     only positive definite matrices.  Every other matrix, singular PSD and
-    indefinite ones included, goes to the `LDL*` (`_ldl_psd_check`), which
-    decides every rejection and its witness.
+    indefinite ones included, goes to the elimination (`_schur_psd_check`),
+    which decides every rejection and its witness value.
     """
     if not m.is_hermitian():
         raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix")
     if _congruence_proves_pd(m):
         return PsdCheck(True)
-    return _ldl_psd_check(m)
+    return _schur_psd_check(m)
 
 
 def _congruence_proves_pd(m: ExactMatrix) -> bool:
@@ -453,82 +450,43 @@ def _congruence_proves_pd(m: ExactMatrix) -> bool:
     return not z_im.diagonal().any() and bool((2 * z_re.diagonal() > row_sums).all())
 
 
-def _ldl_psd_check(m: ExactMatrix) -> PsdCheck:
-    """Decide M >= 0 for a Hermitian M via LDL* with largest-magnitude
-    diagonal pivoting.
+def _schur_psd_check(m: ExactMatrix) -> PsdCheck:
+    """Decide M >= 0 for a Hermitian M by exact Hermitian elimination.
 
-    Zero pivots are accepted only when the entire residual block is zero;
-    a negative pivot (or a nonzero residual with all-zero diagonal) yields
-    an explicit negativity witness.
+    Each step pivots on the largest |diagonal| of the remaining positions
+    (ties to the earlier position) and replaces the trailing block by its
+    Schur complement, s_ij -= (s_ik / pivot) s_kj, computing each pair once
+    and mirroring its conjugate; no factor is kept.  A negative pivot is
+    the margin.  A remainder with an all-zero diagonal is PSD iff it
+    vanishes; otherwise its first nonzero entry, in row-major position
+    order, gives the margin -2|s_ij|^2.
     """
     d = m.rows
-    s = m.row_list()
-    perm = list(range(d))
-    lower = [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
-    pivots: list[Fraction] = []
-
-    def swap(k, p):
-        perm[k], perm[p] = perm[p], perm[k]
-        s[k], s[p] = s[p], s[k]
-        for row in s:
-            row[k], row[p] = row[p], row[k]
-        for row in lower:
-            row[k], row[p] = row[p], row[k]
-        lower[k], lower[p] = lower[p], lower[k]
-
-    def witness_from(local_vec, k):
-        # Solve L* v = w where w is zero on the first k coordinates and
-        # equals local_vec on the trailing block; then v*(PMP*)v = w*(D+S)w.
-        w = [_ZERO] * d
-        for idx, val in enumerate(local_vec):
-            w[k + idx] = val
-        v = [_ZERO] * d
-        for i in range(d - 1, -1, -1):
-            acc = w[i]
-            for j in range(i + 1, d):
-                acc = acc - lower[j][i].conjugate() * v[j]
-            v[i] = acc
-        # Undo the permutation: quadratic form of M at u with u[perm[i]] = v[i].
-        u = [_ZERO] * d
-        for i in range(d):
-            u[perm[i]] = v[i]
-        return ExactMatrix.column(u)
-
+    re = [[z.re for z in row] for row in m._e]
+    im = [[z.im for z in row] for row in m._e]
+    order = list(range(d))  # original index at each position
     for k in range(d):
-        # Largest-magnitude remaining diagonal entry (diagonals are real).
-        p = max(range(k, d), key=lambda i: abs(s[i][i].re))
-        if s[p][p].re < 0:
-            swap(k, p)
-            val = s[k][k].re
-            wit = witness_from([_ONE], k)
-            return PsdCheck(False, witness=wit, witness_value=val)
-        if s[p][p].re == 0:
-            # All remaining diagonals are zero: PSD iff the block vanishes.
-            for i in range(k, d):
-                for j in range(k, d):
-                    if s[i][j]:
-                        vec = [_ZERO] * (d - k)
-                        vec[i - k] = s[i][j]
-                        vec[j - k] = vec[j - k] - _ONE
-                        val = -2 * s[i][j].norm2()
-                        wit = witness_from(vec, k)
-                        return PsdCheck(False, witness=wit, witness_value=val)
-            pivots.extend([Fraction(0)] * (d - k))
+        p = max(range(k, d), key=lambda q: abs(re[order[q]][order[q]]))
+        order[k], order[p] = order[p], order[k]
+        a = order[k]
+        piv = re[a][a]
+        if piv < 0:
+            return PsdCheck(False, piv)
+        if piv == 0:
+            for i in order[k:]:
+                for j in order[k:]:
+                    if re[i][j] or im[i][j]:
+                        return PsdCheck(False, -2 * (re[i][j] ** 2 + im[i][j] ** 2))
             break
-        swap(k, p)
-        piv = s[k][k]
-        pivots.append(piv.re)
-        for i in range(k + 1, d):
-            lower[i][k] = s[i][k] / piv
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                s[i][j] = s[i][j] - lower[i][k] * piv * lower[j][k].conjugate()
-    return PsdCheck(
-        True,
-        permutation=tuple(perm),
-        lower=ExactMatrix(lower),
-        pivots=tuple(pivots),
-    )
+        rest = order[k + 1:]
+        for x, i in enumerate(rest):
+            lr, li = re[i][a] / piv, im[i][a] / piv
+            for j in rest[x:]:
+                br, bi = re[a][j], im[a][j]
+                r, c = re[i][j] - lr * br + li * bi, im[i][j] - lr * bi - li * br
+                re[i][j], im[i][j] = r, c
+                re[j][i], im[j][i] = r, -c
+    return PsdCheck(True)
 
 
 # -- elimination-based linear algebra over Q[i] -----------------------------

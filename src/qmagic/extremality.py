@@ -145,14 +145,12 @@ def arveson_split_check(
     worst = 0.0
     corners = {}
     basis = _complete_isometry(v)
-    s = v.shape[1]
     for i in range(n):
         for j in range(n):
             triple = DilationTriple(np.asarray(uf.block(i, j)), blocks[i][j], v)
             result = split_decompose(triple, tol)
             worst = max(worst, result.residual)
-            corners[(i, j)] = result.basis.conj().T @ blocks[i][j] @ result.basis
-            corners[(i, j)] = corners[(i, j)][s:, s:]
+            corners[(i, j)] = result.p
     return SplitReport(ok=worst <= tol, worst_residual=worst, corners=corners, basis=basis)
 
 
@@ -174,15 +172,14 @@ class ExtensionStep:
     extended: MagicSquare  # A' of block size s + 1
 
 
-def _sqrt_and_pinv(block: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _pinv_sqrt(block: np.ndarray, cutoff: float) -> np.ndarray:
+    """Pseudo-inverse of block^(1/2), dropping eigenvalues below cutoff * max."""
     lam, vecs = np.linalg.eigh((block + block.conj().T) / 2)
     lam = np.clip(lam, 0, None)
     top = float(lam.max()) if lam.size else 0.0
     keep = lam > cutoff * max(top, 1e-300)
-    root = (vecs * np.sqrt(lam)) @ vecs.conj().T
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
-    pinv = (vecs * inv) @ vecs.conj().T
-    return root, pinv
+    return (vecs * inv) @ vecs.conj().T
 
 
 def _sum_kernel_projector(n: int, s: int) -> np.ndarray:
@@ -295,7 +292,7 @@ def extend_dilation_step(
     w = {}
     for i in range(n):
         for j in range(n):
-            _, pinv = _sqrt_and_pinv(blocks[i][j], rank_cutoff)
+            pinv = _pinv_sqrt(blocks[i][j], rank_cutoff)
             p[(i, j)] = pinv
             w[(i, j)] = b[(i, j)].conj().T @ (b[(0, 0)] @ v)
             g[i, j] = float(np.linalg.norm(pinv @ w[(i, j)]) ** 2)

@@ -466,8 +466,9 @@ def exact_certify(
     onto the affine space {trace(Y B_j) = 0 for all j} before the PSD
     check, because positivity is the fragile condition and the
     projection is a small perturbation when the residuals are tiny.
-    Verification is exact: Y >= 0 by a congruence proof, else rational
-    LDL*, and trace(Y B_0) < 0.
+    Verification is exact: Y >= 0 by a congruence proof, else an exact
+    Hermitian elimination (Schur complements, largest-diagonal pivoting),
+    and trace(Y B_0) < 0.
     """
     if problem.b0_exact is None:
         raise ValueError("exact certification needs an exact square")

@@ -230,9 +230,10 @@ def vanishes(m, tol: float) -> bool:
 
 
 def psd_margin(m, tol: float):
-    """(m >= 0, margin): exactly by a congruence proof, else LDL*, with the
-    witness value v* m v (0 when PSD) as margin; for floats the least
-    eigenvalue of the Hermitian part, >= -tol."""
+    """(m >= 0, margin): exactly by a congruence proof, else an exact
+    Hermitian elimination (Schur complements, largest-diagonal pivoting),
+    with a value v* m v < 0 of the quadratic form (0 when PSD) as margin;
+    for floats the least eigenvalue of the Hermitian part, >= -tol."""
     if isinstance(m, ExactMatrix):
         check = psd_check_exact(m)
         return check.is_psd, Fraction(0) if check.is_psd else check.witness_value

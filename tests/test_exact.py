@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from qmagic.exact import (
     rationalize,
     rref_exact,
 )
-from qmagic.exact import _congruence_proves_pd, _ldl_psd_check
+from qmagic.exact import _congruence_proves_pd, _schur_psd_check
 from qmagic.serialize import certificate_from_json
 
 G = GaussianRational
@@ -106,18 +107,120 @@ class TestExactMatrix:
             m.rows = 3
 
 
+@dataclass(frozen=True)
+class Ldl:
+    """Outcome of `reference_ldl`: the pivoted factorization
+    P M P* = L D L* when M >= 0, else a witness v with v* M v < 0."""
+
+    is_psd: bool
+    permutation: tuple | None = None
+    lower: ExactMatrix | None = None
+    pivots: tuple | None = None
+    witness: ExactMatrix | None = None
+    witness_value: Fraction | None = None
+
+
+def reference_ldl(m: ExactMatrix) -> Ldl:
+    """Reference LDL* with largest-magnitude diagonal pivoting, keeping its
+    factor and back-substituting its witness vector.
+
+    The library's elimination must agree with it on every verdict and
+    margin; its factor and witness let the tests check both directly.
+    """
+    d = m.rows
+    s = m.row_list()
+    perm = list(range(d))
+    one, zero = G(1), G(0)
+    lower = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    pivots: list[Fraction] = []
+
+    def swap(k, p):
+        perm[k], perm[p] = perm[p], perm[k]
+        s[k], s[p] = s[p], s[k]
+        for row in s:
+            row[k], row[p] = row[p], row[k]
+        for row in lower:
+            row[k], row[p] = row[p], row[k]
+        lower[k], lower[p] = lower[p], lower[k]
+
+    def witness_from(local_vec, k):
+        # Solve L* v = w where w is zero on the first k coordinates and
+        # equals local_vec on the trailing block; then v*(PMP*)v = w*(D+S)w.
+        w = [zero] * d
+        for idx, val in enumerate(local_vec):
+            w[k + idx] = val
+        v = [zero] * d
+        for i in range(d - 1, -1, -1):
+            acc = w[i]
+            for j in range(i + 1, d):
+                acc = acc - lower[j][i].conjugate() * v[j]
+            v[i] = acc
+        # Undo the permutation: quadratic form of M at u with u[perm[i]] = v[i].
+        u = [zero] * d
+        for i in range(d):
+            u[perm[i]] = v[i]
+        return ExactMatrix.column(u)
+
+    for k in range(d):
+        p = max(range(k, d), key=lambda i: abs(s[i][i].re))
+        if s[p][p].re < 0:
+            swap(k, p)
+            return Ldl(False, witness=witness_from([one], k), witness_value=s[k][k].re)
+        if s[p][p].re == 0:
+            # All remaining diagonals are zero: PSD iff the block vanishes.
+            for i in range(k, d):
+                for j in range(k, d):
+                    if s[i][j]:
+                        vec = [zero] * (d - k)
+                        vec[i - k] = s[i][j]
+                        vec[j - k] = vec[j - k] - one
+                        return Ldl(
+                            False,
+                            witness=witness_from(vec, k),
+                            witness_value=-2 * s[i][j].norm2(),
+                        )
+            pivots.extend([Fraction(0)] * (d - k))
+            break
+        swap(k, p)
+        piv = s[k][k]
+        pivots.append(piv.re)
+        for i in range(k + 1, d):
+            lower[i][k] = s[i][k] / piv
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                s[i][j] = s[i][j] - lower[i][k] * piv * lower[j][k].conjugate()
+    return Ldl(True, permutation=tuple(perm), lower=ExactMatrix(lower), pivots=tuple(pivots))
+
+
+def checked_reference(m: ExactMatrix) -> Ldl:
+    """`reference_ldl(m)` after checking its certificate, and that
+    `psd_check_exact` reaches the same verdict and margin."""
+    ref = reference_ldl(m)
+    d = m.rows
+    if ref.is_psd:
+        perm, low, piv = ref.permutation, ref.lower, ref.pivots
+        assert all(p >= 0 for p in piv)
+        dd = ExactMatrix([[piv[i] if i == j else 0 for j in range(d)] for i in range(d)])
+        pmp = ExactMatrix([[m[perm[i], perm[j]] for j in range(d)] for i in range(d)])
+        assert pmp == low @ dd @ low.h
+    else:
+        v = ref.witness
+        assert ref.witness_value < 0
+        assert (v.h @ m @ v)[0, 0] == gr(ref.witness_value)
+    fast = psd_check_exact(m)
+    assert (fast.is_psd, fast.witness_value) == (ref.is_psd, ref.witness_value)
+    return ref
+
+
 class TestPsdCheck:
     def test_zero_1x1(self):
-        res = psd_check_exact(ExactMatrix([[0]]))
-        assert res.is_psd and res.pivots == (F(0),)
+        ref = checked_reference(ExactMatrix([[0]]))
+        assert ref.is_psd and ref.pivots == (F(0),)
 
     def test_indefinite_diagonal_witness(self):
-        m = ExactMatrix([[1, 0], [0, -1]])
-        res = psd_check_exact(m)
-        assert not res.is_psd
-        assert res.witness_value == -1
-        v = res.witness
-        assert (v.h @ m @ v)[0, 0] == gr(-1)
+        ref = checked_reference(ExactMatrix([[1, 0], [0, -1]]))
+        assert not ref.is_psd
+        assert ref.witness_value == -1
 
     def test_counterexample_block_a11_is_psd(self):
         third = F(1, 3)
@@ -131,19 +234,15 @@ class TestPsdCheck:
         assert psd_check_exact(m).is_psd
 
     def test_zero_diagonal_nonzero_offdiagonal(self):
-        m = ExactMatrix([[0, gr(1, 2)], [gr(1, -2), 0]])
-        res = psd_check_exact(m)
-        assert not res.is_psd
-        v = res.witness
-        val = (v.h @ m @ v)[0, 0]
-        assert val.im == 0 and val.re < 0 and val.re == res.witness_value
+        ref = checked_reference(ExactMatrix([[0, gr(1, 2)], [gr(1, -2), 0]]))
+        assert not ref.is_psd
+        assert ref.witness_value == -10
 
     def test_psd_block_with_zero_pivot(self):
         # rank-1 PSD with a zero row that must be tolerated
-        m = ExactMatrix([[1, 0, gr(0, 1)], [0, 0, 0], [gr(0, -1), 0, 1]])
-        res = psd_check_exact(m)
-        assert res.is_psd
-        assert min(res.pivots) == 0
+        ref = checked_reference(ExactMatrix([[1, 0, gr(0, 1)], [0, 0, 0], [gr(0, -1), 0, 1]]))
+        assert ref.is_psd
+        assert min(ref.pivots) == 0
 
     def test_factorization_reconstructs(self):
         rng = np.random.default_rng(3)
@@ -157,14 +256,7 @@ class TestPsdCheck:
                     for _ in range(d)
                 ]
             )
-            m = g.h @ g
-            res = _ldl_psd_check(m)
-            assert res.is_psd
-            assert all(p >= 0 for p in res.pivots)
-            perm, low, piv = res.permutation, res.lower, res.pivots
-            dd = ExactMatrix([[piv[i] if i == j else 0 for j in range(d)] for i in range(d)])
-            pmp = ExactMatrix([[m[perm[i], perm[j]] for j in range(d)] for i in range(d)])
-            assert pmp == low @ dd @ low.h
+            assert checked_reference(g.h @ g).is_psd
 
     def test_agrees_with_numeric_eigenvalues(self):
         rng = np.random.default_rng(11)
@@ -220,16 +312,23 @@ def _psd_property_cases(rng):
             yield singular * huge - ExactMatrix.identity(d) * F(1, 10**120 + 7)
     yield ExactMatrix([[F(1, 10**150 + 1)]])
     yield ExactMatrix([[F(-1, 10**150 + 1)]])
+    # ties in |diagonal| pin the pivot order: the earlier position wins
+    for diag in ((1, -1), (-1, 1), (-2, 2, 2)):
+        d = len(diag)
+        yield ExactMatrix([[diag[i] if i == j else 0 for j in range(d)] for i in range(d)])
+    yield ExactMatrix([[2, 1], [1, -2]])  # margin -5/2 pivoting on 2, -2 pivoting on -2
+    # one pivot leaves a zero-diagonal remainder: nonzero, then vanishing
+    yield ExactMatrix([[1, 1, gr(0, 1)], [1, 1, gr(1, 1)], [gr(0, -1), gr(1, -1), 1]])
+    yield ExactMatrix([[1, 1, gr(0, 1)], [1, 1, gr(0, 1)], [gr(0, -1), gr(0, -1), 1]])
 
 
 def test_congruence_proof_agrees_with_ldl():
     rng = np.random.default_rng(2024)
     proven = fallback = 0
     for m in _psd_property_cases(rng):
-        ldl = _ldl_psd_check(m)
-        fast = psd_check_exact(m)
-        assert fast.is_psd == ldl.is_psd
-        assert fast.witness_value == ldl.witness_value
+        ldl = reference_ldl(m)
+        for check in (_schur_psd_check(m), psd_check_exact(m)):
+            assert (check.is_psd, check.witness_value) == (ldl.is_psd, ldl.witness_value)
         if _congruence_proves_pd(m):
             assert ldl.is_psd
             proven += 1
@@ -246,13 +345,15 @@ def test_congruence_proves_counterexample_certificate(monkeypatch):
 
     def counted(m):
         calls.append(m)
-        return _ldl_psd_check(m)
+        return _schur_psd_check(m)
 
-    monkeypatch.setattr(exact, "_ldl_psd_check", counted)
+    monkeypatch.setattr(exact, "_schur_psd_check", counted)
     assert psd_check_exact(cert.y_exact).is_psd
     assert calls == []
-    assert not psd_check_exact(-cert.y_exact).is_psd
+    rejected = psd_check_exact(-cert.y_exact)
+    assert not rejected.is_psd
     assert len(calls) == 1
+    assert rejected.witness_value == reference_ldl(-cert.y_exact).witness_value
 
 
 class TestRationalize:

@@ -51,6 +51,7 @@ from qmagic.structures import (
     perm_matrix_exact,
     validate_magic,
 )
+from test_exact import reference_ldl
 
 
 def scalar_square(entries) -> MagicSquare:
@@ -556,6 +557,23 @@ def test_certify_fixed_denominator(strong_problem, witness):
     direct = exact_certify(witness.y, strong_problem, 10**6)
     assert direct.pairings["B0"] < 0
     assert psd_check_exact(direct.y_exact).is_psd
+
+
+def test_failing_rung_margin_matches_reference(strong_problem, witness, monkeypatch):
+    """The 10^3 rung fails on PSD with the margin the reference LDL* finds
+    on that rung's projected Y."""
+    checked = []
+
+    def recorded(y):
+        checked.append(y)
+        return psd_check_exact(y)
+
+    monkeypatch.setattr(obstruction, "psd_check_exact", recorded)
+    with pytest.raises(CertificationFailed) as err:
+        exact_certify(witness.y, strong_problem, 10**3)
+    assert err.value.condition == "psd"
+    (y,) = checked
+    assert err.value.margin == reference_ldl(y).witness_value
 
 
 def test_exact_certify_diagnoses_nonnegative_pairing(strong_problem):
