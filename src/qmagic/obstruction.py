@@ -426,7 +426,7 @@ def find_dual_certificate(
     d = problem.dim
     f0 = problem.pencil.f0
     y = res.y
-    p0 = float(np.real(np.trace(y @ f0)))
+    p0 = res.t_star  # trace(Y B_0), as the solver re-verified it
     t0 = float(np.real(np.trace(f0)))
     drift = t0 / d - p0
     # keep at least half of the negative pairing after blending

@@ -23,7 +23,6 @@ from .structures import (
 __all__ = [
     "random_unitary",
     "random_isometry",
-    "random_projector",
     "qpm_from_projector",
     "projector_at_angle",
     "outer_direct_sum",
@@ -48,12 +47,6 @@ def random_isometry(rng: np.random.Generator, t: int, s: int) -> np.ndarray:
     if t < s:
         raise ValueError("isometry needs t >= s")
     return random_unitary(rng, t)[:, :s]
-
-
-def random_projector(rng: np.random.Generator, s: int, rank: int) -> np.ndarray:
-    u = random_unitary(rng, s)
-    d = np.diag([1.0] * rank + [0.0] * (s - rank))
-    return u @ d @ u.conj().T
 
 
 def projector_at_angle(theta: float) -> np.ndarray:

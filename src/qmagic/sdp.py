@@ -1,18 +1,22 @@
-"""Dense Hermitian semidefinite feasibility: decide sup { t : F0 + sum x_i F_i >= t I }.
+"""Hermitian semidefinite feasibility: decide sup { t : F0 + sum x_i F_i >= t I }.
 
-An `SdpProblem` holds the directions F_i as one (m, d, d) complex stack, with
-the affine map x -> sum x_i F_i (`combine`) and its adjoint (`pairings`).
-The solver follows the central path of the log-det barrier with damped Newton
-steps; each step takes its gradient and Gram matrix from one batched product
+An `SdpProblem` holds F0, one Hermitian (d, d) matrix or the (k, b, b) stack
+of the diagonal blocks of a block-diagonal pencil, and the directions F_i as
+one (m, *F0.shape) complex stack, with the affine map x -> sum x_i F_i
+(`combine`) and its adjoint (`pairings`).  Everything acts on the last two
+axes, so a block-diagonal pencil is never embedded densely.  The solver
+follows the central path of the log-det barrier with damped Newton steps;
+each step takes its gradient and Gram matrix from one batched product
 M^-1/2 F_i M^-1/2 over the stack.  Feasibility is certified by re-verifying
-the returned primal point; infeasibility by a dual Y, polished by PSD
-clipping alternated with affine projection, with trace(Y F_i) = 0,
-trace(Y) = 1, Y PSD and trace(Y F0) < 0.  Anything the witnesses cannot
-settle is reported Inconclusive.
+the returned primal point; infeasibility by a dual Y of the shape of F0,
+polished by PSD clipping alternated with affine projection, with
+trace(Y F_i) = 0, trace(Y) = 1, Y PSD and trace(Y F0) < 0.  Anything the
+witnesses cannot settle is reported Inconclusive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,15 +52,18 @@ class Status(str, Enum):
 
 
 def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """Each complex matrix of a stack as one real row: the row products are
-    the real Frobenius pairings Re tr(A* B), without copying the stack."""
-    m, rows, cols = stack.shape
-    return stack.reshape(m, rows * cols).view(np.float64)
+    """Each complex matrix or block stack of a stack as one real row: the row
+    products are the real Frobenius pairings Re tr(A* B), without copying."""
+    return stack.reshape(len(stack), math.prod(stack.shape[1:])).view(np.float64)
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     """(F + F*) / 2 for every F of a stack, which must be Hermitian within HERM_TOL."""
-    adj = stack.conj().swapaxes(1, 2)
+    adj = _adjoint(stack)
     resid = float(np.abs(stack - adj).max(initial=0.0))
     if resid > HERM_TOL:
         raise NonHermitian(f"hermiticity residual {resid:.2e}")
@@ -72,29 +79,26 @@ def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SdpProblem:
-    """Pencil feasibility data: F0 and the directions F_i as one (m, d, d)
-    complex stack.  The directions must be linearly independent; the
-    solver re-verifies every witness, so dependent directions can only
-    stall it to Inconclusive, never turn a verdict."""
+    """Pencil feasibility data: F0 and the directions F_i as one (m, *F0.shape)
+    complex stack, of total dimension `dim`.  The directions must be linearly
+    independent; the solver re-verifies every witness, so dependent
+    directions can only stall it to Inconclusive, never turn a verdict."""
 
     __slots__ = ("f0", "directions", "dim")
 
     def __init__(self, f0, directions=()):
         f0 = np.asarray(f0, dtype=np.complex128)
-        d = f0.shape[0]
         try:
             dirs = np.asarray(directions, dtype=np.complex128)
         except ValueError:  # a ragged list of matrices
             raise DimensionMismatch("directions have different shapes") from None
         if dirs.size == 0:
-            dirs = dirs.reshape(0, d, d)
-        if f0.shape != (d, d) or dirs.shape[1:] != (d, d):
-            raise DimensionMismatch(
-                f"shapes {f0.shape} and {dirs.shape[1:]}, expected {(d, d)}"
-            )
-        object.__setattr__(self, "f0", _hermitian_part(f0[None])[0])
+            dirs = dirs.reshape(0, *f0.shape)
+        if f0.ndim < 2 or f0.shape[-1] != f0.shape[-2] or dirs.shape[1:] != f0.shape:
+            raise DimensionMismatch(f"F0 {f0.shape}, directions {dirs.shape[1:]}")
+        object.__setattr__(self, "f0", _hermitian_part(f0))
         object.__setattr__(self, "directions", _hermitian_part(dirs))
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", math.prod(f0.shape[:-1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("SdpProblem is immutable")
@@ -108,7 +112,7 @@ class SdpProblem:
         return self.f0 + self.combine(x)
 
     def pairings(self, y: np.ndarray) -> np.ndarray:
-        """[Re tr(Y F_i)], the adjoint of `combine`."""
+        """[Re tr(Y F_i)], the adjoint of `combine`; Y has the shape of F0."""
         y = np.ascontiguousarray(y, dtype=np.complex128)
         return _real_rows(self.directions) @ y.reshape(-1).view(np.float64)
 
@@ -125,22 +129,22 @@ class SdpResult:
 def _dual_polish(y0: np.ndarray, stack: np.ndarray, rounds: int) -> np.ndarray:
     """Alternate PSD clipping with exact projection onto the affine set
     {trace(Y F_i) = 0 for every F_i of the stack, trace(Y) = 1}; end on affine."""
-    d = y0.shape[0]
-    rows = _real_rows(np.concatenate([stack, np.eye(d, dtype=np.complex128)[None]]))
+    eye = np.broadcast_to(np.eye(y0.shape[-1], dtype=np.complex128), y0.shape)
+    rows = _real_rows(np.concatenate([stack, eye[None]]))
     gram_inv = np.linalg.pinv(rows @ rows.T)
     targets = np.zeros(len(rows))
     targets[-1] = 1.0
 
     def affine(y):
         mu = gram_inv @ (rows @ y.reshape(-1).view(np.float64) - targets)
-        return y - (mu @ rows).view(np.complex128).reshape(d, d)
+        return y - (mu @ rows).view(np.complex128).reshape(y.shape)
 
-    y = (y0 + y0.conj().T) / 2
+    y = (y0 + _adjoint(y0)) / 2
     for _ in range(rounds):
         y = affine(y)
-        lam, u = np.linalg.eigh((y + y.conj().T) / 2)
-        y = (u * np.clip(lam, 0, None)) @ u.conj().T
-    return affine((y + y.conj().T) / 2)
+        lam, u = np.linalg.eigh((y + _adjoint(y)) / 2)
+        y = (u * np.clip(lam, 0, None)[..., None, :]) @ _adjoint(u)
+    return affine((y + _adjoint(y)) / 2)
 
 
 def solve_feasibility(
@@ -158,11 +162,11 @@ def solve_feasibility(
     d = problem.dim
     stack = problem.directions
     m = len(stack)
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(problem.f0.shape[-1], dtype=np.complex128)
     lam0 = np.linalg.eigvalsh(problem.f0)
     scale = max(1.0, float(np.abs(lam0).max()))
     y = np.zeros(m + 1)
-    y[m] = lam0[0] - scale  # strictly feasible start: F0 - t I >= scale I
+    y[m] = lam0.min() - scale  # strictly feasible start: F0 - t I >= scale I
 
     mu = scale
     mu_end = 0.1 * eps / d
@@ -178,17 +182,17 @@ def solve_feasibility(
         for _ in range(60):
             iters += 1
             lam, u = np.linalg.eigh(mat)
-            if lam[0] <= 0:
+            if lam.min() <= 0:
                 stalled = True
                 break
-            isqrt = (u / np.sqrt(lam)) @ u.conj().T
+            isqrt = (u / np.sqrt(lam)[..., None, :]) @ _adjoint(u)
             # M^-1/2 F M^-1/2 for every direction, and -M^-1 for the t-direction -I
-            gmats = np.empty((m + 1, d, d), dtype=np.complex128)
+            gmats = np.empty((m + 1, *mat.shape), dtype=np.complex128)
             np.matmul(isqrt @ stack, isqrt, out=gmats[:m])
             gmats[m] = -(isqrt @ isqrt)
-            grad = np.trace(gmats, axis1=1, axis2=2).real
+            grad = np.trace(gmats, axis1=-2, axis2=-1).real.reshape(m + 1, -1).sum(axis=1)
             grad[m] += 1.0 / mu
-            flat = gmats.reshape(m + 1, d * d)
+            flat = gmats.reshape(m + 1, -1)
             k = (flat @ flat.conj().T).real
             try:
                 step = np.linalg.solve(k, grad)
@@ -201,7 +205,7 @@ def solve_feasibility(
             while alpha > 1e-13:
                 cand = y + alpha * step
                 lam_c = np.linalg.eigvalsh(pencil(cand))
-                if lam_c[0] > 0 and np.log(lam_c).sum() + cand[m] / mu > f_cur - 1e-12:
+                if lam_c.min() > 0 and np.log(lam_c).sum() + cand[m] / mu > f_cur - 1e-12:
                     y = cand
                     mat = pencil(y)
                     break
@@ -230,13 +234,15 @@ def solve_feasibility(
 
     # Infeasibility route: polish the barrier dual mu M^{-1} into a certificate.
     lam, u = np.linalg.eigh(mat)
-    y_raw = (u / lam) @ u.conj().T if lam[0] > 0 else np.outer(u[:, 0], u[:, 0].conj())
-    y_raw = y_raw / y_raw.trace().real
+    if lam.min() <= 0:  # 1/inf = 0 keeps only the least eigenvector over all blocks
+        lam = np.where(np.arange(lam.size).reshape(lam.shape) == lam.argmin(), 1.0, np.inf)
+    y_raw = (u / lam[..., None, :]) @ _adjoint(u)
+    y_raw = y_raw / np.trace(y_raw, axis1=-2, axis2=-1).sum().real
     y_cert = _dual_polish(y_raw, stack, rounds=80)
 
     pair_max = float(np.abs(problem.pairings(y_cert)).max(initial=0.0))
-    p0 = float((y_cert @ problem.f0).trace().real)
-    y_min = float(np.linalg.eigvalsh((y_cert + y_cert.conj().T) / 2).min())
+    p0 = float(np.trace(y_cert @ problem.f0, axis1=-2, axis2=-1).sum().real)
+    y_min = float(np.linalg.eigvalsh((y_cert + _adjoint(y_cert)) / 2).min())
     diagnostics.update(dual_pairing_max=pair_max, dual_f0_pairing=p0, dual_lambda_min=y_min)
     if p0 <= -10 * eps and pair_max <= eps and y_min >= -eps:
         return SdpResult(

@@ -4,10 +4,11 @@ and synthesis of commuting quantum-permutation dilations.
 A square A is semiclassical when A = sum_pi P_pi (x) q_pi with PSD weights
 q_pi summing to the identity.  The LMI is posed in the weights themselves:
 the equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n through
-the n^2 x n! incidence matrix, which leaves the block-diagonal pencil
-blockdiag(q_pi) over the kernel of that matrix.  Membership is decided by
-the eps-resolution semantics of the solver plus, for exact input, an exact
-rational repair of the recovered weights on the same incidence system.
+the n^2 x n! incidence matrix, which leaves a pencil of n! blocks q_pi of
+size s over the kernel of that matrix, solved as a block stack.  Membership
+is decided by the eps-resolution semantics of the solver plus, for exact
+input, an exact rational repair of the recovered weights on the same
+incidence system.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .exact import (
     psd_check_exact,
 )
 from .birkhoff import magic_space_dimension
-from .sdp import SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility, DEFAULT_EPS
+from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
 from .structures import (
     DEFAULT_TOL,
     MagicSquare,
@@ -165,15 +166,15 @@ def _elimination(n: int) -> tuple:
 
 
 def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
-    """The weights q_pi as a block-diagonal pencil, PSD at some x iff A is
-    semiclassical.
+    """The weights q_pi, in lex order of pi, as a pencil of n! blocks of
+    size s, PSD at some x iff A is semiclassical.
 
     The equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n:
     every solution is q0 + sum_r v_r (x) X_r, with q0 the min-norm solution
-    and v_r an orthonormal kernel basis of the incidence map.  F0 is
-    blockdiag(q0_pi), of dimension n! s (I / n! for the constant square),
-    and the directions are kron(diag(v_r), h_b) over the Hermitian basis
-    h_b of Mat_s: (n! - (n-1)^2 - 1) s^2 of them, none for n <= 2.
+    and v_r an orthonormal kernel basis of the incidence map.  F0 is the
+    (n!, s, s) stack of the q0_pi (I / n! for the constant square), and the
+    directions are the stacks v_r[pi] h_b over the Hermitian basis h_b of
+    Mat_s, in (r, b) order: (n! - (n-1)^2 - 1) s^2 of them, none for n <= 2.
     sum_pi q_pi = I needs no constraint of its own: it is the sum of the
     constraints of any row of A.
     """
@@ -182,18 +183,8 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
     pinv, kernel = _elimination(n)
     q0 = np.tensordot(pinv, np.reshape(a.to_float().blocks, (n * n, s, s)), axes=1)
-    nf = len(q0)
-    f0 = np.einsum("pq,pab->paqb", np.eye(nf), q0).reshape(nf * s, nf * s)
-    return SdpProblem(f0, kron_pairs(kernel[:, :, None] * np.eye(nf), hermitian_basis_stack(s)))
-
-
-def _weights_from_x(problem: SdpProblem, n: int, x: np.ndarray) -> dict:
-    """q_pi = q0_pi + sum_(r,b) x_(r,b) v_r[pi] h_b: the diagonal blocks of
-    the pencil at x."""
-    nf = factorial(n)
-    s = problem.dim // nf
-    f = problem.evaluate(x).reshape(nf, s, nf, s)
-    return dict(zip(permutations_lex(n), np.einsum("papb->pab", f)))
+    dirs = np.einsum("rp,bij->rbpij", kernel, hermitian_basis_stack(s))
+    return SdpProblem(q0, dirs.reshape(-1, *q0.shape))
 
 
 def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
@@ -234,9 +225,10 @@ def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
 def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult:
     """Decide semiclassicality through the LMI.
 
-    Yes carries a decomposition; No carries the solver's dual certificate;
-    boundary cases the margins cannot settle come back Inconclusive.  When
-    A is exact, the solver's weights are rationalized at each bound of
+    Yes carries a decomposition; No carries the solver's dual certificate,
+    whose Y is the (n!, s, s) stack of its diagonal blocks; boundary cases
+    the margins cannot settle come back Inconclusive.  When A is exact,
+    the solver's weights are rationalized at each bound of
     REPAIR_DENOMINATORS in turn and projected exactly, one Hermitian
     coordinate at a time, onto the n^2 x n! incidence system; its
     projection operator is built once per n and reused across rungs and
@@ -255,7 +247,7 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     if res.status is Status.INCONCLUSIVE and not near:
         return CheckResult("inconclusive", residuals=residuals)
 
-    weights = _weights_from_x(problem, a.n, res.x)
+    weights = dict(zip(permutations_lex(a.n), problem.evaluate(res.x)))
     if not a.exact:
         dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
         recon = dec.blocks()

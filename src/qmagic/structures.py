@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "complete_corner",
     "constant_square",
     "permutations_lex",
-    "perm_rank",
-    "perm_unrank",
     "perm_matrix_exact",
     "perm_matrix_float",
     "DEFAULT_TOL",
@@ -87,31 +84,6 @@ class CompletionNotPSD(ValueError):
 def permutations_lex(n: int) -> list[tuple[int, ...]]:
     """All permutations of {0..n-1} in lexicographic one-line order."""
     return list(itertools.permutations(range(n)))
-
-
-def perm_rank(sigma: tuple[int, ...]) -> int:
-    """Lexicographic rank of a permutation (0-based)."""
-    n = len(sigma)
-    remaining = sorted(sigma)
-    if remaining != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
-    rank = 0
-    for i, v in enumerate(sigma):
-        rank += remaining.index(v) * factorial(n - 1 - i)
-        remaining.remove(v)
-    return rank
-
-
-def perm_unrank(n: int, rank: int) -> tuple[int, ...]:
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    remaining = list(range(n))
-    out = []
-    for i in range(n):
-        f = factorial(n - 1 - i)
-        out.append(remaining.pop(rank // f))
-        rank %= f
-    return tuple(out)
 
 
 def perm_matrix_exact(sigma: tuple[int, ...]) -> ExactMatrix:

@@ -6,6 +6,7 @@ from qmagic.sdp import (
     NonHermitian,
     SdpProblem,
     Status,
+    _real_rows,
     solve_feasibility,
 )
 
@@ -15,6 +16,27 @@ def rand_herm(rng, d):
     return (z + z.conj().T) / 2
 
 
+def block_diag(stack):
+    """The dense block-diagonal embedding of a (k, b, b) block stack."""
+    k, b, _ = stack.shape
+    zero = np.zeros((b, b))
+    return np.block([[stack[i] if i == j else zero for j in range(k)] for i in range(k)])
+
+
+def rand_block_instance(rng):
+    """F0 and up to three directions as block stacks.  The directions have
+    total trace 0, so every F0 of negative trace gives an infeasible
+    pencil, and fewer of them than the k b^2 - 1 traceless dimensions."""
+    k, b = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    m = int(rng.integers(0, min(4, k * b * b)))
+    f0 = np.array([rand_herm(rng, b) for _ in range(k)]) + rng.normal() * np.eye(b)
+    dirs = []
+    for _ in range(m):
+        g = np.array([rand_herm(rng, b) for _ in range(k)])
+        dirs.append(g - np.trace(g, axis1=1, axis2=2).sum().real / (k * b) * np.eye(b))
+    return f0, dirs
+
+
 class TestSdpProblem:
     def test_directions_are_one_stack(self):
         f = np.array([[1.0, 0], [0, -1.0]])
@@ -22,6 +44,13 @@ class TestSdpProblem:
         assert p.directions.shape == (2, 2, 2)
         assert p.directions.dtype == np.complex128
         assert SdpProblem(np.eye(3)).directions.shape == (0, 3, 3)
+        # a block stack: F0 of shape (3, 2, 2), of total dimension 6
+        p = SdpProblem(np.array([np.eye(2)] * 3))
+        assert p.directions.shape == (0, 3, 2, 2)
+        assert _real_rows(p.directions).shape == (0, 2 * 12)
+        assert p.dim == 6
+        assert p.pairings(np.ones((3, 2, 2))).shape == (0,)
+        assert p.evaluate([]).shape == (3, 2, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -30,6 +59,31 @@ class TestSdpProblem:
             SdpProblem(np.eye(2), [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionMismatch):
             SdpProblem(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            SdpProblem(np.ones(3))
+        blocks = np.array([np.eye(2)] * 3)
+        with pytest.raises(DimensionMismatch):  # a non-square block
+            SdpProblem(np.ones((3, 2, 3)))
+        with pytest.raises(DimensionMismatch):  # another number of blocks
+            SdpProblem(blocks, [blocks[:2]])
+        with pytest.raises(DimensionMismatch):  # another block size
+            SdpProblem(blocks, [np.array([np.eye(3)] * 3)])
+        with pytest.raises(DimensionMismatch):  # the dense embedding
+            SdpProblem(blocks, [np.eye(6)])
+        with pytest.raises(DimensionMismatch):
+            SdpProblem(blocks, [blocks, blocks[:2]])
+
+    def test_block_stack_combine_and_pairings_match_dense(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            f0, dirs = rand_block_instance(rng)
+            p = SdpProblem(f0, dirs)
+            dense = SdpProblem(block_diag(f0), [block_diag(f) for f in dirs])
+            assert p.dim == dense.dim == f0.shape[0] * f0.shape[1]
+            x = rng.normal(size=len(dirs))
+            assert np.allclose(block_diag(p.evaluate(x)), dense.evaluate(x), atol=1e-12)
+            y = np.array([rand_herm(rng, f0.shape[1]) for _ in f0])
+            assert np.allclose(p.pairings(y), dense.pairings(block_diag(y)), atol=1e-12)
 
     def test_non_hermitian_direction_rejected(self):
         with pytest.raises(NonHermitian):
@@ -157,6 +211,44 @@ class TestSolveFeasibility:
                 )
                 statuses.add(res.status)
             assert len(statuses) == 1, (statuses, f0)
+
+    def test_indefinite_block_stack_no_directions(self):
+        # the certificate sits on the negative eigenvector of the second block
+        f0 = np.array([np.diag([1.0, 2.0]), np.diag([3.0, -1.0])])
+        res = solve_feasibility(SdpProblem(f0))
+        assert res.status is Status.INFEASIBLE
+        want = np.array([np.zeros((2, 2)), np.diag([0.0, 1.0])])
+        assert res.y.shape == (2, 2, 2)
+        assert np.allclose(res.y, want, atol=1e-6)
+        assert abs(res.t_star + 1.0) < 1e-5
+
+    def test_block_stack_matches_dense_embedding(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(20):
+            f0, dirs = rand_block_instance(rng)
+            prob = SdpProblem(f0, dirs)
+            res = solve_feasibility(prob)
+            ref = solve_feasibility(SdpProblem(block_diag(f0), [block_diag(f) for f in dirs]))
+            seen.add(res.status)
+            assert res.status is ref.status
+            assert res.residuals["iterations"] == ref.residuals["iterations"]
+            lam, lam_ref = res.residuals["primal_lambda_min"], ref.residuals["primal_lambda_min"]
+            assert abs(lam - lam_ref) <= 1e-9
+            if res.status is Status.FEASIBLE:
+                assert abs(res.t_star - ref.t_star) <= 1e-9
+            else:
+                # trace(Y F0) of a polished dual: the start mu M^-1 magnifies
+                # rounding in the last iterate by about 1/mu
+                assert abs(res.t_star - ref.t_star) <= 1e-5 * max(1.0, abs(ref.t_star))
+                y = res.y
+                assert y.shape == f0.shape
+                assert np.linalg.eigvalsh(y).min() >= -1e-7
+                assert abs(float(np.trace(y, axis1=1, axis2=2).sum().real) - 1.0) <= 1e-9
+                for f in prob.directions:
+                    assert abs(float(np.trace(y @ f, axis1=1, axis2=2).sum().real)) <= 1e-7
+                assert float(np.trace(y @ f0, axis1=1, axis2=2).sum().real) <= -1e-6
+        assert seen == {Status.FEASIBLE, Status.INFEASIBLE}
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):

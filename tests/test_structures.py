@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qmagic.exact import ExactMatrix
 from qmagic.sampling import (
@@ -31,8 +29,6 @@ from qmagic.structures import (
     embed_pad,
     perm_matrix_exact,
     perm_matrix_float,
-    perm_rank,
-    perm_unrank,
     permutations_lex,
     validate_magic,
     validate_quantum_permutation,
@@ -48,19 +44,6 @@ class TestPermutations:
         assert perms[-1] == (2, 1, 0)
         assert perms == sorted(perms)
         assert len(perms) == 6
-
-    @given(st.integers(min_value=1, max_value=6), st.data())
-    def test_rank_unrank_round_trip(self, n, data):
-        import math
-
-        rank = data.draw(st.integers(min_value=0, max_value=math.factorial(n) - 1))
-        sigma = perm_unrank(n, rank)
-        assert perm_rank(sigma) == rank
-
-    def test_rank_is_lex_position(self):
-        for n in (2, 3, 4):
-            for k, sigma in enumerate(permutations_lex(n)):
-                assert perm_rank(sigma) == k
 
     def test_matrix_forms_agree(self):
         sigma = (2, 0, 1)
