@@ -30,6 +30,7 @@ from .obstruction import (
     WEAK,
     CertificationFailed,
     ObstructionCertificate,
+    blend_dual,
     build_obstruction,
     certify_with_ladder,
     check_mconv_obstruction,
@@ -106,6 +107,7 @@ __all__ = [
     "build_obstruction",
     "check_mconv_obstruction",
     "counterexample_m2_3",
+    "blend_dual",
     "find_dual_certificate",
     "exact_certify",
     "certify_with_ladder",

@@ -28,15 +28,12 @@ from .obstruction import (
     DENOMINATOR_LADDER,
     STRONG,
     WEAK,
-    CertificateNotFound,
-    CertificateSearchInconclusive,
     CertificationFailed,
     NotDefinedForSmallN,
-    build_obstruction,
+    blend_dual,
     certify_with_ladder,
     check_mconv_obstruction,
     counterexample_m2_3,
-    find_dual_certificate,
     verify_certificate,
 )
 from .sampling import random_doubly_stochastic
@@ -65,7 +62,14 @@ from .serialize import (
     square_from_json,
     square_to_json,
 )
-from .structures import DEFAULT_TOL, InvalidMagicSquare, MagicSquare, constant_square
+from .structures import (
+    DEFAULT_TOL,
+    InvalidMagicSquare,
+    MagicSquare,
+    NotAnIsometry,
+    compress,
+    constant_square,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -117,10 +121,6 @@ class RunReport:
         return asdict(self)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
 def _gather(paths) -> list[Path]:
     """Expand directory arguments into their sorted *.json members."""
     out = []
@@ -138,10 +138,12 @@ def _gather(paths) -> list[Path]:
     return out
 
 
-def _single_out(args, files) -> None:
-    """--out names one file, so it cannot take the output of several inputs."""
-    if args.out and len(files) > 1:
-        raise UsageError(f"--out takes one input file, got {len(files)}")
+def _one_input(raw) -> Path:
+    """The single file a command answers: a file, or a directory holding one."""
+    files = _gather([raw])
+    if len(files) > 1:
+        raise UsageError(f"{raw}: this command takes one input file, got {len(files)}")
+    return files[0]
 
 
 def _combine(codes) -> int:
@@ -153,11 +155,16 @@ def _combine(codes) -> int:
 
 
 def _coerce_repr(square: MagicSquare, args) -> MagicSquare:
-    if getattr(args, "float", False):
+    if args.float:
         return square.to_float()
-    if getattr(args, "exact", False) and not square.exact:
+    if args.exact and not square.exact:
         raise UsageError("--exact requires an exact input square")
     return square
+
+
+def _eps(args) -> float:
+    """The solver's epsilon: --eps when given."""
+    return args.eps or DEFAULT_EPS
 
 
 def _human(msg: str) -> None:
@@ -165,76 +172,89 @@ def _human(msg: str) -> None:
 
 
 def _record(report: RunReport, path: Path) -> None:
-    report.inputs.append({"path": str(path), "digest": _digest(path)})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    report.inputs.append({"path": str(path), "digest": digest})
+
+
+def _each_input(args, report: RunReport, work, what: str = "") -> tuple[int, list]:
+    """Answer every input of a batch command with `work(path) -> (code,
+    entry)`, then report them in input order: verdict, entry, timing, any
+    residuals and certificate, one stderr line `{path}: {what}{verdict}`.
+    An input that raises stops the batch before anything is reported.
+    Returns the combined exit code and the entries.
+    """
+    files = _gather(args.inputs)
+    if getattr(args, "out", None) and len(files) > 1:
+        raise UsageError(f"--out takes one input file, got {len(files)}")
+    results = []
+    for path in files:
+        start = time.perf_counter()
+        results.append((path, *work(path), time.perf_counter() - start))
+    for path, _, entry, elapsed in results:
+        name = str(path)
+        report.verdicts[name] = entry["verdict"]
+        report.details[name] = entry
+        if "residuals" in entry:
+            report.residuals[name] = entry["residuals"]
+        report.timings[name] = round(elapsed, 4)
+        suffix = ""
+        if "certificate" in entry:
+            report.certificates.append(entry["certificate"])
+            suffix = f", certificate -> {entry['certificate']}"
+        _human(f"{name}: {what}{entry['verdict']}{suffix}")
+    for path, *_ in results:
+        _record(report, path)
+    return _combine(code for _, code, *_ in results), [entry for _, _, entry, _ in results]
+
+
+def _code(verdict: str) -> int:
+    return {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(verdict, EXIT_INCONCLUSIVE)
 
 
 # -- validate -----------------------------------------------------------------
 
 
 def cmd_validate(args, report: RunReport) -> int:
-    files = _gather(args.inputs)
-
     def work(path: Path):
-        start = time.perf_counter()
         try:
             square = _coerce_repr(load_square(path, tol=args.eps), args)
-            entry = {
-                "verdict": "valid",
-                "n": square.n,
-                "s": square.s,
-                "repr": "exact" if square.exact else "float",
-            }
-            code = EXIT_OK
         except InvalidMagicSquare as err:
-            entry = {
-                "verdict": "invalid",
-                "violations": [
-                    {"kind": v.kind, "location": list(v.location), "margin": str(v.margin)}
-                    for v in err.report.violations
-                ],
-            }
-            code = EXIT_NEGATIVE
-        return code, str(path), entry, time.perf_counter() - start
+            violations = [
+                {"kind": v.kind, "location": list(v.location), "margin": str(v.margin)}
+                for v in err.report.violations
+            ]
+            return EXIT_NEGATIVE, {"verdict": "invalid", "violations": violations}
+        repr_ = "exact" if square.exact else "float"
+        return EXIT_OK, {"verdict": "valid", "n": square.n, "s": square.s, "repr": repr_}
 
-    results = [work(path) for path in files]
-    for code, name, entry, elapsed in results:
-        report.verdicts[name] = entry["verdict"]
-        report.details[name] = entry
-        report.timings[name] = round(elapsed, 4)
-        _human(f"{name}: {entry['verdict']}")
-    for path in files:
-        _record(report, path)
-    return _combine(code for code, *_ in results)
+    return _each_input(args, report, work)[0]
 
 
 # -- birkhoff -----------------------------------------------------------------
 
 
 def cmd_birkhoff(args, report: RunReport) -> int:
-    path = _gather(args.inputs)[0]
+    path = _one_input(args.input)
     _record(report, path)
     data = load_json(path)
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
-    matrix = exact_matrix_from_json(data)
-    grid = [[matrix[i, j] for j in range(matrix.cols)] for i in range(matrix.rows)]
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            if grid[i][j].im != 0:
-                raise UsageError("birkhoff input must be a real rational matrix")
-            grid[i][j] = grid[i][j].re
-    terms = birkhoff_decompose(grid)
-    n = matrix.rows
+    rows = exact_matrix_from_json(data).row_list()
+    if any(z.im for row in rows for z in row):
+        raise UsageError("birkhoff input must be a real rational matrix")
+    terms = birkhoff_decompose([[z.re for z in row] for row in rows])
+    n = len(rows)
+    bound = (n - 1) ** 2 + 1
     payload = birkhoff_to_json(terms)
     report.verdicts[str(path)] = "decomposed"
     report.details["terms"] = payload
     report.details["count"] = len(terms)
-    report.details["bound"] = (n - 1) ** 2 + 1
+    report.details["bound"] = bound
     report.details["affine_dimension"] = magic_space_dimension(n)
     if args.out:
         dump_json(payload, args.out)
         report.certificates.append(str(args.out))
-    _human(f"{path}: {len(terms)} permutations (Caratheodory bound {(n - 1) ** 2 + 1})")
+    _human(f"{path}: {len(terms)} permutations (Caratheodory bound {bound})")
     return EXIT_OK
 
 
@@ -242,37 +262,22 @@ def cmd_birkhoff(args, report: RunReport) -> int:
 
 
 def cmd_check_semiclassical(args, report: RunReport) -> int:
-    files = _gather(args.inputs)
-    _single_out(args, files)
-
     def work(path: Path):
-        start = time.perf_counter()
         square = _coerce_repr(load_square(path, tol=args.eps), args)
-        res = check_semiclassical(square, eps=args.eps or DEFAULT_EPS)
+        res = check_semiclassical(square, eps=_eps(args))
         entry = {"verdict": res.verdict, "residuals": _floats(res.residuals)}
         if res.verdict == "yes" and res.decomposition is not None:
             entry["decomposition"] = decomposition_to_json(res.decomposition)
             entry["exact"] = res.decomposition.exact
         if res.verdict == "no" and res.dual is not None:
             entry["dual_objective"] = float(res.dual.t_star)
-        code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(res.verdict, EXIT_INCONCLUSIVE)
-        return code, str(path), entry, time.perf_counter() - start
+        return _code(res.verdict), entry
 
-    results = [work(path) for path in files]
-    for code, name, entry, elapsed in results:
-        report.verdicts[name] = entry["verdict"]
-        report.details[name] = entry
-        report.residuals[name] = entry.get("residuals", {})
-        report.timings[name] = round(elapsed, 4)
-        _human(f"{name}: semiclassical = {entry['verdict']}")
-    for path in files:
-        _record(report, path)
-    if args.out:
-        entry = results[0][2]
-        if "decomposition" in entry:
-            dump_json(entry["decomposition"], args.out)
-            report.certificates.append(str(args.out))
-    return _combine(code for code, *_ in results)
+    code, entries = _each_input(args, report, work, "semiclassical = ")
+    if args.out and "decomposition" in entries[0]:
+        dump_json(entries[0]["decomposition"], args.out)
+        report.certificates.append(str(args.out))
+    return code
 
 
 def _floats(d: dict) -> dict:
@@ -284,21 +289,21 @@ def _floats(d: dict) -> dict:
 
 
 def cmd_decompose(args, report: RunReport) -> int:
-    path = _gather(args.inputs)[0]
+    path = _one_input(args.input)
     _record(report, path)
     square = _coerce_repr(load_square(path, tol=args.eps), args)
     if args.interior:
         dec = interior_map_decomposition(square)
         verdict = "yes"
     else:
-        res = check_semiclassical(square, eps=args.eps or DEFAULT_EPS)
+        res = check_semiclassical(square, eps=_eps(args))
         verdict = res.verdict
         dec = res.decomposition
     report.verdicts[str(path)] = verdict
     if verdict != "yes":
         _human(f"{path}: no decomposition found (verdict {verdict})")
-        return EXIT_NEGATIVE if verdict == "no" else EXIT_INCONCLUSIVE
-    check = verify_positive_unital_map(dec, square, tol=max(args.eps or DEFAULT_EPS, 1e-9) * 10)
+        return _code(verdict)
+    check = verify_positive_unital_map(dec, square, tol=max(_eps(args), 1e-9) * 10)
     report.details["decomposition"] = decomposition_to_json(dec)
     report.details["exact"] = dec.exact
     report.details["map_verified"] = bool(check.ok)
@@ -313,22 +318,22 @@ def cmd_decompose(args, report: RunReport) -> int:
 
 
 def cmd_dilate(args, report: RunReport) -> int:
-    path = _gather(args.inputs)[0]
+    path = _one_input(args.input)
     _record(report, path)
     data = load_json(path)
     if isinstance(data, list):
         dec = decomposition_from_json(data)
         source = None
     else:
-        source = _coerce_repr(square_from_json(data), args)
-        res = check_semiclassical(source, eps=args.eps or DEFAULT_EPS)
+        source = _coerce_repr(square_from_json(data, tol=args.eps), args)
+        res = check_semiclassical(source, eps=_eps(args))
         if res.verdict != "yes":
             report.verdicts[str(path)] = res.verdict
             _human(f"{path}: not semiclassical (verdict {res.verdict}), cannot dilate")
-            return EXIT_NEGATIVE if res.verdict == "no" else EXIT_INCONCLUSIVE
+            return _code(res.verdict)
         dec = res.decomposition
     dilation = synthesize_commuting_dilation(dec)
-    compressed = dilation.compressed()
+    compressed = compress(dilation.u, dilation.v, tol=args.eps or DEFAULT_TOL)
     payload = {
         "qpm": square_to_json(dilation.u),
         "isometry": float_matrix_to_json(np.asarray(dilation.v, dtype=np.complex128)),
@@ -361,84 +366,74 @@ def _ladder(max_denominator) -> tuple:
     return rungs + (max_denominator,)
 
 
-def cmd_obstruction_check(args, report: RunReport) -> int:
-    files = _gather(args.inputs)
-    _single_out(args, files)
+def _strong_certificate(res, args, out=None):
+    """The exact certificate of a strong "no" on an exact square, from the
+    solve that decided it: its dual blended once (`blend_dual`), then
+    rounded up the denominator ladder; written to `out` when given.
 
+    Returns (witness, certificate); raises CertificationFailed when no rung
+    certifies.
+    """
+    witness = blend_dual(res.problem, res.solver, eps=_eps(args))
+    cert = certify_with_ladder(witness.y, res.problem, _ladder(args.max_denominator))
+    if out:
+        dump_json(certificate_to_json(cert, square=res.problem.square), out)
+    return witness, cert
+
+
+def cmd_obstruction_check(args, report: RunReport) -> int:
     def work(path: Path):
-        start = time.perf_counter()
         square = _coerce_repr(load_square(path, tol=args.eps), args)
-        res = check_mconv_obstruction(square, mode=args.mode, eps=args.eps or DEFAULT_EPS)
+        res = check_mconv_obstruction(square, mode=args.mode, eps=_eps(args))
         entry = {"verdict": res.verdict, "mode": args.mode}
-        cert_path = None
         if res.verdict == "no":
             entry["dual_objective"] = float(res.solver.t_star)
             if args.mode == STRONG and square.exact:
+                out = args.out or path.with_suffix(".cert.json")
                 try:
-                    witness = find_dual_certificate(res.problem, eps=args.eps or DEFAULT_EPS)
-                    cert = certify_with_ladder(
-                        witness.y, res.problem, _ladder(args.max_denominator)
-                    )
-                    cert_path = args.out or path.with_suffix(".cert.json")
-                    dump_json(certificate_to_json(cert, square=square), cert_path)
-                    entry["certificate"] = str(cert_path)
+                    _, cert = _strong_certificate(res, args, out)
+                    entry["certificate"] = str(out)
                     entry["trace_B0"] = rational_to_json(cert.pairings["B0"])
-                except (CertificateSearchInconclusive, CertificationFailed) as err:
+                except CertificationFailed as err:
                     entry["certificate_error"] = str(err)
-        code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE}.get(res.verdict, EXIT_INCONCLUSIVE)
-        return code, str(path), entry, time.perf_counter() - start, cert_path
+        return _code(res.verdict), entry
 
-    results = [work(path) for path in files]
-    for code, name, entry, elapsed, cert_path in results:
-        report.verdicts[name] = entry["verdict"]
-        report.details[name] = entry
-        report.timings[name] = round(elapsed, 4)
-        if cert_path:
-            report.certificates.append(str(cert_path))
-        suffix = f", certificate -> {cert_path}" if cert_path else ""
-        _human(f"{name}: {args.mode} obstruction verdict = {entry['verdict']}{suffix}")
-    for path in files:
-        _record(report, path)
-    return _combine(code for code, *_ in results)
+    return _each_input(args, report, work, f"{args.mode} obstruction verdict = ")[0]
 
 
 # -- find-certificate -------------------------------------------------------------
 
 
 def cmd_find_certificate(args, report: RunReport) -> int:
-    path = _gather(args.inputs)[0]
+    path = _one_input(args.input)
     _record(report, path)
+    name = str(path)
     square = load_square(path)
     if not square.exact:
         raise UsageError("exact certification requires an exact input square")
     if args.mode != STRONG:
         raise UsageError("certificates are built from the strong pencil; use --mode strong")
-    problem = build_obstruction(square, STRONG)
-    try:
-        witness = find_dual_certificate(problem, eps=args.eps or DEFAULT_EPS)
-    except CertificateNotFound:
-        report.verdicts[str(path)] = "feasible"
+    res = check_mconv_obstruction(square, mode=STRONG, eps=_eps(args))
+    if res.verdict == "yes":
+        report.verdicts[name] = "feasible"
         _human(f"{path}: pencil is feasible, no certificate exists")
         return EXIT_NEGATIVE
-    except CertificateSearchInconclusive as err:
-        report.verdicts[str(path)] = "inconclusive"
-        _human(f"{path}: {err}")
+    if res.verdict == "inconclusive":
+        report.verdicts[name] = "inconclusive"
+        _human(f"{path}: solver diagnostics: {res.solver.residuals}")
         return EXIT_INCONCLUSIVE
+    out = args.out or path.with_suffix(".cert.json")
     try:
-        cert = certify_with_ladder(witness.y, problem, _ladder(args.max_denominator))
+        witness, cert = _strong_certificate(res, args, out)
     except CertificationFailed as err:
-        report.verdicts[str(path)] = "inconclusive"
+        report.verdicts[name] = "inconclusive"
         report.details["failure"] = {"condition": err.condition, "margin": str(err.margin)}
         _human(f"{path}: numeric dual found but exact certification failed: {err}")
         return EXIT_INCONCLUSIVE
-    out = args.out or path.with_suffix(".cert.json")
-    dump_json(certificate_to_json(cert, square=square), out)
     verification = verify_certificate(cert, square)
-    report.verdicts[str(path)] = "certified" if verification["ok"] else "inconclusive"
+    report.verdicts[name] = "certified" if verification["ok"] else "inconclusive"
     report.certificates.append(str(out))
-    report.details["pairings"] = {
-        label: rational_to_json(value) for label, value in cert.pairings.items()
-    }
+    report.details["pairings"] = _pairings_json(cert)
     report.details["reverified"] = bool(verification["ok"])
     report.residuals["numeric_dual"] = {
         "trace_B0": witness.trace_b0,
@@ -453,16 +448,20 @@ def cmd_find_certificate(args, report: RunReport) -> int:
     return EXIT_OK
 
 
+def _pairings_json(cert) -> dict:
+    return {label: rational_to_json(value) for label, value in cert.pairings.items()}
+
+
 # -- verify-certificate ------------------------------------------------------------
 
 
 def cmd_verify_certificate(args, report: RunReport) -> int:
-    path = _gather(args.inputs)[0]
+    path = _one_input(args.input)
     _record(report, path)
     cert, embedded = certificate_from_json(load_json(path))
     if args.square:
-        square = load_square(Path(args.square))
-        _record(report, Path(args.square))
+        square = load_square(args.square)
+        _record(report, args.square)
     else:
         square = embedded
     if square is None:
@@ -492,29 +491,25 @@ def scenario_separation(args, report: RunReport) -> int:
     certificate."""
     square = counterexample_m2_3()
     report.details["square"] = square_to_json(square)
-    strong = check_mconv_obstruction(square, mode=STRONG, eps=args.eps or DEFAULT_EPS)
-    weak = check_mconv_obstruction(square, mode=WEAK, eps=args.eps or DEFAULT_EPS)
+    strong = check_mconv_obstruction(square, mode=STRONG, eps=_eps(args))
+    weak = check_mconv_obstruction(square, mode=WEAK, eps=_eps(args))
     report.verdicts["strong"] = strong.verdict
     report.verdicts["weak"] = weak.verdict
     _human(f"strong pencil: {strong.verdict}; weak pencil: {weak.verdict}")
     if strong.verdict != "no" or weak.verdict != "no":
         return EXIT_INCONCLUSIVE if "inconclusive" in (strong.verdict, weak.verdict) else EXIT_NEGATIVE
     try:
-        witness = find_dual_certificate(strong.problem, eps=args.eps or DEFAULT_EPS)
-        cert = certify_with_ladder(witness.y, strong.problem, _ladder(args.max_denominator))
-    except (CertificateSearchInconclusive, CertificationFailed) as err:
+        _, cert = _strong_certificate(strong, args, args.out)
+    except CertificationFailed as err:
         report.verdicts["certificate"] = "inconclusive"
         report.details["certificate_error"] = str(err)
         _human(f"no exact certificate: {err}")
         return EXIT_INCONCLUSIVE
     verification = verify_certificate(cert, square)
-    report.details["pairings"] = {
-        label: rational_to_json(value) for label, value in cert.pairings.items()
-    }
+    report.details["pairings"] = _pairings_json(cert)
     report.details["certificate_ok"] = bool(verification["ok"])
     report.verdicts["certificate"] = "verified" if verification["ok"] else "rejected"
     if args.out:
-        dump_json(certificate_to_json(cert, square=square), args.out)
         report.certificates.append(str(args.out))
         _human(f"certificate -> {args.out}")
     for label in sorted(report.details["pairings"]):
@@ -530,7 +525,7 @@ def scenario_no_semiclassical(args, report: RunReport) -> int:
     """The same square fails the semiclassical LMI, while a strictly
     interior square decomposes through the positive-map route."""
     square = counterexample_m2_3()
-    res = check_semiclassical(square, eps=args.eps or DEFAULT_EPS)
+    res = check_semiclassical(square, eps=_eps(args))
     report.verdicts["counterexample"] = res.verdict
     _human(f"counterexample semiclassical check: {res.verdict}")
     if res.verdict != "no":
@@ -596,54 +591,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Magic squares over matrix algebras: membership checks and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, summary, inputs="+", needs_square_flags=True):
-        p = sub.add_parser(name, help=summary)
-        if inputs:
-            p.add_argument("inputs", nargs=inputs, help="input file(s) or directory")
-        p.add_argument(
-            "--eps", type=_positive_float, default=None,
+    options = {
+        "--eps": dict(
+            type=_positive_float, default=None,
             help="one value for two tolerances: the tolerance to which a float input "
             f"square is validated (default {DEFAULT_TOL:g}) and, in commands that run "
             f"the solver, the solver's epsilon (default {DEFAULT_EPS:g})",
-        )
-        p.add_argument("--out", type=Path, default=None, help="output file")
-        if needs_square_flags:
-            rep = p.add_mutually_exclusive_group()
-            rep.add_argument("--exact", action="store_true", help="require exact input")
-            rep.add_argument("--float", action="store_true", help="convert input to floating point")
-        p.set_defaults(handler=handler)
-        return p
+        ),
+        "--out": dict(type=Path, default=None, help="output file"),
+        "--interior": dict(
+            action="store_true", help="use the positive-map route for strictly interior squares"
+        ),
+        "--mode": dict(choices=(WEAK, STRONG), default=STRONG),
+        "--max-denominator": dict(type=_positive_int, default=None),
+        "--square": dict(type=Path, default=None, help="square file (overrides embedded)"),
+    }
 
-    add("validate", cmd_validate, "check the magic-square axioms")
-    add(
-        "birkhoff",
-        cmd_birkhoff,
-        "decompose a rational doubly stochastic matrix into permutations",
-        needs_square_flags=False,
-    )
-    add("check-semiclassical", cmd_check_semiclassical, "decide semiclassical membership")
-    dec = add("decompose", cmd_decompose, "produce a semiclassical decomposition")
-    dec.add_argument(
-        "--interior",
-        action="store_true",
-        help="use the positive-map route for strictly interior squares",
-    )
-    add("dilate", cmd_dilate, "synthesize a commuting dilation from a decomposition")
-    obs = add("obstruction-check", cmd_obstruction_check, "run the matrix-convex-hull obstruction")
-    obs.add_argument("--mode", choices=(WEAK, STRONG), default=STRONG)
-    obs.add_argument("--max-denominator", type=_positive_int, default=None)
-    fc = add("find-certificate", cmd_find_certificate, "search and exactly certify a dual witness")
-    fc.add_argument("--mode", choices=(WEAK, STRONG), default=STRONG)
-    fc.add_argument("--max-denominator", type=_positive_int, default=None)
-    vc = add(
-        "verify-certificate",
-        cmd_verify_certificate,
-        "re-verify a certificate by exact arithmetic alone",
-        inputs=None,
-    )
-    vc.add_argument("certificate", type=Path, help="certificate file")
-    vc.add_argument("--square", type=Path, default=None, help="square file (overrides embedded)")
+    def add(name, handler, summary, *flags, inputs="input"):
+        """A subcommand with its positional `inputs` ("inputs" for a batch
+        of files) and exactly the `flags` its handler reads."""
+        p = sub.add_parser(name, help=summary)
+        if inputs == "inputs":
+            p.add_argument("inputs", nargs="+", help="input files or directories")
+        else:
+            p.add_argument(
+                "input", metavar=inputs, help=f"{inputs} file, or a directory holding one"
+            )
+        for flag in flags:
+            if flag == "--exact/--float":
+                rep = p.add_mutually_exclusive_group()
+                rep.add_argument("--exact", action="store_true", help="require exact input")
+                rep.add_argument("--float", action="store_true", help="convert input to floating point")
+            else:
+                p.add_argument(flag, **options[flag])
+        p.set_defaults(handler=handler)
+
+    square = ("--eps", "--out", "--exact/--float")
+    add("validate", cmd_validate, "check the magic-square axioms",
+        "--eps", "--exact/--float", inputs="inputs")
+    add("birkhoff", cmd_birkhoff,
+        "decompose a rational doubly stochastic matrix into permutations", "--out")
+    add("check-semiclassical", cmd_check_semiclassical, "decide semiclassical membership",
+        *square, inputs="inputs")
+    add("decompose", cmd_decompose, "produce a semiclassical decomposition",
+        *square, "--interior")
+    add("dilate", cmd_dilate, "synthesize a commuting dilation from a decomposition", *square)
+    add("obstruction-check", cmd_obstruction_check, "run the matrix-convex-hull obstruction",
+        *square, "--mode", "--max-denominator", inputs="inputs")
+    add("find-certificate", cmd_find_certificate, "search and exactly certify a dual witness",
+        "--eps", "--out", "--mode", "--max-denominator")
+    add("verify-certificate", cmd_verify_certificate,
+        "re-verify a certificate by exact arithmetic alone", "--square", inputs="certificate")
     rep = sub.add_parser("reproduce", help="rerun a scripted headline scenario")
     rep.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
     rep.add_argument("--eps", type=_positive_float, default=None, help="the solver's epsilon")
@@ -662,14 +660,13 @@ def main(argv=None) -> int:
         return _refuse(report, "error", err, EXIT_USAGE)
     except SystemExit as err:  # --help
         return EXIT_USAGE if err.code else EXIT_OK
-    if args.command == "verify-certificate":
-        args.inputs = [args.certificate]
     report.command = args.command
     start = time.perf_counter()
     try:
         code = args.handler(args, report)
     except (
-        UsageError, FormatError, NotDoublyStochastic, TooLarge, NotDefinedForSmallN, OSError
+        UsageError, FormatError, NotDoublyStochastic, NotAnIsometry, TooLarge,
+        NotDefinedForSmallN, OSError,
     ) as err:
         return _refuse(report, "error", err, EXIT_USAGE)
     except BoundViolated as err:

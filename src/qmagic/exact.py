@@ -309,9 +309,6 @@ class ExactMatrix:
             [[self._e[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conjugate() for a in r] for r in self._e])
-
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -345,11 +342,6 @@ class ExactMatrix:
     def to_complex(self) -> np.ndarray:
         return np.array(
             [[complex(a) for a in r] for r in self._e], dtype=np.complex128
-        )
-
-    def max_denominator(self) -> int:
-        return max(
-            max(a.re.denominator, a.im.denominator) for r in self._e for a in r
         )
 
     def __repr__(self):
@@ -541,30 +533,32 @@ def _projection_operator(
 ):
     """The shape-only half of `affine_least_squares`, computed once per system.
 
-    Returns the sparse support of every row, the indices of the first
-    maximal independent subset of rows, the inverse weights, and the exact
-    inverse of the weighted Gram matrix A_k W^-1 A_k* of those rows.
+    One exact elimination of [G | I], for the weighted Gram matrix
+    G = A W^-1 A* of all rows.  G is PSD with the null space of A*, so its
+    pivot columns are the first maximal independent subset of rows, `keep`;
+    the other rows of its left half vanish.  In the first len(keep) rows,
+    the left half R writes A through the kept rows (A = R* A_keep, so
+    G = R* G_keep R), and the right half M has M G = R; hence M R* is the
+    inverse of G_keep.  Returns the sparse support of every row, `keep`,
+    the inverse weights, and that inverse, sparse.
     """
     support = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
     winv = tuple(Fraction(1) / w for w in weights)
-    keep = rref_exact(ExactMatrix(zip(*rows)))[1]  # pivot columns of A* = first independent rows
-    k = len(keep)
+    m = len(rows)
     gram = [
-        [
-            sum((c * winv[j] * rows[q][j] for j, c in support[p]), Fraction(0))
-            for q in keep
-        ]
-        for p in keep
+        [sum((c * winv[j] * rows[q][j] for j, c in support[p]), Fraction(0)) for q in range(m)]
+        for p in range(m)
     ]
     red, pivots = rref_exact(
-        ExactMatrix([g + [int(p == q) for q in range(k)] for p, g in enumerate(gram)])
+        ExactMatrix([g + [int(p == q) for q in range(m)] for p, g in enumerate(gram)])
     )
-    if pivots != tuple(range(k)):
-        raise ValueError("degenerate constraint system")
-    gram_inv = tuple(
-        tuple((q, red[p, k + q].re) for q in range(k) if red[p, k + q]) for p in range(k)
-    )
-    return support, keep, winv, gram_inv
+    keep = tuple(c for c in pivots if c < m)
+    r_rows = [[(j, red[q, j].re) for j in range(m) if red[q, j]] for q in range(len(keep))]
+    gram_inv = []
+    for p in range(len(keep)):
+        row = [sum((red[p, m + j].re * c for j, c in r), Fraction(0)) for r in r_rows]
+        gram_inv.append(tuple((q, v) for q, v in enumerate(row) if v))
+    return support, keep, winv, tuple(gram_inv)
 
 
 def affine_least_squares(
@@ -576,10 +570,10 @@ def affine_least_squares(
     """Minimize sum_i w_i (x_i - x0_i)^2 subject to A x = b, exactly.
 
     All data is real rational.  The system must be consistent; redundant
-    rows are allowed and are dropped via exact rank selection.  The rank
-    selection and the inverse Gram matrix depend only on (A, w) and are
-    cached per system, so a call costs one residual, one rational matvec
-    and the exact check that every original row holds.
+    rows are allowed and are dropped.  The independent rows and the inverse
+    Gram matrix of those rows depend only on (A, w) and come from one exact
+    elimination, cached per system, so a call costs one residual, one
+    rational matvec and the exact check that every original row holds.
     """
     n = len(x0)
     if weights is None:

@@ -410,9 +410,7 @@ def find_dual_certificate(
     with trace(Y B_0) < 0.
 
     Only strong-mode problems are accepted (the variable count is small).
-    The polished solver dual is blended with a multiple of I/d to move Y
-    strictly inside the cone; the blend keeps the pairings unchanged
-    because every direction is traceless.
+    Solves the pencil, then blends its dual as `blend_dual` does.
     """
     if problem.mode != STRONG:
         raise ValueError("dual certificate search expects a strong-mode problem")
@@ -423,6 +421,19 @@ def find_dual_certificate(
         )
     if res.status is Status.INCONCLUSIVE:
         raise CertificateSearchInconclusive(f"solver diagnostics: {res.residuals}")
+    return blend_dual(problem, res, eps)
+
+
+def blend_dual(
+    problem: ObstructionProblem, res: SdpResult, eps: float = DEFAULT_EPS
+) -> DualWitness:
+    """The numeric dual witness of an infeasible solve `res` of the pencil,
+    such as the `solver` of a "no" from `check_mconv_obstruction`.
+
+    The polished solver dual is blended with a multiple of I/d to move Y
+    strictly inside the cone; the blend keeps the pairings unchanged
+    because every direction is traceless.
+    """
     d = problem.dim
     f0 = problem.pencil.f0
     y = res.y

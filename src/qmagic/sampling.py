@@ -13,6 +13,7 @@ from math import factorial
 import numpy as np
 
 from .exact import ExactMatrix, GaussianRational
+from .semiclassical import SemiclassicalDecomposition
 from .structures import (
     MagicSquare,
     compress,
@@ -183,20 +184,8 @@ def _random_exact_hermitian_unit(rng, s: int) -> ExactMatrix:
 
 def square_from_decomposition(q: dict) -> MagicSquare:
     """Assemble sum_sigma P_sigma (x) q_sigma as an exact magic square."""
-    perms = list(q)
-    n = len(perms[0])
-    s = next(iter(q.values())).rows
-    blocks = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ExactMatrix.zeros(s)
-            for sigma in perms:
-                if sigma[i] == j:
-                    acc = acc + q[sigma]
-            row.append(acc)
-        blocks.append(row)
-    return MagicSquare(blocks)
+    sigma, block = next(iter(q.items()))
+    return SemiclassicalDecomposition(len(sigma), block.rows, True, q).reconstruct()
 
 
 def random_doubly_stochastic(

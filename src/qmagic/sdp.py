@@ -35,6 +35,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-7
 HERM_TOL = 1e-9
+MAX_ITER = 800  # Newton steps over the whole path
 
 
 class NonHermitian(ValueError):
@@ -147,9 +148,7 @@ def _dual_polish(y0: np.ndarray, stack: np.ndarray, rounds: int) -> np.ndarray:
     return affine((y + _adjoint(y)) / 2)
 
 
-def solve_feasibility(
-    problem: SdpProblem, eps: float = DEFAULT_EPS, max_iter: int = 800
-) -> SdpResult:
+def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResult:
     """Resolve pencil feasibility to within eps; see module docstring.
 
     Feasible: the returned x re-verifies lambda_min(F(x)) >= -eps.
@@ -178,7 +177,7 @@ def solve_feasibility(
 
     mat = pencil(y)
 
-    while mu > mu_end and iters < max_iter and not stalled:
+    while mu > mu_end and iters < MAX_ITER and not stalled:
         for _ in range(60):
             iters += 1
             lam, u = np.linalg.eigh(mat)
@@ -213,7 +212,7 @@ def solve_feasibility(
             else:
                 stalled = True
                 break
-            if decrement <= 0.3 or iters >= max_iter:
+            if decrement <= 0.3 or iters >= MAX_ITER:
                 break
         mu *= 0.2
 
@@ -248,6 +247,6 @@ def solve_feasibility(
         return SdpResult(
             Status.INFEASIBLE, t_star=p0, y=y_cert, residuals=diagnostics
         )
-    if iters >= max_iter:
+    if iters >= MAX_ITER:
         diagnostics["iteration_limit"] = True
     return SdpResult(Status.INCONCLUSIVE, t_star=lam_min, x=x, residuals=diagnostics)

@@ -39,7 +39,6 @@ __all__ = [
     "constant_square",
     "permutations_lex",
     "perm_matrix_exact",
-    "perm_matrix_float",
     "DEFAULT_TOL",
 ]
 
@@ -90,13 +89,6 @@ def perm_matrix_exact(sigma: tuple[int, ...]) -> ExactMatrix:
     """Matrix with a 1 at (i, sigma(i)) for each i."""
     n = len(sigma)
     return ExactMatrix([[1 if sigma[i] == j else 0 for j in range(n)] for i in range(n)])
-
-
-def perm_matrix_float(sigma: tuple[int, ...]) -> np.ndarray:
-    n = len(sigma)
-    p = np.zeros((n, n))
-    p[range(n), sigma] = 1.0
-    return p
 
 
 # -- block coercion ---------------------------------------------------------

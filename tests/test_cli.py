@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmagic.obstruction
 from qmagic.cli import main
 from qmagic.exact import ExactMatrix
 from qmagic.obstruction import ObstructionCertificate, counterexample_m2_3
@@ -30,8 +31,10 @@ from qmagic.serialize import (
     square_from_json,
     square_to_json,
 )
-from qmagic.structures import constant_square, validate_quantum_permutation
+from qmagic.structures import MagicSquare, constant_square, validate_quantum_permutation
 from test_serialize import _DELETE, _JSON, _mutated, _paths
+
+SHIPPED_CERT = Path(__file__).parent / "data" / "counterexample.cert.json"
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,20 @@ def test_validate_batch_directory(run, workdir):
     assert code == 0
     assert len(report["verdicts"]) == 2
     assert all(v == "valid" for v in report["verdicts"].values())
+
+
+@pytest.mark.parametrize("command", ["validate", "check-semiclassical", "obstruction-check"])
+def test_batch_refused_halfway_reports_no_input(run, workdir, command):
+    """Every input is answered before any is reported, so a refusal of the
+    second file leaves no verdict of the first in the report."""
+    mixed = workdir / "mixed"
+    mixed.mkdir(exist_ok=True)
+    dump_square(constant_square(3, 1), mixed / "a.json")
+    (mixed / "b.json").write_text("{not json")
+    code, report = run(command, mixed)
+    assert code == 3
+    assert list(report["verdicts"]) == ["error"]
+    assert report["inputs"] == [] and report["details"] == {}
 
 
 def test_validate_missing_file(run, workdir):
@@ -227,6 +244,14 @@ def test_dilate_square_directly(run, workdir):
     code, report = run("dilate", workdir / "constant3.json")
     assert code == 0
     assert report["residuals"]["compression"] <= 1e-10
+
+
+def test_dilate_refuses_weights_not_summing_to_identity(run, workdir):
+    path = workdir / "short.dec.json"
+    dump_json([{"perm": [0, 1], "q": [["1/2"]]}, {"perm": [1, 0], "q": [["1/3"]]}], path)
+    code, report = run("dilate", path, "--out", workdir / "short.dilation.json")
+    assert code == 3
+    assert "V*V - I" in report["verdicts"]["error"]
 
 
 # -- obstruction-check / certificates --------------------------------------------
@@ -389,6 +414,95 @@ def test_out_refused_with_several_inputs(run, workdir, command):
     assert not out.exists()
 
 
+# Options a command's handler does not read are not declared, so they are refused.
+_UNREAD_FLAGS = [
+    ("validate", "constant3.json", ("--out", "x.json")),
+    ("birkhoff", "ds.json", ("--eps", "1e-3")),
+    ("find-certificate", "counterexample.json", ("--exact",)),
+    ("find-certificate", "counterexample.json", ("--float",)),
+    ("verify-certificate", "shipped", ("--eps", "1e-3")),
+    ("verify-certificate", "shipped", ("--out", "x.json")),
+    ("verify-certificate", "shipped", ("--exact",)),
+    ("verify-certificate", "shipped", ("--float",)),
+]
+
+
+@pytest.mark.parametrize("command, target, flag", _UNREAD_FLAGS)
+def test_unread_option_is_usage_error(run, workdir, command, target, flag):
+    path = SHIPPED_CERT if target == "shipped" else workdir / target
+    code, report = run(command, path, *flag)
+    assert code == 3
+    assert report["command"] == command
+    assert flag[0] in report["verdicts"]["error"]
+
+
+_ONE_INPUT = [
+    ("birkhoff", "ds.json"),
+    ("decompose", "constant3.json"),
+    ("dilate", "constant3.json"),
+    ("find-certificate", "counterexample.json"),
+]
+
+
+@pytest.mark.parametrize("command, name", _ONE_INPUT)
+def test_second_input_is_usage_error(run, workdir, command, name):
+    code, report = run(command, workdir / name, workdir / name)
+    assert code == 3
+    assert "unrecognized arguments" in report["verdicts"]["error"]
+    assert report["inputs"] == []
+
+
+@pytest.mark.parametrize("command, name", _ONE_INPUT)
+def test_directory_of_several_inputs_is_usage_error(run, workdir, command, name):
+    code, report = run(command, workdir / "batch")
+    assert code == 3
+    assert "takes one input file, got 2" in report["verdicts"]["error"]
+    assert report["inputs"] == []
+
+
+@pytest.fixture(scope="module")
+def off_by_1e7(workdir):
+    """A float square whose first row and column sums miss I by 1e-7."""
+    blocks = [[np.asarray(b) for b in row] for row in constant_square(3, 2).to_float().blocks]
+    blocks[0][0][0, 0] += 1e-7
+    path = workdir / "off_by_1e7.json"
+    dump_json(square_to_json(MagicSquare(blocks, tol=1e-6)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["check-semiclassical", "decompose", "dilate"])
+def test_eps_is_the_validation_tolerance(run, off_by_1e7, command):
+    code, report = run(command, off_by_1e7)
+    assert code == 3
+    assert "error" in report["verdicts"]
+    code, report = run(command, off_by_1e7, "--eps", "1e-6")
+    assert code == 0
+    assert "error" not in report["verdicts"]
+
+
+@pytest.mark.parametrize(
+    "command, code, solves",
+    # reproduce separation solves the strong and the weak pencil once each
+    [("obstruction-check", 1, 1), ("find-certificate", 0, 1), ("reproduce", 0, 2)],
+)
+def test_certificate_comes_from_the_deciding_solve(run, workdir, monkeypatch, command, code, solves):
+    """An exact strong "no" solves its pencil once, and every command that
+    certifies it writes the shipped certificate bytes."""
+    calls = []
+    solve = qmagic.obstruction.solve_feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qmagic.obstruction, "solve_feasibility", counted)
+    target = "separation" if command == "reproduce" else workdir / "counterexample.json"
+    out = workdir / f"{command}.once.cert.json"
+    assert run(command, target, "--out", out)[0] == code
+    assert len(calls) == solves
+    assert out.read_bytes() == SHIPPED_CERT.read_bytes()
+
+
 def test_find_certificate_unverified_is_inconclusive(run, workdir, monkeypatch):
     monkeypatch.setattr("qmagic.cli.verify_certificate", lambda cert, square: {"ok": False})
     out = workdir / "unverified.cert.json"
@@ -447,14 +561,12 @@ def test_find_certificate_reproduces_shipped_certificate(run, workdir):
     out = workdir / "found.cert.json"
     code, _ = run("find-certificate", workdir / "counterexample.json", "--out", out)
     assert code == 0
-    shipped = Path(__file__).parent / "data" / "counterexample.cert.json"
-    assert out.read_bytes() == shipped.read_bytes()
+    assert out.read_bytes() == SHIPPED_CERT.read_bytes()
 
 
 def test_verify_shipped_certificate(run):
     """The versioned certificate stays verifiable by exact arithmetic alone."""
-    path = Path(__file__).parent / "data" / "counterexample.cert.json"
-    code, report = run("verify-certificate", path)
+    code, report = run("verify-certificate", SHIPPED_CERT)
     assert code == 0
     assert list(report["verdicts"].values()) == ["verified"]
     checks = report["details"]["checks"]
@@ -514,7 +626,7 @@ def _invocations(draw):
             | st.builds(_square_doc, st.integers(1, 6), st.integers(1, 3), st.booleans())
         )
         doc = _mutated(doc, path, value)
-    flags = _SQUARE_FLAGS if command == "validate" else st.sampled_from([(), ("--eps", "1e-3")])
+    flags = _SQUARE_FLAGS if command == "validate" else st.just(())
     return command, doc, draw(flags)
 
 
