@@ -9,9 +9,12 @@ Floating point enters only through the explicit conversion helpers
 Hermitian elimination (Schur complements, largest-diagonal pivoting), which
 decides every rejection.
 
-`affine_least_squares` is the one exact orthogonal projection onto an affine
-set; its shape-only work (rank selection, inverse Gram) is cached per
-constraint system, since every caller's constraints depend only on a shape.
+`affine_least_squares` is the exact orthogonal projection onto an affine set
+given by its rows, used for obstruction certificates; its shape-only work
+(rank selection, inverse Gram) is cached per constraint system, since every
+caller's constraints depend only on a shape.  The incidence system of the
+semiclassical weights has a closed-form least-norm solution and does not
+come here.
 """
 
 from __future__ import annotations

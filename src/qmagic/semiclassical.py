@@ -2,13 +2,14 @@
 and synthesis of commuting quantum-permutation dilations.
 
 A square A is semiclassical when A = sum_pi P_pi (x) q_pi with PSD weights
-q_pi summing to the identity.  The LMI is posed in the weights themselves:
-the equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n through
-the n^2 x n! incidence matrix, which leaves a pencil of n! blocks q_pi of
-size s over the kernel of that matrix, solved as a block stack.  Membership
-is decided by the eps-resolution semantics of the solver plus, for exact
-input, an exact rational repair of the recovered weights on the same
-incidence system.
+q_pi summing to the identity.  Every route here meets the n^2 x n! incidence
+system sum_{pi(i)=j} q_pi = a_ij, and all of them solve it by one closed
+form, its least-norm solution `_min_norm_weights`: the LMI takes it as the
+constant term of a pencil of n! blocks q_pi of size s over the kernel of
+the incidence matrix, solved as a block stack; the exact rational repair of
+the solver's weights adds it for the residual; and on the interior ball it
+is the decomposition itself.  Membership is decided by the eps-resolution
+semantics of the solver plus, for exact input, that exact repair.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .exact import (
-    affine_least_squares,
-    exact_from_float_matrix,
-    hermitian_basis_stack,
-    hermitian_coordinates,
-    hermitian_from_coordinates,
-    psd_check_exact,
-)
+from .exact import ExactMatrix, exact_from_float_matrix, hermitian_basis_stack, psd_check_exact
 from .birkhoff import magic_space_dimension
 from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
 from .structures import (
@@ -154,15 +148,35 @@ def _incidence(n: int) -> np.ndarray:
 
 
 @cache
-def _elimination(n: int) -> tuple:
-    """The min-norm particular-solution operator (n! x n^2) of the incidence
-    map and an orthonormal basis of its kernel, one row per kernel vector;
-    the rank is (n-1)^2 + 1."""
-    m = _incidence(n)
-    pinv = np.linalg.pinv(m)
-    kernel = np.linalg.svd(m)[2][magic_space_dimension(n) :]
-    pinv.flags.writeable = kernel.flags.writeable = False
-    return pinv, kernel
+def _elimination(n: int) -> np.ndarray:
+    """An orthonormal basis of the kernel of the incidence map, one row per
+    kernel vector; the rank is (n-1)^2 + 1.  The particular solution needs
+    no operator: it is `_min_norm_weights`."""
+    kernel = np.linalg.svd(_incidence(n))[2][magic_space_dimension(n) :]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _min_norm_weights(grid, row) -> dict:
+    """The least-norm solution {pi: q_pi} of sum_{pi(i)=j} q_pi = g_ij, for an
+    n x n grid of blocks whose rows and columns all sum to `row`:
+
+        q_pi = (sum_k g_{k, pi(k)} - ((n-2)/(n-1)) row) / ((n-2)! n),
+
+    and q = row at n = 1.  The incidence Gram lies in the algebra spanned by
+    I, "same row", "same column" and J, which gives its pseudo-inverse this
+    closed form.  Exact blocks give exact weights, float blocks float ones.
+    """
+    n = len(grid)
+    exact = isinstance(row, ExactMatrix)
+    if n == 1:  # the lone weight, complex like every float weight
+        return {(0,): zeros(*row.shape, exact) + row}
+    shift = row * scalar(Fraction(n - 2, n - 1), exact)
+    scale = scalar(Fraction(1, factorial(n - 2) * n), exact)
+    return {
+        sigma: (sum((grid[k][sigma[k]] for k in range(1, n)), grid[0][sigma[0]]) - shift) * scale
+        for sigma in permutations_lex(n)
+    }
 
 
 def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
@@ -170,20 +184,19 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     size s, PSD at some x iff A is semiclassical.
 
     The equalities sum_{pi(i)=j} q_pi = a_ij are eliminated once per n:
-    every solution is q0 + sum_r v_r (x) X_r, with q0 the min-norm solution
-    and v_r an orthonormal kernel basis of the incidence map.  F0 is the
-    (n!, s, s) stack of the q0_pi (I / n! for the constant square), and the
-    directions are the stacks v_r[pi] h_b over the Hermitian basis h_b of
-    Mat_s, in (r, b) order: (n! - (n-1)^2 - 1) s^2 of them, none for n <= 2.
-    sum_pi q_pi = I needs no constraint of its own: it is the sum of the
-    constraints of any row of A.
+    every solution is q0 + sum_r v_r (x) X_r, with q0 the least-norm
+    solution `_min_norm_weights` and v_r an orthonormal kernel basis of the
+    incidence map.  F0 is the (n!, s, s) stack of the q0_pi (I / n! for the
+    constant square), and the directions are the stacks v_r[pi] h_b over
+    the Hermitian basis h_b of Mat_s, in (r, b) order: (n! - (n-1)^2 - 1) s^2
+    of them, none for n <= 2.  sum_pi q_pi = I needs no constraint of its
+    own: it is the sum of the constraints of any row of A.
     """
     n, s = a.n, a.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
-    pinv, kernel = _elimination(n)
-    q0 = np.tensordot(pinv, np.reshape(a.to_float().blocks, (n * n, s, s)), axes=1)
-    dirs = np.einsum("rp,bij->rbpij", kernel, hermitian_basis_stack(s))
+    q0 = np.stack(list(_min_norm_weights(a.to_float().blocks, identity(s, False)).values()))
+    dirs = np.einsum("rp,bij->rbpij", _elimination(n), hermitian_basis_stack(s))
     return SdpProblem(q0, dirs.reshape(-1, *q0.shape))
 
 
@@ -191,34 +204,23 @@ def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
     """Rationalize numeric weights and project them exactly onto the affine
     set {sum_pi P_pi (x) q_pi = A}; None if PSD breaks.
 
-    The constraints sum_{pi(i)=j} q_pi = a_ij act on one Hermitian coordinate
-    at a time with the same incidence rows, and the Frobenius weight of a
-    coordinate is the same for every pi, so the weighted projection is the
-    unweighted projection of each coordinate separately.  sum_pi q_pi = I
-    needs no rows of its own: it is the sum of the constraints of any row
-    of the exact magic square A.
+    The projection of the rationalized x0 is x0 plus the least-norm solution
+    for the residual A - sum_pi P_pi (x) x0_pi, whose rows and columns all
+    sum to I - sum_pi x0_pi.  The constraints act on each Hermitian
+    coordinate alike, with the same Frobenius weight for every pi, so this
+    is also the Frobenius-weighted projection of the whole block system.
     """
     n, s = a.n, a.s
-    perms = permutations_lex(n)
-    x0 = []
-    for sigma in perms:
+    x0 = {}
+    for sigma in permutations_lex(n):
         q = exact_from_float_matrix(weights[sigma], max_denominator)
-        x0.append(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
-    targets = [hermitian_coordinates(a.block(i, j)) for i in range(n) for j in range(n)]
-    rows = _incidence(n).tolist()
-    try:
-        coords = [
-            affine_least_squares(rows, [t[c] for t in targets], [x[c] for x in x0])
-            for c in range(s * s)
-        ]
-    except ValueError:
+        x0[sigma] = (q + q.h) * Fraction(1, 2)
+    fitted = SemiclassicalDecomposition(n, s, True, x0).blocks()
+    grid = [[a.block(i, j) - fitted[i][j] for j in range(n)] for i in range(n)]
+    unit = identity(s, True) - sum(x0.values(), zeros(s, s, True))
+    out = {sigma: x0[sigma] + dq for sigma, dq in _min_norm_weights(grid, unit).items()}
+    if not all(psd_check_exact(q).is_psd for q in out.values()):
         return None
-    out = {}
-    for k, sigma in enumerate(perms):
-        q = hermitian_from_coordinates(s, [x[k] for x in coords])
-        if not psd_check_exact(q).is_psd:
-            return None
-        out[sigma] = q
     return out
 
 
@@ -229,10 +231,10 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     whose Y is the (n!, s, s) stack of its diagonal blocks; boundary cases
     the margins cannot settle come back Inconclusive.  When A is exact,
     the solver's weights are rationalized at each bound of
-    REPAIR_DENOMINATORS in turn and projected exactly, one Hermitian
-    coordinate at a time, onto the n^2 x n! incidence system; its
-    projection operator is built once per n and reused across rungs and
-    squares.  The first rung whose weights stay PSD gives the exact yes.
+    REPAIR_DENOMINATORS in turn and projected exactly onto the n^2 x n!
+    incidence system, by its closed-form least-norm solution, which needs
+    no elimination.  The first rung whose weights stay PSD gives the exact
+    yes.
     """
     problem = build_semiclassical_lmi(a)
     res = solve_feasibility(problem, eps=eps)
@@ -277,29 +279,17 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
 def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
     """The closed-form decomposition valid on the interior ball.
 
-    Requires sum_k a_{k, pi(k)} >= ((n-2)/(n-1)) I for every permutation;
-    then q_pi = (sum_k a_{k, pi(k)} - ((n-2)/(n-1)) I) / ((n-2)! n).
+    q_pi = (sum_k a_{k, pi(k)} - ((n-2)/(n-1)) I) / ((n-2)! n), the
+    least-norm solution of the incidence system, is a decomposition when
+    every q_pi is PSD, that is when sum_k a_{k, pi(k)} >= ((n-2)/(n-1)) I.
     No SDP involved; exact on exact input.
     """
-    n, s = a.n, a.s
-    ident = identity(s, a.exact)
-    if n == 1:  # the lone weight is I_s, complex like every float weight
-        return SemiclassicalDecomposition(1, s, a.exact, {(0,): zeros(s, s, a.exact) + ident})
-    bound = scalar(Fraction(n - 2, n - 1), a.exact)
-    scale = scalar(Fraction(1, factorial(n - 2) * n), a.exact)
-    weights = {}
-    violations = []
-    for sigma in permutations_lex(n):
-        acc = sum((a.block(k, sigma[k]) for k in range(1, n)), a.block(0, sigma[0]))
-        shifted = acc - ident * bound
-        ok, margin = psd_margin(shifted, DEFAULT_TOL)
-        if ok:
-            weights[sigma] = shifted * scale
-        else:
-            violations.append((sigma, margin))
+    weights = _min_norm_weights(a.blocks, identity(a.s, a.exact))
+    margins = {sigma: psd_margin(q, DEFAULT_TOL) for sigma, q in weights.items()}
+    violations = [(sigma, margin) for sigma, (ok, margin) in margins.items() if not ok]
     if violations:
         raise BoundViolated(violations)
-    return SemiclassicalDecomposition(n, s, a.exact, weights)
+    return SemiclassicalDecomposition(a.n, a.s, a.exact, weights)
 
 
 # -- dilation synthesis ------------------------------------------------------
@@ -308,26 +298,23 @@ def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
 def synthesize_commuting_dilation(dec: SemiclassicalDecomposition) -> CommutingDilation:
     """Build U = diag-block quantum permutation and V stacked from q_pi^(1/2).
 
-    U is exact 0/1 data rendered as floats; V is numeric (square roots leave
-    the rationals), but V* u_ij V = a_ij holds through the exact identity
-    sum_{pi(i)=j} q_pi = a_ij.
+    U is exact 0/1 data rendered as floats: u_ij is the diagonal of the
+    incidence row (i, j), each mark repeated s times.  V is numeric (square
+    roots leave the rationals), but V* u_ij V = a_ij holds through the exact
+    identity sum_{pi(i)=j} q_pi = a_ij.  A permutation missing from the
+    weights has weight zero.  Raises TooLarge above MAX_LMI_N, where U, n^2
+    blocks of size n! s, grows too large.
     """
     n, s = dec.n, dec.s
+    if n > MAX_LMI_N:
+        raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
     perms = permutations_lex(n)
-    nf = len(perms)
-    blocks = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            d = np.zeros(nf * s)
-            for k, sigma in enumerate(perms):
-                if sigma[i] == j:
-                    d[k * s : (k + 1) * s] = 1.0
-            row.append(np.diag(d) + 0j)
-        blocks.append(row)
-    u = MagicSquare(blocks)
-    v = np.zeros((nf * s, s), dtype=np.complex128)
+    marks = _incidence(n).reshape(n, n, -1)
+    u = MagicSquare([[np.diag(np.repeat(m, s) + 0j) for m in row] for row in marks])
+    v = np.zeros((len(perms) * s, s), dtype=np.complex128)
     for k, sigma in enumerate(perms):
+        if sigma not in dec.weights:
+            continue
         qc = as_complex(dec.weights[sigma])
         lam, w = np.linalg.eigh((qc + qc.conj().T) / 2)
         root = (w * np.sqrt(np.clip(lam, 0, None))) @ w.conj().T

@@ -151,9 +151,14 @@ def square_from_json(data, tol: float | None = None) -> MagicSquare:
 
 
 def _perm_from_json(data) -> tuple:
-    if not isinstance(data, list) or sorted(data) != list(range(len(data))):
+    if (
+        not isinstance(data, list)
+        or not data
+        or not all(type(v) is int for v in data)
+        or sorted(data) != list(range(len(data)))
+    ):
         raise FormatError(f"not a permutation in one-line notation: {data!r}")
-    return tuple(int(v) for v in data)
+    return tuple(data)
 
 
 def birkhoff_to_json(terms) -> list:
@@ -194,7 +199,7 @@ def decomposition_from_json(data) -> SemiclassicalDecomposition:
             raise FormatError(f"bad decomposition term: {term!r}")
         sigma = _perm_from_json(term["perm"])
         raw = term["q"]
-        if not isinstance(raw, list) or not raw or not isinstance(raw[0], list):
+        if not isinstance(raw, list) or not raw or not isinstance(raw[0], list) or not raw[0]:
             raise FormatError("term weight is not a matrix")
         term_float = _looks_float(raw[0][0])
         if exact is None:
@@ -202,7 +207,9 @@ def decomposition_from_json(data) -> SemiclassicalDecomposition:
         elif exact == term_float:
             raise FormatError("mixed exact and float weights in one decomposition")
         q = float_matrix_from_json(raw) if term_float else exact_matrix_from_json(raw)
-        size = q.shape[0] if term_float else q.rows
+        size = q.shape[0]
+        if q.shape != (size, size):
+            raise FormatError("term weight is not a square matrix")
         if n is None:
             n, s = len(sigma), size
         elif len(sigma) != n or size != s:

@@ -22,16 +22,23 @@ from qmagic.cli import main
 from qmagic.exact import ExactMatrix
 from qmagic.obstruction import ObstructionCertificate, counterexample_m2_3
 from qmagic.sampling import random_member_square
+from qmagic.semiclassical import SemiclassicalDecomposition, interior_map_decomposition
 from qmagic.serialize import (
     birkhoff_from_json,
     certificate_to_json,
     decomposition_from_json,
+    decomposition_to_json,
     dump_json,
     dump_square,
     square_from_json,
     square_to_json,
 )
-from qmagic.structures import MagicSquare, constant_square, validate_quantum_permutation
+from qmagic.structures import (
+    MagicSquare,
+    constant_square,
+    permutations_lex,
+    validate_quantum_permutation,
+)
 from test_serialize import _DELETE, _JSON, _mutated, _paths
 
 SHIPPED_CERT = Path(__file__).parent / "data" / "counterexample.cert.json"
@@ -252,6 +259,27 @@ def test_dilate_refuses_weights_not_summing_to_identity(run, workdir):
     code, report = run("dilate", path, "--out", workdir / "short.dilation.json")
     assert code == 3
     assert "V*V - I" in report["verdicts"]["error"]
+
+
+def test_dilate_missing_permutation_is_zero_weight(run, workdir):
+    path = workdir / "identity.dec.json"
+    dump_json([{"perm": [0, 1], "q": [["1"]]}], path)
+    code, report = run("dilate", path, "--out", workdir / "identity.dilation.json")
+    assert code == 0
+    compressed = square_from_json(report["details"]["dilation"]["compressed"])
+    assert compressed == MagicSquare([[[[1]], [[0]]], [[[0]], [[1]]]]).to_float()
+
+
+@pytest.mark.parametrize(
+    "perm", [[], list(range(7))], ids=["empty-perm", "n7-one-term"]
+)
+def test_dilate_refused_decompositions_are_usage_errors(run, workdir, perm):
+    path = workdir / "refused.dec.json"
+    dump_json([{"perm": perm, "q": [["1"]]}], path)
+    code, report = run("dilate", path, "--out", workdir / "refused.dilation.json")
+    assert code == 3
+    assert report["verdicts"]["error"]
+    assert not (workdir / "refused.dilation.json").exists()
 
 
 # -- obstruction-check / certificates --------------------------------------------
@@ -604,26 +632,40 @@ def _birkhoff_doc(n, wrapped):
     return {"matrix": matrix} if wrapped else matrix
 
 
+def _decomposition_doc(n, s, exact, dropped):
+    """The uniform decomposition I/n! of the constant square, with the terms
+    at the indices in `dropped` left out."""
+    weights = interior_map_decomposition(constant_square(n, s, exact=exact)).weights
+    kept = {sigma: q for k, (sigma, q) in enumerate(weights.items()) if k not in dropped}
+    return decomposition_to_json(SemiclassicalDecomposition(n, s, exact, kept))
+
+
 @st.composite
 def _invocations(draw):
-    command = draw(st.sampled_from(["validate", "birkhoff", "verify-certificate"]))
+    command = draw(st.sampled_from(["validate", "birkhoff", "verify-certificate", "dilate"]))
     if command == "validate":
         doc = _square_doc(
             draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.booleans())
         )
     elif command == "birkhoff":
         doc = _birkhoff_doc(draw(st.integers(1, 6)), draw(st.booleans()))
+    elif command == "dilate":
+        n = draw(st.integers(1, 4))
+        dropped = draw(st.sets(st.integers(0, len(permutations_lex(n)) - 1)))
+        doc = _decomposition_doc(n, draw(st.integers(1, 3)), draw(st.booleans()), dropped)
     else:
         n, s, mode = draw(st.sampled_from([(2, 1, "weak"), (2, 2, "weak"), (3, 1, "strong")]))
         doc = _certificate_doc(n, s, mode)
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(doc))))
+        squares = st.builds(_square_doc, st.integers(1, 6), st.integers(1, 3), st.booleans())
         value = draw(
             _ENTRIES
             | st.integers(1, 6)
             | _JSON
             | st.just(_DELETE)
-            | st.builds(_square_doc, st.integers(1, 6), st.integers(1, 3), st.booleans())
+            # a square would send dilate to the solver
+            | (st.nothing() if command == "dilate" else squares)
         )
         doc = _mutated(doc, path, value)
     flags = _SQUARE_FLAGS if command == "validate" else st.just(())

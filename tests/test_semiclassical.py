@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmagic.exact import (
     ExactMatrix,
@@ -29,7 +31,10 @@ from qmagic.semiclassical import (
     BoundViolated,
     SemiclassicalDecomposition,
     TooLarge,
+    MAX_LMI_N,
     _exact_repair,
+    _incidence,
+    _min_norm_weights,
     build_semiclassical_lmi,
     check_semiclassical,
     interior_map_decomposition,
@@ -277,10 +282,12 @@ def _noisy_float_weights(rng, weights: dict) -> dict:
     return out
 
 
-@pytest.mark.parametrize("n,s", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+@pytest.mark.parametrize(
+    "n,s", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
+)
 def test_exact_repair_matches_block_system_projection(n, s):
     rng = np.random.default_rng(100 * n + s)
-    q = random_exact_decomposition(rng, n, s)
+    q = random_exact_decomposition(rng, n, s) if n > 1 else {(0,): ExactMatrix.identity(s)}
     sq = square_from_decomposition(q)
     weights = _noisy_float_weights(rng, q)
     for den in REPAIR_DENOMINATORS:
@@ -297,7 +304,8 @@ def test_exact_repair_matches_block_system_projection(n, s):
     assert repaired is not None
 
 
-def test_exact_repair_builds_one_operator_per_system():
+def test_exact_repair_runs_no_elimination():
+    """The repair is the closed form: no projection operator is built."""
     rng = np.random.default_rng(5)
     q = random_exact_decomposition(rng, 3, 2)
     sq = square_from_decomposition(q)
@@ -306,9 +314,24 @@ def test_exact_repair_builds_one_operator_per_system():
     for den in REPAIR_DENOMINATORS:
         assert _exact_repair(sq, weights, den) is not None
     info = _projection_operator.cache_info()
-    # one incidence system for n = 3, projected once per coordinate and rung
-    assert info.misses == 1
-    assert info.hits == len(REPAIR_DENOMINATORS) * 2 * 2 - 1
+    assert info.hits == info.misses == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_min_norm_weights_is_the_pseudo_inverse(n, s, seed):
+    """The closed form is pinv(incidence) applied to any grid in its range,
+    that is to any grid whose rows and columns share one sum."""
+    rng = np.random.default_rng(seed)
+    nf = len(permutations_lex(n))
+    x = rng.standard_normal((nf, s, s)) + 1j * rng.standard_normal((nf, s, s))
+    m = _incidence(n)
+    flat = np.tensordot(m, x, axes=1)  # (n^2, s, s): g_ij = sum_{pi(i)=j} x_pi
+    grid = [[flat[i * n + j] for j in range(n)] for i in range(n)]
+    got = _min_norm_weights(grid, x.sum(axis=0))
+    assert list(got) == permutations_lex(n)
+    reference = np.tensordot(np.linalg.pinv(m), flat, axes=1)
+    assert np.abs(np.stack(list(got.values())) - reference).max() <= 1e-12
 
 
 # -- interior decomposition formula ------------------------------------------
@@ -377,6 +400,22 @@ def test_dilation_roundtrip_exact_decomposition():
     )
     assert resid <= 1e-10
     assert back == dil.compressed()
+
+
+def test_dilation_missing_permutation_has_zero_weight():
+    ident = ExactMatrix.identity(2)
+    dil = synthesize_commuting_dilation(exact_dec(2, 2, {(0, 1): ident}))
+    assert np.abs(dil.v[2:]).max() == 0.0
+    assert dil.compressed() == MagicSquare(
+        [[ident.to_complex(), np.zeros((2, 2))], [np.zeros((2, 2)), ident.to_complex()]]
+    )
+
+
+def test_dilation_guard_refuses_before_allocating():
+    n = MAX_LMI_N + 2
+    one_term = exact_dec(n, 1, {tuple(range(n)): ExactMatrix.identity(1)})
+    with pytest.raises(TooLarge):
+        synthesize_commuting_dilation(one_term)
 
 
 def test_dilation_entries_commute():

@@ -228,6 +228,11 @@ def test_decomposition_rejections():
         )
     with pytest.raises(FormatError):
         decomposition_from_json([])
+    for perm in ([], [True, 0], ["0", 0], [0.0]):
+        with pytest.raises(FormatError, match="permutation"):
+            decomposition_from_json([{"perm": perm, "q": exact_q}])
+    with pytest.raises(FormatError, match="square"):
+        decomposition_from_json([{"perm": [0], "q": [[{"re": "1", "im": "0"}, "0"]]}])
 
 
 # -- certificates -----------------------------------------------------------------
