@@ -7,7 +7,9 @@ Floating point enters only through the explicit conversion helpers
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
 (a rounded float inverse Cholesky factor, then Gershgorin), else by an exact
 Hermitian elimination (Schur complements, largest-diagonal pivoting), which
-decides every rejection.
+decides every rejection.  `refute_psd` only ever rejects: an exact v* M v < 0
+for v the rounded float eigenvector of the least eigenvalue, a cheap sound
+proof that M is not PSD where the elimination's margin is not needed.
 
 `affine_least_squares` is the exact orthogonal projection onto an affine set
 given by its rows, used for obstruction certificates; its shape-only work
@@ -33,6 +35,7 @@ __all__ = [
     "ExactMatrix",
     "PsdCheck",
     "psd_check_exact",
+    "refute_psd",
     "rationalize",
     "exact_from_float_matrix",
     "rref_exact",
@@ -415,6 +418,42 @@ def psd_check_exact(m: ExactMatrix) -> PsdCheck:
     return _schur_psd_check(m)
 
 
+def refute_psd(m: ExactMatrix) -> Fraction | None:
+    """An exact value v* M v < 0 proving the Hermitian M is not PSD, or None.
+
+    v is the float eigenvector of the least eigenvalue of M, scaled to
+    about 2^30 and rounded to Gaussian integers; v* (D M) v is computed in
+    integers, with D the common denominator.  None when that value is not
+    negative or the float eigenvector is not finite: M may still fail to be
+    PSD, and only `psd_check_exact` decides.
+    """
+    if not m.is_hermitian():
+        raise NonHermitianInput("refute_psd requires an exactly Hermitian matrix")
+    try:
+        v = np.linalg.eigh(m.to_complex())[1][:, 0]
+    except (np.linalg.LinAlgError, OverflowError):
+        return None
+    with np.errstate(all="ignore"):
+        v = np.round(v * (2.0**30 / np.abs(v).max()))
+    if not np.isfinite(v).all():
+        return None
+    den, n_re, n_im = _integer_parts(m)
+    v_re, v_im = (part.astype(np.int64).astype(object) for part in (v.real, v.imag))
+    mv_re, mv_im = n_re @ v_re - n_im @ v_im, n_re @ v_im + n_im @ v_re
+    value = Fraction(v_re @ mv_re + v_im @ mv_im, den)
+    return value if value < 0 else None
+
+
+def _integer_parts(m: ExactMatrix) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, re, im) with D the least common denominator of M's entries and
+    re + i im = D M, as object arrays of Python ints."""
+    entries = [q for row in m._e for z in row for q in (z.re, z.im)]
+    den = lcm(*(q.denominator for q in entries))
+    ints = np.array([q.numerator * (den // q.denominator) for q in entries], dtype=object)
+    n_re, n_im = ints.reshape(m.rows, m.cols, 2).transpose(2, 0, 1)
+    return den, n_re, n_im
+
+
 def _congruence_proves_pd(m: ExactMatrix) -> bool:
     """True only if M > 0, proven in Gaussian integers.
 
@@ -432,10 +471,7 @@ def _congruence_proves_pd(m: ExactMatrix) -> bool:
         t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=0))))
     if not np.isfinite(t).all() or not t.diagonal().all():
         return False
-    entries = [q for row in m._e for z in row for q in (z.re, z.im)]
-    den = lcm(*(q.denominator for q in entries))
-    ints = np.array([q.numerator * (den // q.denominator) for q in entries], dtype=object)
-    n_re, n_im = ints.reshape(m.rows, m.cols, 2).transpose(2, 0, 1)
+    _, n_re, n_im = _integer_parts(m)
     t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
     nt_re, nt_im = n_re @ t_re - n_im @ t_im, n_re @ t_im + n_im @ t_re
     z_re = t_re.T @ nt_re + t_im.T @ nt_im

@@ -64,6 +64,7 @@ from .exact import (
     hermitian_from_coordinates,
     nullspace_exact,
     psd_check_exact,
+    refute_psd,
 )
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
 from .structures import (
@@ -104,9 +105,12 @@ class CertificationFailed(ValueError):
     """Exact verification of a rationalized certificate broke.
 
     `condition` names the first failing check ("psd" or "negativity"),
-    `margin` quantifies it: a negative quadratic form value for "psd",
-    the nonnegative exact pairing trace(Y B_0) for "negativity".  A
-    larger denominator bound or a better numeric Y may still succeed.
+    `margin` quantifies it: a negative quadratic form value v* Y v for
+    "psd", the nonnegative exact pairing trace(Y B_0) for "negativity".
+    On a final rung the "psd" margin is the one the exact elimination
+    reads off; on a non-final rung of `certify_with_ladder` it is the
+    value at a rounded float eigenvector (`refute_psd`).  A larger
+    denominator bound or a better numeric Y may still succeed.
     """
 
     def __init__(self, condition: str, margin):
@@ -468,7 +472,11 @@ def _pairings(y: list[Fraction], n: int, s: int, mode: str, b0: ExactMatrix) -> 
 
 
 def exact_certify(
-    y_num: np.ndarray, problem: ObstructionProblem, max_denominator: int
+    y_num: np.ndarray,
+    problem: ObstructionProblem,
+    max_denominator: int,
+    *,
+    final: bool = True,
 ) -> ObstructionCertificate:
     """Turn a numeric dual candidate into an exact certificate over Q[i].
 
@@ -479,7 +487,11 @@ def exact_certify(
     projection is a small perturbation when the residuals are tiny.
     Verification is exact: Y >= 0 by a congruence proof, else an exact
     Hermitian elimination (Schur complements, largest-diagonal pivoting),
-    and trace(Y B_0) < 0.
+    and trace(Y B_0) < 0.  With `final=False` (a rung that a larger bound
+    may follow) a Y that `refute_psd` rejects fails at once with its
+    rounded-eigenvector value as the margin, skipping the elimination;
+    any Y it does not reject is decided as above, so the certificate is
+    the same either way.
     """
     if problem.b0_exact is None:
         raise ValueError("exact certification needs an exact square")
@@ -497,6 +509,8 @@ def exact_certify(
     coords = affine_least_squares(rows, targets, hermitian_coordinates(y), weights=weights)
     y = hermitian_from_coordinates(d, coords)
     pairings = _pairings(coords, n, s, mode, problem.b0_exact)
+    if not final and (value := refute_psd(y)) is not None:
+        raise CertificationFailed("psd", value)
     check = psd_check_exact(y)
     if not check.is_psd:
         raise CertificationFailed("psd", check.witness_value)
@@ -513,15 +527,18 @@ def certify_with_ladder(
     """Try exact certification with increasing denominator bounds.
 
     Returns the first certificate that verifies; the smallest passing
-    bound keeps serialized certificates readable.
+    bound keeps serialized certificates readable.  Every rung but the last
+    is tried with `final=False`, so a failing one is usually refuted by
+    one rounded eigenvector instead of an exact elimination; the last
+    rung's failure, and its margin, is what the caller sees.
     """
-    last = None
-    for bound in ladder:
+    *early, last = ladder
+    for bound in early:
         try:
-            return exact_certify(y_num, problem, bound)
-        except CertificationFailed as err:
-            last = err
-    raise last
+            return exact_certify(y_num, problem, bound, final=False)
+        except CertificationFailed:
+            pass
+    return exact_certify(y_num, problem, last)
 
 
 def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:

@@ -126,10 +126,12 @@ def random_exact_decomposition(rng: np.random.Generator, n: int, s: int) -> dict
 
     All weights are strictly positive definite: raw PSD terms are scaled so
     their total trace stays below 1, and the identity permutation absorbs
-    the exact remainder.
+    the exact remainder.  At n = 1 the only decomposition is {(0,): I_s}.
     """
     perms = permutations_lex(n)
     ident = ExactMatrix.identity(s)
+    if n == 1:
+        return {perms[0]: ident}
     raw = {}
     for sigma in perms[1:]:
         raw[sigma] = random_exact_psd(rng, s) + ident * Fraction(1, int(rng.integers(2, 6)))

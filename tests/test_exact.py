@@ -23,6 +23,7 @@ from qmagic.exact import (
     psd_check_exact,
     rank_exact,
     rationalize,
+    refute_psd,
     rref_exact,
 )
 from qmagic.exact import _congruence_proves_pd, _schur_psd_check
@@ -354,6 +355,63 @@ def test_congruence_proves_counterexample_certificate(monkeypatch):
     assert not rejected.is_psd
     assert len(calls) == 1
     assert rejected.witness_value == reference_ldl(-cert.y_exact).witness_value
+
+
+small_ints = st.integers(-4, 4)
+gaussians = st.builds(gr, small_ints, small_ints)
+
+
+@st.composite
+def psd_and_shifted(draw):
+    """(M, kind): PD, singular PSD (B B* with B of rank below d), or a PSD
+    matrix minus a tiny multiple of a rank-one term u u*, d in 1..6."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["pd", "singular", "shifted"]))
+    r = draw(st.integers(0, d - 1) if kind == "singular" else st.integers(1, d))
+    gram = ExactMatrix.zeros(d)
+    if r:
+        b = ExactMatrix(draw(st.lists(st.lists(gaussians, min_size=r, max_size=r), min_size=d, max_size=d)))
+        gram = b @ b.h
+    if kind == "pd":
+        return gram + ExactMatrix.identity(d) * F(1, draw(st.integers(1, 10**12))), kind
+    if kind == "singular":
+        return gram, kind
+    u = ExactMatrix.column(draw(st.lists(gaussians, min_size=d, max_size=d)))
+    return gram - (u @ u.h) * F(1, 10 ** draw(st.integers(1, 40))), kind
+
+
+@given(psd_and_shifted())
+@settings(max_examples=100, deadline=None)
+def test_refute_psd_is_sound(case):
+    m, kind = case
+    value = refute_psd(m)
+    if kind != "shifted":
+        assert value is None
+    if value is not None:
+        assert value < 0
+        assert not psd_check_exact(m).is_psd
+
+
+def test_refute_psd_finds_indefinite_witnesses():
+    assert refute_psd(ExactMatrix([[1, 0], [0, -1]])) < 0
+    assert refute_psd(ExactMatrix([[0, gr(1, 2)], [gr(1, -2), 0]])) < 0
+    assert refute_psd(ExactMatrix.identity(3) * F(-1, 10**60 + 1)) < 0
+    assert refute_psd(ExactMatrix.identity(3)) is None
+    with pytest.raises(NonHermitianInput):
+        refute_psd(ExactMatrix([[1, gr(0, 1)], [gr(0, 1), 2]]))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ExactMatrix([[-(10**400)]]),
+        ExactMatrix([[1, 10**400], [10**400, 1]]),
+    ],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_refute_psd_falls_through_on_non_finite_float_image(m):
+    assert refute_psd(m) is None
+    assert not psd_check_exact(m).is_psd
 
 
 class TestRationalize:

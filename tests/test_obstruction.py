@@ -1,11 +1,15 @@
 """Hull obstruction: phi/psi constructions, pencils, and exact certificates."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmagic import obstruction
+from qmagic import exact, obstruction
+from qmagic.cli import main
 from qmagic.exact import (
     ExactMatrix,
     GaussianRational,
@@ -40,6 +44,7 @@ from qmagic.sampling import (
     random_member_square,
     square_from_decomposition,
 )
+from qmagic.serialize import certificate_from_json, dump_square
 from qmagic.semiclassical import (
     interior_map_decomposition,
     synthesize_commuting_dilation,
@@ -574,6 +579,64 @@ def test_failing_rung_margin_matches_reference(strong_problem, witness, monkeypa
     assert err.value.condition == "psd"
     (y,) = checked
     assert err.value.margin == reference_ldl(y).witness_value
+
+
+def test_ladder_refutes_non_final_rungs_without_elimination(strong_problem, witness, monkeypatch):
+    """The failing 10^3 rung is refuted by a rounded eigenvector and the
+    10^6 rung is proven by congruence: no exact elimination runs, and the
+    certificate is the shipped one."""
+    calls, eliminate = [], exact._schur_psd_check
+
+    def counted(m):
+        calls.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(exact, "_schur_psd_check", counted)
+    cert = certify_with_ladder(witness.y, strong_problem)
+    assert calls == []
+    shipped = Path(__file__).parent / "data" / "counterexample.cert.json"
+    assert cert == certificate_from_json(json.loads(shipped.read_text()))[0]
+
+
+def _recording_psd_checks(monkeypatch) -> list:
+    checked = []
+
+    def recorded(y):
+        checked.append(y)
+        return psd_check_exact(y)
+
+    monkeypatch.setattr(obstruction, "psd_check_exact", recorded)
+    return checked
+
+
+def test_one_rung_ladder_keeps_elimination_margin(strong_problem, witness, monkeypatch):
+    """A lone rung is the final one: its margin is the exact elimination's."""
+    checked = _recording_psd_checks(monkeypatch)
+    with pytest.raises(CertificationFailed) as err:
+        certify_with_ladder(witness.y, strong_problem, (10**3,))
+    assert err.value.condition == "psd"
+    (y,) = checked
+    assert err.value.margin == reference_ldl(y).witness_value
+
+
+# sha256 of the failure margin that `find-certificate --max-denominator 1000`
+# reports on the counterexample, as the exact elimination reads it off
+CEX_RUNG_1000_MARGIN_SHA256 = "3cc812de2656ebf61f25de6a00d01eb5becff30deb4b59d79f9f7c848a93a8a6"
+
+
+def test_find_certificate_failure_margin_is_the_elimination_margin(
+    cex, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "counterexample.json"
+    dump_square(cex, path)
+    checked = _recording_psd_checks(monkeypatch)
+    code = main(["find-certificate", str(path), "--max-denominator", "1000"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    (y,) = checked
+    margin = str(reference_ldl(y).witness_value)
+    assert report["details"]["failure"] == {"condition": "psd", "margin": margin}
+    assert hashlib.sha256(margin.encode()).hexdigest() == CEX_RUNG_1000_MARGIN_SHA256
 
 
 def test_exact_certify_diagnoses_nonnegative_pairing(strong_problem):

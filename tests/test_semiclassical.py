@@ -92,9 +92,14 @@ def test_lmi_constant_square_is_strictly_feasible():
 
 def _member(rng, n: int, s: int) -> MagicSquare:
     """A random exact semiclassical square; the only one for n = 1."""
-    if n == 1:
-        return constant_square(1, s)
     return square_from_decomposition(random_exact_decomposition(rng, n, s))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_random_exact_decomposition_n1_is_the_identity(s):
+    q = random_exact_decomposition(np.random.default_rng(s), 1, s)
+    assert q == {(0,): ExactMatrix.identity(s)}
+    assert square_from_decomposition(q) == constant_square(1, s)
 
 
 PENCIL_SHAPES = [(n, s) for n in range(1, 5) for s in range(1, 4)] + [(5, 1)]
@@ -287,7 +292,7 @@ def _noisy_float_weights(rng, weights: dict) -> dict:
 )
 def test_exact_repair_matches_block_system_projection(n, s):
     rng = np.random.default_rng(100 * n + s)
-    q = random_exact_decomposition(rng, n, s) if n > 1 else {(0,): ExactMatrix.identity(s)}
+    q = random_exact_decomposition(rng, n, s)
     sq = square_from_decomposition(q)
     weights = _noisy_float_weights(rng, q)
     for den in REPAIR_DENOMINATORS:
