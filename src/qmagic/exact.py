@@ -334,11 +334,17 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
-            if self._e[i][i].im != 0:
+        # normalized Fractions are equal iff numerators and denominators are,
+        # so each pair is compared without building its conjugate
+        e = self._e
+        for i, row in enumerate(e):
+            if row[i].im != 0:
                 return False
             for j in range(i + 1, self.cols):
-                if self._e[i][j] != self._e[j][i].conjugate():
+                a, b = row[j], e[j][i]
+                if a.re != b.re or a.im.numerator != -b.im.numerator or (
+                    a.im.denominator != b.im.denominator
+                ):
                     return False
         return True
 
@@ -444,14 +450,29 @@ def refute_psd(m: ExactMatrix) -> Fraction | None:
     return value if value < 0 else None
 
 
+def _common_denominator(qs: list[Fraction]) -> tuple[int, np.ndarray]:
+    """(D, N) with D the least common denominator of the rationals qs and
+    N = D qs, an object array of Python ints."""
+    den = lcm(*(q.denominator for q in qs))
+    return den, np.array([q.numerator * (den // q.denominator) for q in qs], dtype=object)
+
+
 def _integer_parts(m: ExactMatrix) -> tuple[int, np.ndarray, np.ndarray]:
     """(D, re, im) with D the least common denominator of M's entries and
     re + i im = D M, as object arrays of Python ints."""
-    entries = [q for row in m._e for z in row for q in (z.re, z.im)]
-    den = lcm(*(q.denominator for q in entries))
-    ints = np.array([q.numerator * (den // q.denominator) for q in entries], dtype=object)
+    den, ints = _common_denominator([q for row in m._e for z in row for q in (z.re, z.im)])
     n_re, n_im = ints.reshape(m.rows, m.cols, 2).transpose(2, 0, 1)
     return den, n_re, n_im
+
+
+def _from_integer_parts(den: int, n_re: np.ndarray, n_im: np.ndarray) -> ExactMatrix:
+    """The matrix (re + i im) / D: the inverse of `_integer_parts`."""
+    return ExactMatrix(
+        [
+            [GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(rr, ri)]
+            for rr, ri in zip(n_re.tolist(), n_im.tolist())
+        ]
+    )
 
 
 def _congruence_proves_pd(m: ExactMatrix) -> bool:

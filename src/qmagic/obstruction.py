@@ -37,8 +37,12 @@ Gaussian-integer entries and are stored once as the (m, d, d) complex
 stack of an `SdpProblem`.  For Hermitian Y each pairing trace(Y B_j) is a
 fixed integer functional of Y's Hermitian coordinates; certificates are
 checked on those coordinates with the rows of `pairing_rows`, computed
-once per (n, s, mode).  phi and psi are written once, on the
-representation helpers of `structures`.
+once per (n, s, mode).  For an exact square B_0 is built in Gaussian-integer
+numerators over one common denominator (numpy object arrays of Python
+ints), its kernel identity is checked on those numerators, and it becomes
+an `ExactMatrix` once, at the end; trace(Y B_0) is one integer dot product
+of coordinate numerators.  Float squares keep their float arithmetic, on
+the representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -56,6 +60,9 @@ import numpy as np
 from .exact import (
     ExactMatrix,
     GaussianRational,
+    _common_denominator,
+    _from_integer_parts,
+    _integer_parts,
     affine_least_squares,
     exact_from_float_matrix,
     hermitian_basis_stack,
@@ -69,14 +76,10 @@ from .exact import (
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
 from .structures import (
     MagicSquare,
-    adjoint,
     as_complex,
     assemble,
     complete_corner,
-    identity,
     residual,
-    scalar,
-    vanishes,
     zeros,
 )
 
@@ -139,9 +142,12 @@ def col_and_diag(a: MagicSquare):
 
 
 def phi_matrix(a: MagicSquare):
-    """diag(A) - col(A) col(A)*, Hermitian of size n^2 s."""
+    """diag(A) - col(A) col(A)*, Hermitian of size n^2 s; for an exact square
+    from Gaussian-integer numerators over one denominator (`_b0_numerators`)."""
+    if a.exact:
+        return _from_integer_parts(*_b0_numerators(a, WEAK))
     col, diag = col_and_diag(a)
-    return diag - col @ adjoint(col)
+    return diag - col @ col.conj().T
 
 
 def psi_matrix(a: MagicSquare):
@@ -149,15 +155,20 @@ def psi_matrix(a: MagicSquare):
 
     Supported only on slots E_ij (x) E_kl with i != j and k != l, and
     built so that (phi(A) + psi(A)) kills e (x) e_i (x) I_s for all i.
+    An exact square takes it from the integer slots of `_psi_numerators`.
     """
     n, s = a.n, a.s
     if n < 3:
         raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={n}")
-    alpha = scalar(Fraction(1, (n - 1) * (n - 2)), a.exact)
-    beta = scalar(Fraction(n - 1, n * (n - 2)), a.exact)
-    gamma = scalar(Fraction(1, n * (n - 2)), a.exact)
-    eye = identity(s, a.exact)
-    zero = zeros(s, s, a.exact)
+    if a.exact:
+        den, n_re, n_im = _col_numerators(a)
+        scale = n * (n - 1) * (n - 2) * den * den
+        return _from_integer_parts(scale, *_psi_numerators(den, n_re, n_im, n, s))
+    alpha = float(Fraction(1, (n - 1) * (n - 2)))
+    beta = float(Fraction(n - 1, n * (n - 2)))
+    gamma = float(Fraction(1, n * (n - 2)))
+    eye = np.eye(s)
+    zero = np.zeros((s, s), dtype=complex)
     grid = [[zero] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
@@ -172,7 +183,67 @@ def psi_matrix(a: MagicSquare):
                         + beta * (a.block(i, k) + a.block(j, l))
                         + gamma * (a.block(i, l) + a.block(j, k))
                     )
-    return assemble(grid, a.exact)
+    return np.block(grid)
+
+
+# -- the same terms in integers, for exact squares ----------------------------
+#
+# With D the least common denominator of A's entries, N = D col(A) has
+# Gaussian-integer blocks N_ij, held as real and imaginary object arrays of
+# Python ints.  Then D^2 phi(A) = D blockdiag(N) - N N*, and with
+# L = n(n-1)(n-2) the coefficients of psi are alpha = n/L, beta = (n-1)^2/L
+# and gamma = (n-1)/L, so L D^2 psi(A) has the integer slots
+# -n D^2 I + (n-1)^2 D (N_ik + N_jl) + (n-1) D (N_il + N_jk).
+
+
+def _col_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, re, im) with re + i im = D col(A), an (n^2 s, s) integer pair."""
+    n = a.n
+    col = ExactMatrix.from_blocks([[a.block(i, j)] for i in range(n) for j in range(n)])
+    return _integer_parts(col)
+
+
+def _phi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, s: int):
+    """(re, im) of D^2 phi(A) = D blockdiag(N) - N N*."""
+    re = -(n_re @ n_re.T + n_im @ n_im.T)
+    im = n_re @ n_im.T - n_im @ n_re.T
+    for p in range(0, len(n_re), s):
+        re[p : p + s, p : p + s] += den * n_re[p : p + s]
+        im[p : p + s, p : p + s] += den * n_im[p : p + s]
+    return re, im
+
+
+def _psi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, n: int, s: int):
+    """(re, im) of L D^2 psi(A), every slot at once on (i, k, j, l) axes."""
+    d = n * n * s
+    idx = np.arange(n)
+    off = (idx[:, None, None, None] != idx[None, None, :, None]) & (
+        idx[None, :, None, None] != idx[None, None, None, :]
+    )
+    parts = []
+    for part, unit in ((n_re, -n * den * den), (n_im, 0)):
+        b = part.reshape(n, n, s, s)  # b[i, j] = N_ij
+        slots = (
+            unit * np.eye(s, dtype=int).astype(object)
+            + (n - 1) ** 2 * den * (b[:, :, None, None] + b[None, None])
+            + (n - 1) * den * (b[:, None, None, :] + b.transpose(1, 0, 2, 3)[None, :, :, None])
+        )
+        slots = np.where(off[..., None, None], slots, 0)
+        parts.append(slots.transpose(0, 1, 4, 2, 3, 5).reshape(d, d))
+    return parts
+
+
+def _b0_numerators(a: MagicSquare, mode: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(scale, re, im) with re + i im = scale B0 for an exact square:
+    D^2 phi(A) in weak mode, L D^2 (phi(A) + psi(A)) in strong mode."""
+    den, n_re, n_im = _col_numerators(a)
+    re, im = _phi_numerators(den, n_re, n_im, a.s)
+    if mode == WEAK:
+        return den * den, re, im
+    n = a.n
+    lcd = n * (n - 1) * (n - 2)
+    psi_re, psi_im = _psi_numerators(den, n_re, n_im, n, a.s)
+    return lcd * den * den, lcd * re + psi_re, lcd * im + psi_im
 
 
 # -- the pencils ------------------------------------------------------------
@@ -227,13 +298,18 @@ def pairing_rows(n: int, s: int, mode: str) -> tuple[tuple[int, ...], ...]:
         raise ValueError("direction has an entry that is not a Gaussian integer")
     if not np.array_equal(dirs, dirs.conj().swapaxes(1, 2)):
         raise ValueError("direction is not Hermitian")
-    d = dirs.shape[1]
-    rows, cols = np.triu_indices(d, 1)
-    upper = dirs[:, rows, cols]
-    off = np.stack([upper.real, upper.imag], axis=2).reshape(len(dirs), -1)
-    coords = np.hstack([np.diagonal(dirs, axis1=1, axis2=2).real, off])
-    weights = np.array(hermitian_coordinate_weights(d), dtype=float)
-    return tuple(tuple(int(c) for c in row) for row in (coords * weights).tolist())
+    coords = _weighted_coordinates(dirs.real, dirs.imag)
+    return tuple(tuple(int(c) for c in row) for row in coords.tolist())
+
+
+def _weighted_coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The Hermitian coordinates of re + i im on the last two axes, in the
+    order of `hermitian_coordinates`, times their Frobenius weights (1 on
+    the diagonal, 2 off it)."""
+    rows, cols = np.triu_indices(re.shape[-1], 1)
+    off = np.stack([re[..., rows, cols], im[..., rows, cols]], axis=-1)
+    off = off.reshape(*off.shape[:-2], -1)
+    return np.concatenate([np.diagonal(re, axis1=-2, axis2=-1), 2 * off], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -296,27 +372,39 @@ def build_obstruction(a: MagicSquare, mode: str = STRONG) -> ObstructionProblem:
 
 def constant_term(a: MagicSquare, mode: str):
     """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
-    mode, where the kernel identity on e (x) e_i (x) I_s is verified."""
+    mode, where the kernel identity on e (x) e_i (x) I_s is verified.
+
+    Exact squares give an `ExactMatrix` converted once from the integer
+    numerators of `_b0_numerators`, on which the kernel identity is checked
+    exactly; float squares give a complex array from `phi_matrix` and
+    `psi_matrix`, checked within a tolerance.
+    """
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
+    if mode == STRONG and a.n < 3:
+        raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={a.n}")
+    if a.exact:
+        scale, re, im = _b0_numerators(a, mode)
+        if mode == STRONG:
+            _check_kernel_identity((re, im), a.n, a.s, 0)
+        return _from_integer_parts(scale, re, im)
     if mode == WEAK:
         return phi_matrix(a)
     b0 = phi_matrix(a) + psi_matrix(a)
-    _check_kernel_identity(b0, a.n, a.s, a.exact)
+    _check_kernel_identity((b0,), a.n, a.s, 1e-8 * (1.0 + residual(b0)))
     return b0
 
 
-def _check_kernel_identity(b0, n: int, s: int, exact: bool) -> None:
+def _check_kernel_identity(parts, n: int, s: int, tol: float) -> None:
     """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i, that is, the block
-    columns (j, i) of B0 sum to zero over j; exactly, or for floats within
-    1e-8 relative to the size of B0."""
-    d = n * n * s
-    tol = 0.0 if exact else 1e-8 * (1.0 + residual(b0))
-    for i in range(n):
-        spans = [((j * n + i) * s, (j * n + i + 1) * s) for j in range(n)]
-        cols = [b0.block(0, d, c0, c1) if exact else b0[:, c0:c1] for c0, c1 in spans]
-        if not vanishes(sum(cols[1:], cols[0]), tol):
-            raise RuntimeError(f"kernel identity broken at i={i}")
+    columns (j, i) of B0 sum to zero over j.  `parts` are the integer
+    numerators (re, im) of a multiple of B0, checked with tol 0, or the
+    float B0 alone, checked within 1e-8 relative to its size."""
+    for part in parts:
+        sums = part.reshape(len(part), n, n, s).sum(axis=1)  # [row, i, c]
+        held = np.abs(sums).max(axis=(0, 2)) <= tol
+        if not held.all():
+            raise RuntimeError(f"kernel identity broken at i={int(np.argmin(held))}")
 
 
 # -- decision procedure ------------------------------------------------------
@@ -461,14 +549,17 @@ def blend_dual(
 def _pairings(y: list[Fraction], n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
     """trace(Y B) from the Hermitian coordinates y of Y: B1 ... Bm through
     `pairing_rows`, in direction order, then B0.  Y and every B are
-    Hermitian, so every pairing is real."""
-    weights = hermitian_coordinate_weights(b0.rows)
-    b0_row = [w * c for w, c in zip(weights, hermitian_coordinates(b0), strict=True)]
-    rows = [(f"B{j + 1}", row) for j, row in enumerate(pairing_rows(n, s, mode))]
-    return {
-        label: sum((c * r for c, r in zip(y, row, strict=True) if r), Fraction(0))
-        for label, row in [*rows, ("B0", b0_row)]
+    Hermitian, so every pairing is real.  Each is an integer dot product of
+    y's numerators over their common denominator; for B0 with the weighted
+    coordinate numerators of B0, so it is one Fraction at the end."""
+    den, num = _common_denominator(y)
+    b0_den, b0_re, b0_im = _integer_parts(b0)
+    pairings = {
+        f"B{j + 1}": Fraction(sum(c * r for c, r in zip(num, row, strict=True) if r), den)
+        for j, row in enumerate(pairing_rows(n, s, mode))
     }
+    pairings["B0"] = Fraction(num @ _weighted_coordinates(b0_re, b0_im), den * b0_den)
+    return pairings
 
 
 def exact_certify(

@@ -96,6 +96,14 @@ class TestExactMatrix:
         assert ExactMatrix([[1, gr(0, 1)], [gr(0, -1), 2]]).is_hermitian()
         assert not ExactMatrix([[1, gr(0, 1)], [gr(0, 1), 2]]).is_hermitian()
         assert not ExactMatrix([[gr(0, 1)]]).is_hermitian()
+        # pairs are compared on re and -im: equal magnitudes over different
+        # denominators, a sign slip on re, and a real matrix that is not symmetric
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        assert ExactMatrix([[0, gr(half, third)], [gr(half, -third), 0]]).is_hermitian()
+        assert not ExactMatrix([[0, gr(0, half)], [gr(0, -third), 0]]).is_hermitian()
+        assert not ExactMatrix([[0, gr(half, third)], [gr(-half, -third), 0]]).is_hermitian()
+        assert not ExactMatrix([[0, 1], [2, 0]]).is_hermitian()
+        assert not ExactMatrix([[0, 1, 0], [1, 0, 0]]).is_hermitian()
 
     def test_conjugate_transpose(self):
         m = ExactMatrix([[gr(1, 2), gr(3)], [gr(0, -1), gr(4, 4)]])

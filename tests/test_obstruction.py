@@ -1,8 +1,10 @@
 """Hull obstruction: phi/psi constructions, pencils, and exact certificates."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +53,15 @@ from qmagic.semiclassical import (
 )
 from qmagic.structures import (
     MagicSquare,
+    adjoint,
+    assemble,
     constant_square,
     embed_pad,
+    identity,
     perm_matrix_exact,
+    scalar,
     validate_magic,
+    zeros,
 )
 from test_exact import reference_ldl
 
@@ -193,13 +200,24 @@ def test_psi_float_agrees_with_exact(cex):
 def test_broken_kernel_identity_is_refused(cex, monkeypatch):
     # u = e_1 (x) (e_1 - e_2) (x) e_1 pairs to zero with every e_i (x) e (x) I_s
     # but not with e (x) e_1 (x) I_s, so only the stated identity sees u u*
-    u = [0] * 18
+    # The exact square builds B0 from the integer numerators of
+    # `_b0_numerators` (scale, re, im) = scale B0 and the float one from
+    # `psi_matrix`; each seam gets the same bump u u*/1000.
+    u = np.zeros(18, dtype=int)
     u[0], u[2] = 1, -1
-    uu = ExactMatrix([[a * b for b in u] for a in u])
+    uu = np.outer(u, u).astype(object)
+    numerators = obstruction._b0_numerators
+
+    def bumped(a, mode):
+        scale, re, im = numerators(a, mode)
+        return 1000 * scale, 1000 * re + scale * uu, 1000 * im
+
     for square in (cex, cex.to_float()):
-        bump = Fraction(1, 1000) * uu if square.exact else uu.to_complex() / 1000
-        broken = psi_matrix(square) + bump
-        monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
+        if square.exact:
+            monkeypatch.setattr(obstruction, "_b0_numerators", bumped)
+        else:
+            broken = psi_matrix(square) + uu.astype(float) / 1000
+            monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
         with pytest.raises(RuntimeError, match="kernel identity"):
             build_obstruction(square, "strong")
         if square.exact:
@@ -219,6 +237,109 @@ def test_kernel_identity_exact(cex):
             [[eye if k == i else zero] for j in range(n) for k in range(n)]
         )
         assert (total @ vec).is_zero()
+
+
+# -- the integer B0 against the entrywise reference ---------------------------
+
+
+def reference_phi(a: MagicSquare):
+    """phi(A) = diag(A) - col(A) col(A)*, entrywise over Q[i] for exact squares
+    (one Fraction operation per entry) and in floats otherwise."""
+    col, diag = col_and_diag(a)
+    return diag - col @ adjoint(col)
+
+
+def reference_psi(a: MagicSquare):
+    """psi(A) slot by slot, -alpha I + beta (a_ik + a_jl) + gamma (a_il + a_jk)."""
+    n, s = a.n, a.s
+    if n < 3:
+        raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={n}")
+    alpha = scalar(Fraction(1, (n - 1) * (n - 2)), a.exact)
+    beta = scalar(Fraction(n - 1, n * (n - 2)), a.exact)
+    gamma = scalar(Fraction(1, n * (n - 2)), a.exact)
+    eye = identity(s, a.exact)
+    zero = zeros(s, s, a.exact)
+    grid = [[zero] * (n * n) for _ in range(n * n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if i != j and k != l:
+            grid[i * n + k][j * n + l] = (
+                -alpha * eye
+                + beta * (a.block(i, k) + a.block(j, l))
+                + gamma * (a.block(i, l) + a.block(j, k))
+            )
+    return assemble(grid, a.exact)
+
+
+B0_SQUARES = [
+    *(f"member-{n}-{s}" for n in range(1, 6) for s in range(1, 4)),
+    "orbit-perm",
+    "orbit-transpose",
+    "orbit-conjugate",
+    "pad-4",
+    "pad-5",
+    "pad-member-2-3",
+]
+
+
+@cache
+def _b0_square(label: str) -> MagicSquare:
+    """An exact random member for n in 1..5 and s in 1..3, a square in the
+    orbit of the counterexample (rows and columns permuted, the grid
+    transposed, conjugation by diag(1, i)), or an embed_pad square."""
+    kind, _, rest = label.partition("-")
+    if kind == "member":
+        n, s = map(int, rest.split("-"))
+        rng = np.random.default_rng([15, n, s])
+        return square_from_decomposition(random_exact_decomposition(rng, n, s))
+    if kind == "pad":
+        return embed_pad(_b0_square({"4": "orbit-cex", "5": "pad-4"}.get(rest, rest)))
+    cex = counterexample_m2_3()
+    u = ExactMatrix([[1, 0], [0, GaussianRational(0, 1)]])
+    r, c = (2, 0, 1), (1, 2, 0)
+    blocks = {
+        "cex": lambda i, j: cex.block(i, j),
+        "perm": lambda i, j: cex.block(r[i], c[j]),
+        "transpose": lambda i, j: cex.block(j, i),
+        "conjugate": lambda i, j: u.h @ cex.block(i, j) @ u,
+    }[rest]
+    return MagicSquare([[blocks(i, j) for j in range(3)] for i in range(3)])
+
+
+@pytest.mark.parametrize("label", B0_SQUARES)
+def test_constant_term_matches_entrywise_reference(label):
+    """The integer-numerator phi, psi and B0 equal the entrywise construction
+    over Q[i] in both modes; float copies give B0 bit for bit as the float
+    reference does; strong mode at n <= 2 is refused."""
+    a = _b0_square(label)
+    f = a.to_float()
+    phi = reference_phi(a)
+    assert phi_matrix(a) == phi
+    assert constant_term(a, "weak") == phi
+    float_phi = reference_phi(f)
+    assert constant_term(f, "weak").tobytes() == float_phi.tobytes()
+    if a.n <= 2:
+        for square in (a, f):
+            with pytest.raises(NotDefinedForSmallN):
+                constant_term(square, "strong")
+        return
+    psi = reference_psi(a)
+    assert psi_matrix(a) == psi
+    assert constant_term(a, "strong") == phi + psi
+    got = constant_term(f, "strong")
+    ref = float_phi + reference_psi(f)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_b0_pairing_is_the_trace_of_the_product(cex):
+    """trace(Y B0) from the integer dot product equals (Y @ B0).trace().re on
+    the shipped counterexample certificate."""
+    shipped = Path(__file__).parent / "data" / "counterexample.cert.json"
+    cert = certificate_from_json(json.loads(shipped.read_text()))[0]
+    b0 = constant_term(cex, cert.mode)
+    y = cert.y_exact
+    got = _pairings(hermitian_coordinates(y), cex.n, cex.s, cert.mode, b0)["B0"]
+    assert got == (y @ b0).trace().re
+    assert got == cert.pairings["B0"]
 
 
 # -- variable spaces ---------------------------------------------------------
