@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .birkhoff import NotDoublyStochastic, birkhoff_decompose, magic_space_dimension
+from .exact import rational_str
 from .obstruction import (
     DENOMINATOR_LADDER,
     STRONG,
@@ -427,7 +428,7 @@ def cmd_find_certificate(args, report: RunReport) -> int:
         witness, cert = _strong_certificate(res, args, out)
     except CertificationFailed as err:
         report.verdicts[name] = "inconclusive"
-        report.details["failure"] = {"condition": err.condition, "margin": str(err.margin)}
+        report.details["failure"] = {"condition": err.condition, "margin": rational_str(err.margin)}
         _human(f"{path}: numeric dual found but exact certification failed: {err}")
         return EXIT_INCONCLUSIVE
     verification = verify_certificate(cert, square)

@@ -12,16 +12,18 @@ for v the rounded float eigenvector of the least eigenvalue, a cheap sound
 proof that M is not PSD where the elimination's margin is not needed.
 
 `affine_least_squares` is the exact orthogonal projection onto an affine set
-given by its rows, used for obstruction certificates; its shape-only work
-(rank selection, inverse Gram) is cached per constraint system, since every
-caller's constraints depend only on a shape.  The incidence system of the
-semiclassical weights has a closed-form least-norm solution and does not
-come here.
+given by its rows, with its shape-only work (rank selection, inverse Gram)
+cached per constraint system.  No certification path calls it: obstruction
+certificates are projected through the Kronecker factors of their pencil
+directions and the semiclassical weights by a closed-form least-norm
+solution.  It stays as the generic reference the tests check both closed
+forms against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import isfinite, lcm
@@ -37,14 +39,12 @@ __all__ = [
     "psd_check_exact",
     "refute_psd",
     "rationalize",
+    "rational_str",
     "exact_from_float_matrix",
     "rref_exact",
     "rank_exact",
     "nullspace_exact",
     "affine_least_squares",
-    "hermitian_coordinates",
-    "hermitian_from_coordinates",
-    "hermitian_coordinate_weights",
     "hermitian_basis",
     "hermitian_basis_stack",
 ]
@@ -372,6 +372,14 @@ def rationalize(x: float, max_denominator: int) -> Fraction:
     return Fraction(x).limit_denominator(max_denominator)
 
 
+def rational_str(q) -> str:
+    """str(Fraction(q)), byte for byte, also past the interpreter's int-to-str
+    digit limit, which the conversion through `Decimal` does not meet."""
+    q = Fraction(q)
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
     """Rationalize a complex floating matrix entrywise."""
     arr = np.asarray(arr, dtype=np.complex128)
@@ -657,45 +665,6 @@ def affine_least_squares(
         if apply(row, x) != target:
             raise ValueError("inconsistent affine constraints")
     return x
-
-
-# -- real coordinates for Hermitian matrices --------------------------------
-#
-# Order: diagonal entries first (real), then for each i<j in lex order the
-# real and imaginary parts of the (i, j) entry.
-
-
-def hermitian_coordinates(m: ExactMatrix) -> list[Fraction]:
-    if not m.is_hermitian():
-        raise NonHermitianInput("coordinates are defined for Hermitian matrices")
-    s = m.rows
-    coords = [m[i, i].re for i in range(s)]
-    for i in range(s):
-        for j in range(i + 1, s):
-            coords.append(m[i, j].re)
-            coords.append(m[i, j].im)
-    return coords
-
-
-def hermitian_from_coordinates(s: int, coords) -> ExactMatrix:
-    coords = [Fraction(c) for c in coords]
-    if len(coords) != s * s:
-        raise ValueError(f"expected {s * s} coordinates, got {len(coords)}")
-    grid = [[_ZERO] * s for _ in range(s)]
-    for i in range(s):
-        grid[i][i] = GaussianRational(coords[i])
-    k = s
-    for i in range(s):
-        for j in range(i + 1, s):
-            grid[i][j] = GaussianRational(coords[k], coords[k + 1])
-            grid[j][i] = grid[i][j].conjugate()
-            k += 2
-    return ExactMatrix(grid)
-
-
-def hermitian_coordinate_weights(s: int) -> list[Fraction]:
-    """Weights making coordinate dot products equal Frobenius inner products."""
-    return [Fraction(1)] * s + [Fraction(2)] * (s * s - s)
 
 
 def hermitian_basis(s: int) -> list[ExactMatrix]:

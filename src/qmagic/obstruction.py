@@ -34,15 +34,16 @@ products H_a (x) H_b (x) h over a Hermitian basis H of Z (weak) or Z_e
 (strong) and the Hermitian basis h of Mat_s, so they form a basis of the
 variable space by construction.  They depend only on (n, s, mode), have
 Gaussian-integer entries and are stored once as the (m, d, d) complex
-stack of an `SdpProblem`.  For Hermitian Y each pairing trace(Y B_j) is a
-fixed integer functional of Y's Hermitian coordinates; certificates are
-checked on those coordinates with the rows of `pairing_rows`, computed
-once per (n, s, mode).  For an exact square B_0 is built in Gaussian-integer
+stack of an `SdpProblem`.  Their Frobenius Gram matrix is G_H (x) G_H (x)
+G_h, so a certificate's pairings trace(Y B_j) and its orthogonal projection
+onto {trace(Y B_j) = 0} are mode products of Y's integer numerators with
+the factor stacks and their inverse Gram matrices, read once per
+(n, s, mode).  For an exact square B_0 is built in Gaussian-integer
 numerators over one common denominator (numpy object arrays of Python
 ints), its kernel identity is checked on those numerators, and it becomes
 an `ExactMatrix` once, at the end; trace(Y B_0) is one integer dot product
-of coordinate numerators.  Float squares keep their float arithmetic, on
-the representation helpers of `structures`.
+of numerators.  Float squares keep their float arithmetic, on the
+representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -63,15 +64,13 @@ from .exact import (
     _common_denominator,
     _from_integer_parts,
     _integer_parts,
-    affine_least_squares,
     exact_from_float_matrix,
     hermitian_basis_stack,
-    hermitian_coordinate_weights,
-    hermitian_coordinates,
-    hermitian_from_coordinates,
     nullspace_exact,
     psd_check_exact,
+    rational_str,
     refute_psd,
+    rref_exact,
 )
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
 from .structures import (
@@ -117,7 +116,9 @@ class CertificationFailed(ValueError):
     """
 
     def __init__(self, condition: str, margin):
-        super().__init__(f"exact certification failed at {condition} (margin {margin})")
+        super().__init__(
+            f"exact certification failed at {condition} (margin {rational_str(margin)})"
+        )
         self.condition = condition
         self.margin = margin
 
@@ -287,29 +288,61 @@ def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     return kron_pairs(kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
 
 
+# -- pairings and projection through the Kronecker factors --------------------
+#
+# A complex array is held in Python ints with a last axis (re, im); a complex
+# matrix F[a, x] acts on it through its real form [[re F, -im F], [im F, re F]].
+
+
 @cache
-def pairing_rows(n: int, s: int, mode: str) -> tuple[tuple[int, ...], ...]:
-    """The pairings Y -> trace(Y B_j) as integer rows on Y's Hermitian
-    coordinates: row j is the coordinates of B_j, in the order of
-    `hermitian_coordinates`, times their Frobenius weights.  Read once per
-    shape from `pencil_directions`."""
-    dirs = pencil_directions(n, s, mode)
-    if not np.array_equal(dirs, np.round(dirs)):
-        raise ValueError("direction has an entry that is not a Gaussian integer")
-    if not np.array_equal(dirs, dirs.conj().swapaxes(1, 2)):
-        raise ValueError("direction is not Hermitian")
-    coords = _weighted_coordinates(dirs.real, dirs.imag)
-    return tuple(tuple(int(c) for c in row) for row in coords.tolist())
+def _factors(n: int, s: int, mode: str):
+    """For the factors H (a basis of Z or Z_e) and h (of Her_s) of the
+    directions H_a (x) H_b (x) h_c: with F the flattened factors, the real
+    form of conj(F), and inv / den, the inverse of tr(F_a F_b)."""
+    out = []
+    for stack in (zero_diagonal_basis(n, doubly_null=mode == STRONG), hermitian_basis_stack(s)):
+        if not np.array_equal(stack, np.round(stack)):
+            raise ValueError("factor has an entry that is not a Gaussian integer")
+        if not np.array_equal(stack, stack.conj().swapaxes(1, 2)):
+            raise ValueError("factor is not Hermitian")
+        flat = stack.reshape(len(stack), -1)
+        re, im = (part.astype(np.int64).astype(object) for part in (flat.real, flat.imag))
+        m = len(flat)
+        gram = (re @ re.T + im @ im.T).tolist()
+        augmented = [g + [int(p == q) for q in range(m)] for p, g in enumerate(gram)]
+        red, _ = rref_exact(ExactMatrix(augmented))
+        den, inv = _common_denominator([red[p, m + q].re for p in range(m) for q in range(m)])
+        form = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1)
+        out.append((form, den, inv.reshape(m, m)))
+    return tuple(out)
 
 
-def _weighted_coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The Hermitian coordinates of re + i im on the last two axes, in the
-    order of `hermitian_coordinates`, times their Frobenius weights (1 on
-    the diagonal, 2 off it)."""
-    rows, cols = np.triu_indices(re.shape[-1], 1)
-    off = np.stack([re[..., rows, cols], im[..., rows, cols]], axis=-1)
-    off = off.reshape(*off.shape[:-2], -1)
-    return np.concatenate([np.diagonal(re, axis1=-2, axis2=-1), 2 * off], axis=-1)
+def _direction_pairings(re, im, n: int, s: int, mode: str) -> np.ndarray:
+    """trace(Y B_abc) = sum_xy Y_xy conj(B_xy) as an (a, b, c) integer array,
+    for Y = re + i im Hermitian, with Y's axes regrouped as (i j), (k l),
+    (p q), the slots of H_a, H_b and h_c."""
+    z, h = _factors(n, s, mode)
+    t = np.stack([re, im], -1).reshape(n, n, s, n, n, s, 2).transpose(0, 3, 1, 4, 2, 5, 6)
+    t = t.reshape(n * n, n * n, s * s, 2)
+    for f in (z, z, h):  # each step appends its new axis before (re, im)
+        t = np.tensordot(t, f[0], ([0, -1], [2, 3]))
+    return t[..., 0]
+
+
+def _project(den: int, re, im, n: int, s: int, mode: str):
+    """(den', re', im') of the orthogonal projection Y - sum c_abc B_abc of
+    Y = (re + i im) / den onto {trace(Y B_j) = 0}: the directions have Gram
+    G_H (x) G_H (x) G_h, so c = (G_H^-1 (x) G_H^-1 (x) G_h^-1) trace(Y B)."""
+    z, h = _factors(n, s, mode)
+    coef = _direction_pairings(re, im, n, s, mode)
+    for f in (z, z, h):
+        coef = np.tensordot(coef, f[2], (0, 1))
+    t = np.stack([coef, np.zeros(coef.shape, dtype=object)], -1)
+    for f in (z, z, h):  # sum_a c_a F_a, through the adjoint of the form of conj(F)
+        t = np.tensordot(t, f[0], ([0, -1], [0, 1]))
+    t = t.reshape(n, n, n, n, s, s, 2).transpose(0, 2, 4, 1, 3, 5, 6).reshape(len(re), -1, 2)
+    scale = z[1] * z[1] * h[1]
+    return den * scale, scale * re - t[..., 0], scale * im - t[..., 1]
 
 
 @dataclass(frozen=True)
@@ -317,8 +350,8 @@ class ObstructionProblem:
     """A feasibility pencil B_0 + sum_j x_j B_j >= 0 over a tensor space.
 
     The directions B_j are stored once, as the Gaussian-integer complex
-    arrays `pencil.directions`; certificates pair with them through
-    `pairing_rows`.  `b0_exact` is present only for exact squares.
+    arrays `pencil.directions`; certificates pair with them through their
+    Kronecker factors.  `b0_exact` is present only for exact squares.
     """
 
     square: MagicSquare
@@ -546,19 +579,17 @@ def blend_dual(
     )
 
 
-def _pairings(y: list[Fraction], n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
-    """trace(Y B) from the Hermitian coordinates y of Y: B1 ... Bm through
-    `pairing_rows`, in direction order, then B0.  Y and every B are
-    Hermitian, so every pairing is real.  Each is an integer dot product of
-    y's numerators over their common denominator; for B0 with the weighted
-    coordinate numerators of B0, so it is one Fraction at the end."""
-    den, num = _common_denominator(y)
-    b0_den, b0_re, b0_im = _integer_parts(b0)
+def _pairings(y: tuple, n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
+    """trace(Y B) for Y = (re + i im) / D given as y = (D, re, im): B1 ... Bm
+    in direction order through `_direction_pairings`, then B0 as
+    sum re_Y re_B0 + im_Y im_B0 on integer parts.  Every pairing is real."""
+    den, re, im = y
     pairings = {
-        f"B{j + 1}": Fraction(sum(c * r for c, r in zip(num, row, strict=True) if r), den)
-        for j, row in enumerate(pairing_rows(n, s, mode))
+        f"B{j + 1}": Fraction(p, den)
+        for j, p in enumerate(_direction_pairings(re, im, n, s, mode).ravel().tolist())
     }
-    pairings["B0"] = Fraction(num @ _weighted_coordinates(b0_re, b0_im), den * b0_den)
+    b0_den, b0_re, b0_im = _integer_parts(b0)
+    pairings["B0"] = Fraction(int((re * b0_re).sum() + (im * b0_im).sum()), den * b0_den)
     return pairings
 
 
@@ -571,18 +602,19 @@ def exact_certify(
 ) -> ObstructionCertificate:
     """Turn a numeric dual candidate into an exact certificate over Q[i].
 
-    Entries are rationalized with the given denominator bound and the
-    result symmetrized exactly.  The matrix is then projected exactly
-    onto the affine space {trace(Y B_j) = 0 for all j} before the PSD
-    check, because positivity is the fragile condition and the
-    projection is a small perturbation when the residuals are tiny.
-    Verification is exact: Y >= 0 by a congruence proof, else an exact
-    Hermitian elimination (Schur complements, largest-diagonal pivoting),
-    and trace(Y B_0) < 0.  With `final=False` (a rung that a larger bound
-    may follow) a Y that `refute_psd` rejects fails at once with its
-    rounded-eigenvector value as the margin, skipping the elimination;
-    any Y it does not reject is decided as above, so the certificate is
-    the same either way.
+    Entries are rationalized with the given denominator bound to R + i I
+    over one denominator D and symmetrized as (R + R^T + i (I - I^T)) / 2D.
+    Still on integer numerators, the matrix is projected exactly onto
+    {trace(Y B_j) = 0 for all j} through the Kronecker factors of the
+    directions (`_project`) before the PSD check, because positivity is the
+    fragile condition and the projection is a small perturbation when the
+    residuals are tiny.  Verification is exact: Y >= 0 by a congruence
+    proof, else an exact Hermitian elimination (Schur complements,
+    largest-diagonal pivoting), and trace(Y B_0) < 0.  With `final=False`
+    (a rung that a larger bound may follow) a Y that `refute_psd` rejects
+    fails at once with its rounded-eigenvector value as the margin,
+    skipping the elimination; any Y it does not reject is decided as above,
+    so the certificate is the same either way.
     """
     if problem.b0_exact is None:
         raise ValueError("exact certification needs an exact square")
@@ -590,16 +622,12 @@ def exact_certify(
     d = problem.dim
     if y_num.shape != (d, d):
         raise ValueError(f"certificate has shape {y_num.shape}, expected {(d, d)}")
-    raw = exact_from_float_matrix(y_num, max_denominator)
-    y = Fraction(1, 2) * (raw + raw.h)
+    den, r, i = _integer_parts(exact_from_float_matrix(y_num, max_denominator))
 
     n, s, mode = problem.square.n, problem.square.s, problem.mode
-    rows = pairing_rows(n, s, mode)
-    targets = [Fraction(0)] * len(rows)
-    weights = hermitian_coordinate_weights(d)
-    coords = affine_least_squares(rows, targets, hermitian_coordinates(y), weights=weights)
-    y = hermitian_from_coordinates(d, coords)
-    pairings = _pairings(coords, n, s, mode, problem.b0_exact)
+    parts = _project(2 * den, r + r.T, i - i.T, n, s, mode)
+    pairings = _pairings(parts, n, s, mode, problem.b0_exact)
+    y = _from_integer_parts(*parts)
     if not final and (value := refute_psd(y)) is not None:
         raise CertificationFailed("psd", value)
     check = psd_check_exact(y)
@@ -636,10 +664,11 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     """Re-verify a certificate against a square by exact arithmetic alone.
 
     Builds the constant term B0 for the certificate's mode, recomputes
-    every pairing from Y's Hermitian coordinates, and reruns the exact PSD
-    check.  No pencil and no numeric solver is involved.  A stored pairing
-    that disagrees fails its check.  Returns a report dict with an overall
-    `ok` flag.
+    every pairing from Y's integer numerators through the Kronecker factors
+    of the directions (`_pairings`), and reruns the exact PSD check.  No
+    pencil and no numeric solver is involved.  A stored pairing that
+    disagrees fails its check.  Returns a report dict with an overall `ok`
+    flag.
     """
     if not a.exact:
         raise ValueError("exact verification needs an exact square")
@@ -655,7 +684,7 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     if not y.is_hermitian():
         return {"ok": False, "hermitian": False}
     check = psd_check_exact(y)
-    pairings = _pairings(hermitian_coordinates(y), a.n, a.s, cert.mode, b0)
+    pairings = _pairings(_integer_parts(y), a.n, a.s, cert.mode, b0)
     p0 = pairings.pop("B0")
     pair_ok = all(p == 0 and cert.pairings.get(label, p) == p for label, p in pairings.items())
     negativity = p0 < 0 and cert.pairings.get("B0", p0) == p0

@@ -16,12 +16,10 @@ from qmagic.exact import (
     NonHermitianInput,
     affine_least_squares,
     exact_from_float_matrix,
-    hermitian_coordinate_weights,
-    hermitian_coordinates,
-    hermitian_from_coordinates,
     nullspace_exact,
     psd_check_exact,
     rank_exact,
+    rational_str,
     rationalize,
     refute_psd,
     rref_exact,
@@ -514,6 +512,46 @@ class TestAffineProjection:
                 assert dot == 0
 
 
+# -- real coordinates for Hermitian matrices ----------------------------------
+#
+# The reference layout of the generic projection `affine_least_squares` on
+# Hermitian matrices: diagonal entries first (real), then for each i < j in
+# lex order the real and imaginary parts of the (i, j) entry.
+
+
+def hermitian_coordinates(m: ExactMatrix) -> list[Fraction]:
+    if not m.is_hermitian():
+        raise NonHermitianInput("coordinates are defined for Hermitian matrices")
+    s = m.rows
+    coords = [m[i, i].re for i in range(s)]
+    for i in range(s):
+        for j in range(i + 1, s):
+            coords.append(m[i, j].re)
+            coords.append(m[i, j].im)
+    return coords
+
+
+def hermitian_from_coordinates(s: int, coords) -> ExactMatrix:
+    coords = [Fraction(c) for c in coords]
+    if len(coords) != s * s:
+        raise ValueError(f"expected {s * s} coordinates, got {len(coords)}")
+    grid = [[G(0)] * s for _ in range(s)]
+    for i in range(s):
+        grid[i][i] = G(coords[i])
+    k = s
+    for i in range(s):
+        for j in range(i + 1, s):
+            grid[i][j] = G(coords[k], coords[k + 1])
+            grid[j][i] = grid[i][j].conjugate()
+            k += 2
+    return ExactMatrix(grid)
+
+
+def hermitian_coordinate_weights(s: int) -> list[Fraction]:
+    """Weights making coordinate dot products equal Frobenius inner products."""
+    return [Fraction(1)] * s + [Fraction(2)] * (s * s - s)
+
+
 class TestHermitianCoordinates:
     def test_round_trip(self):
         m = ExactMatrix([[gr(1), gr(F(1, 2), F(-1, 3))], [gr(F(1, 2), F(1, 3)), gr(-2)]])
@@ -530,6 +568,15 @@ class TestHermitianCoordinates:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             hermitian_coordinates(ExactMatrix([[0, 1], [2, 0]]))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [F(0), F(1), F(-7, 3), F(10**599), F(10**600), F(10**600 - 1), F(-(10**1200) - 7, 10**600 + 1),
+     F(3 * 10**4000 + 11, 13)],
+)
+def test_rational_str_is_str_within_the_digit_limit(q):
+    assert rational_str(q) == str(q)
 
 
 def test_exact_from_float_matrix():

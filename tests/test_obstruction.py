@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmagic import exact, obstruction
+from qmagic import cli, exact, obstruction
 from qmagic.cli import main
 from qmagic.exact import (
     ExactMatrix,
     GaussianRational,
+    _integer_parts,
+    _projection_operator,
+    affine_least_squares,
     hermitian_basis,
-    hermitian_coordinates,
     psd_check_exact,
 )
 from qmagic.obstruction import (
@@ -24,6 +26,7 @@ from qmagic.obstruction import (
     CertificationFailed,
     NotDefinedForSmallN,
     ObstructionCertificate,
+    blend_dual,
     build_obstruction,
     certify_with_ladder,
     check_mconv_obstruction,
@@ -33,13 +36,15 @@ from qmagic.obstruction import (
     exact_certify,
     find_dual_certificate,
     member_witness_from_dilation,
-    pairing_rows,
     phi_matrix,
     psi_matrix,
     pencil_directions,
     verify_certificate,
     zero_diagonal_basis,
+    _direction_pairings,
+    _factors,
     _pairings,
+    _project,
 )
 from qmagic.sampling import (
     random_exact_decomposition,
@@ -63,7 +68,12 @@ from qmagic.structures import (
     validate_magic,
     zeros,
 )
-from test_exact import reference_ldl
+from test_exact import (
+    hermitian_coordinate_weights,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
+    reference_ldl,
+)
 
 
 def scalar_square(entries) -> MagicSquare:
@@ -337,7 +347,7 @@ def test_b0_pairing_is_the_trace_of_the_product(cex):
     cert = certificate_from_json(json.loads(shipped.read_text()))[0]
     b0 = constant_term(cex, cert.mode)
     y = cert.y_exact
-    got = _pairings(hermitian_coordinates(y), cex.n, cex.s, cert.mode, b0)["B0"]
+    got = _pairings(_integer_parts(y), cex.n, cex.s, cert.mode, b0)["B0"]
     assert got == (y @ b0).trace().re
     assert got == cert.pairings["B0"]
 
@@ -444,49 +454,99 @@ def test_pencil_directions_form_a_basis(mode, n, s):
     assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == len(dirs)
 
 
+def _random_hermitian(rng, d: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, re, im) of a random Hermitian Y = (re + i im) / den with small
+    integer numerators, as object arrays of Python ints."""
+    g = rng.integers(-9, 10, size=(2, d, d))
+    den = int(rng.integers(2, 50))
+    return den, (g[0] + g[0].T).astype(object), (g[1] - g[1].T).astype(object)
+
+
+def _exact_from_parts(den, re, im) -> ExactMatrix:
+    """Reference converter: the exact matrix (re + i im) / den, entry by entry."""
+    return ExactMatrix(
+        [
+            [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, ri)]
+            for ra, ri in zip(re.tolist(), im.tolist())
+        ]
+    )
+
+
 @pytest.mark.parametrize(
     "mode, n, s",
     [("weak", n, s) for n, s in [(2, 1), (3, 1), (3, 2)]]
-    + [("strong", n, s) for n, s in [(3, 1), (3, 2), (4, 1)]],
+    + [("strong", n, s) for n, s in [(3, 1), (3, 2), (4, 1), (4, 2)]],
 )
 def test_pairing_rows_match_trace_of_product(mode, n, s):
-    """trace(Y B) from the dense product Y @ B, for Y = (Yr + i Yi) / den: an
-    exact integer matmul for every direction, a product over Q[i] for B0."""
+    """The pairings through the Kronecker factors, one row in direction
+    order, equal trace(Y B) from the dense product Y @ B, for Y = (Yr + i Yi)
+    / den: an exact integer matmul for every direction, a product over Q[i]
+    for B0."""
     rng = np.random.default_rng(5 + 10 * n + s)
-    d = n * n * s
-    g = rng.integers(-9, 10, size=(2, d, d))
-    yr, yi = g[0] + g[0].T, g[1] - g[1].T
-    den = int(rng.integers(2, 50))
-    y = ExactMatrix(
-        [
-            [GaussianRational(Fraction(int(a), den), Fraction(int(b), den)) for a, b in zip(ra, ri)]
-            for ra, ri in zip(yr, yi)
-        ]
-    )
+    den, yr, yi = _random_hermitian(rng, n * n * s)
+    y = _exact_from_parts(den, yr, yi)
     b0 = constant_term(square_from_decomposition(random_exact_decomposition(rng, n, s)), mode)
-    got = _pairings(hermitian_coordinates(y), n, s, mode, b0)
+    got = _pairings((den, yr, yi), n, s, mode, b0)
     dirs = pencil_directions(n, s, mode)
     assert list(got) == [f"B{j + 1}" for j in range(len(dirs))] + ["B0"]
     assert np.array_equal(dirs, np.round(dirs))
     br, bi = dirs.real.astype(np.int64), dirs.imag.astype(np.int64)
+    yr, yi = yr.astype(np.int64), yi.astype(np.int64)
     for j in range(len(dirs)):
         assert np.trace(yr @ bi[j] + yi @ br[j]) == 0
         assert got[f"B{j + 1}"] == Fraction(int(np.trace(yr @ br[j] - yi @ bi[j])), den)
     assert got["B0"] == (y @ b0).trace()
-    rows = pairing_rows(n, s, mode)
-    assert rows is pairing_rows(n, s, mode)
-    assert all(type(c) is int for row in rows for c in row)
+    assert _factors(n, s, mode) is _factors(n, s, mode)
 
 
-def test_pairing_rows_refuse_bad_directions(monkeypatch):
-    bad = np.zeros((1, 2, 2), dtype=complex)
-    bad[0, 0, 1] = bad[0, 1, 0] = 0.5
-    monkeypatch.setattr(obstruction, "pencil_directions", lambda n, s, mode: bad)
-    with pytest.raises(ValueError, match="Gaussian integer"):
-        pairing_rows(7, 5, "strong")
-    bad[0, 0, 1], bad[0, 1, 0] = 1, -1
-    with pytest.raises(ValueError, match="Hermitian"):
-        pairing_rows(7, 5, "strong")
+def test_factor_table_refuses_bad_factors(monkeypatch):
+    """A factor of either stack that is not a Gaussian integer, or not
+    Hermitian, is refused before any pairing is read from it."""
+    good = np.array([[[0, 1], [1, 0]]], dtype=complex)
+    for name in ("zero_diagonal_basis", "hermitian_basis_stack"):
+        bad = good.copy()
+        monkeypatch.setattr(obstruction, "zero_diagonal_basis", lambda n, doubly_null: good)
+        monkeypatch.setattr(obstruction, "hermitian_basis_stack", lambda s: good)
+        monkeypatch.setattr(obstruction, name, lambda *args, **kwargs: bad)
+        bad[0, 0, 1] = bad[0, 1, 0] = 0.5
+        with pytest.raises(ValueError, match="Gaussian integer"):
+            _factors(7, 5, "strong")
+        bad[0, 0, 1], bad[0, 1, 0] = 1, -1
+        with pytest.raises(ValueError, match="Hermitian"):
+            _factors(7, 5, "strong")
+
+
+def _projection_reference(den, re, im, n, s, mode) -> ExactMatrix:
+    """The Frobenius-orthogonal projection of Y = (re + i im) / den onto
+    {trace(Y B_j) = 0} by the generic `affine_least_squares`, on Hermitian
+    coordinates, with one row per direction built here from
+    `pencil_directions`: its coordinates times their Frobenius weights."""
+    d = n * n * s
+    weights = hermitian_coordinate_weights(d)
+    rows = []
+    for b in pencil_directions(n, s, mode):
+        coords = hermitian_coordinates(_exact_gaussian_integers(b))
+        rows.append([w * c for w, c in zip(weights, coords)])
+    y = _exact_from_parts(den, re, im)
+    zeros = [Fraction(0)] * len(rows)
+    coords = affine_least_squares(rows, zeros, hermitian_coordinates(y), weights)
+    return hermitian_from_coordinates(d, coords)
+
+
+@pytest.mark.parametrize(
+    "mode, n, s",
+    [("weak", n, s) for n, s in [(2, 2), (3, 2), (4, 1)]]
+    + [("strong", n, s) for n, s in [(3, 3), (4, 1), (4, 2)]],
+)
+def test_projection_matches_affine_least_squares(mode, n, s):
+    """The closed-form projection through the Kronecker factors equals the
+    generic exact least-squares projection, and pairs to zero with every
+    direction."""
+    rng = np.random.default_rng(70 + 10 * n + s)
+    den, re, im = _random_hermitian(rng, n * n * s)
+    got = _project(den, re, im, n, s, mode)
+    assert _exact_from_parts(*got) == _projection_reference(den, re, im, n, s, mode)
+    assert not _direction_pairings(got[1], got[2], n, s, mode).any()
 
 
 def test_build_rejects_bad_mode(cex):
@@ -758,6 +818,44 @@ def test_find_certificate_failure_margin_is_the_elimination_margin(
     margin = str(reference_ldl(y).witness_value)
     assert report["details"]["failure"] == {"condition": "psd", "margin": margin}
     assert hashlib.sha256(margin.encode()).hexdigest() == CEX_RUNG_1000_MARGIN_SHA256
+
+
+def test_find_certificate_reports_a_margin_past_the_digit_limit(
+    cex, tmp_path, capsys, monkeypatch
+):
+    """A margin too long for one int-to-str conversion is still reported in
+    full, with exit 2 and a JSON report."""
+
+    def failing(*args, **kwargs):
+        raise CertificationFailed("psd", Fraction(-(10**4400), 3))
+
+    monkeypatch.setattr(cli, "certify_with_ladder", failing)
+    path = tmp_path / "counterexample.json"
+    dump_square(cex, path)
+    code = main(["find-certificate", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["details"]["failure"] == {"condition": "psd", "margin": "-1" + "0" * 4400 + "/3"}
+
+
+def test_padded_counterexample_certifies_exactly(cex):
+    """At n=4, where Z_e has dimension 5 and a swapped axis in the factor
+    contractions would show, the padded counterexample gets an exact
+    certificate that re-verifies, with every direction pairing zero; no
+    generic projection operator is built on the way."""
+    a = embed_pad(cex)
+    res = check_mconv_obstruction(a, "strong")
+    assert res.verdict == "no"
+    witness = blend_dual(res.problem, res.solver)
+    _projection_operator.cache_clear()
+    cert = certify_with_ladder(witness.y, res.problem)
+    report = verify_certificate(cert, a)
+    assert report["ok"]
+    assert len(cert.pairings) == len(res.problem.pencil.directions) + 1
+    assert all(p == 0 for label, p in cert.pairings.items() if label != "B0")
+    assert report["trace_b0"] == cert.pairings["B0"] < 0
+    info = _projection_operator.cache_info()
+    assert info.hits == info.misses == 0
 
 
 def test_exact_certify_diagnoses_nonnegative_pairing(strong_problem):

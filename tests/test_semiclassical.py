@@ -13,9 +13,6 @@ from qmagic.exact import (
     _projection_operator,
     affine_least_squares,
     exact_from_float_matrix,
-    hermitian_coordinate_weights,
-    hermitian_coordinates,
-    hermitian_from_coordinates,
     psd_check_exact,
 )
 from qmagic.obstruction import counterexample_m2_3
@@ -48,6 +45,11 @@ from qmagic.structures import (
     permutations_lex,
     validate_magic,
     validate_quantum_permutation,
+)
+from test_exact import (
+    hermitian_coordinate_weights,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
 )
 
 
