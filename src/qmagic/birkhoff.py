@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ExactMatrix, GaussianRational, nullspace_exact
-from .structures import perm_matrix_exact
+from .exact import ExactMatrix, nullspace_exact
 
 __all__ = [
     "NotDoublyStochastic",
@@ -91,8 +90,7 @@ def _caratheodory_reduce(
     while len(terms) > bound:
         cols = []
         for sigma, _ in terms:
-            p = perm_matrix_exact(sigma)
-            cols.append([p[i, j] for i in range(n) for j in range(n)] + [GaussianRational(1)])
+            cols.append([int(sigma[i] == j) for i in range(n) for j in range(n)] + [1])
         # kernel of the (n^2+1) x k matrix whose columns are the vectorized terms
         kernel = nullspace_exact(ExactMatrix(list(map(list, zip(*cols)))))
         c = [kernel[0][i, 0].re for i in range(len(terms))]

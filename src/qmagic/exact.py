@@ -1,8 +1,12 @@
 """Exact arithmetic over the Gaussian rationals Q[i] and dense exact linear algebra.
 
 Every certification path in this package runs on the types defined here.
-Floating point enters only through the explicit conversion helpers
-(`rationalize`, `ExactMatrix.to_complex`, `exact_from_float_matrix`).
+An `ExactMatrix` is held in integers, one least common denominator and
+numpy object arrays of Python-int numerators, and computes on them;
+`GaussianRational` is the scalar an entry is read out as, for the
+eliminations and for I/O.  Floating point enters only through the explicit
+conversion helpers (`rationalize`, `ExactMatrix.to_complex`,
+`exact_from_float_matrix`), which round straight to integers.
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
 (a rounded float inverse Cholesky factor, then Gershgorin), else by an exact
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 
 import numpy as np
 
@@ -185,20 +189,34 @@ def _entry(x) -> GaussianRational:
 
 
 class ExactMatrix:
-    """A dense matrix over the Gaussian rationals.  Immutable."""
+    """A dense matrix over the Gaussian rationals, held in integers.  Immutable.
 
-    __slots__ = ("rows", "cols", "_e")
+    M = (re + i im) / den, with `den` > 0 the least common denominator of
+    the entries and `re`, `im` read-only numpy object arrays of Python ints;
+    gcd(den, re, im) = 1 makes the form canonical: equal matrices have equal
+    parts.  Entries are read out as `GaussianRational`s.
+    """
+
+    __slots__ = ("rows", "cols", "den", "re", "im")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_entry(x) for x in row) for row in entries)
+        rows = [[_entry(x) for x in row] for row in entries]
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_e", rows)
+        qs = [q for row in rows for z in row for q in (z.re, z.im)]
+        den = lcm(*(q.denominator for q in qs))
+        nums = np.array([q.numerator * (den // q.denominator) for q in qs], dtype=object)
+        # reduced entries over their least common denominator are canonical
+        self._set(den, *nums.reshape(len(rows), ncols, 2).transpose(2, 0, 1))
+
+    def _set(self, den: int, re: np.ndarray, im: np.ndarray) -> "ExactMatrix":
+        re.flags.writeable = im.flags.writeable = False
+        for name, value in zip(self.__slots__, (*re.shape, den, re, im)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -206,13 +224,25 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_parts(cls, den: int, re, im) -> "ExactMatrix":
+        """The matrix (re + i im) / den, for den > 0 and integer arrays re, im
+        of one nonempty 2d shape (object arrays are kept, and made read-only)."""
+        re, im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
+        if den <= 0 or re.ndim != 2 or re.shape != im.shape or not re.size:
+            raise ValueError(f"bad integer parts: den {den}, shapes {re.shape}, {im.shape}")
+        g = gcd(den, *re.ravel().tolist(), *im.ravel().tolist())
+        if g > 1:
+            den, re, im = den // g, re // g, im // g
+        return cls.__new__(cls)._set(den, re, im)
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_parts(1, np.eye(n, dtype=int), np.zeros((n, n), dtype=int))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "ExactMatrix":
         cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
+        return cls.from_parts(1, *np.zeros((2, rows, cols), dtype=int))
 
     @classmethod
     def column(cls, entries) -> "ExactMatrix":
@@ -221,17 +251,12 @@ class ExactMatrix:
     @classmethod
     def from_blocks(cls, grid) -> "ExactMatrix":
         """Assemble from a 2d grid of ExactMatrix blocks (shapes must tile)."""
-        out = []
-        for block_row in grid:
-            height = block_row[0].rows
-            if any(b.rows != height for b in block_row):
-                raise ValueError("inconsistent block heights")
-            for i in range(height):
-                row = []
-                for b in block_row:
-                    row.extend(b._e[i])
-                out.append(row)
-        return cls(out)
+        den = lcm(*(b.den for block_row in grid for b in block_row))
+        re, im = (
+            np.block([[b._over(den)[part] for b in block_row] for block_row in grid])
+            for part in (0, 1)
+        )
+        return cls.from_parts(den, re, im)
 
     # -- accessors ---------------------------------------------------------
 
@@ -239,51 +264,52 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def _over(self, den: int) -> tuple[np.ndarray, np.ndarray]:
+        """The numerators of M over a multiple `den` of its denominator."""
+        f = den // self.den
+        return (self.re, self.im) if f == 1 else (self.re * f, self.im * f)
+
+    def _gaussian(self, re: int, im: int) -> GaussianRational:
+        return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
+
     def __getitem__(self, ij) -> GaussianRational:
-        i, j = ij
-        return self._e[i][j]
+        return self._gaussian(self.re[ij], self.im[ij])
 
     def row_list(self) -> list[list[GaussianRational]]:
-        """Mutable nested-list copy, for elimination algorithms."""
-        return [list(r) for r in self._e]
+        """Mutable nested-list copy of the entries, for elimination algorithms."""
+        return [list(map(self._gaussian, rr, ri)) for rr, ri in zip(self.re.tolist(), self.im.tolist())]
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        return ExactMatrix([r[c0:c1] for r in self._e[r0:r1]])
+        return ExactMatrix.from_parts(self.den, self.re[r0:r1, c0:c1], self.im[r0:r1, c0:c1])
 
     # -- arithmetic --------------------------------------------------------
-
-    def _same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        den = lcm(self.den, other.den)
+        (ar, ai), (br, bi) = self._over(den), other._over(den)
+        return ExactMatrix.from_parts(den, ar + br, ai + bi)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
+        return self + -other
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in r] for r in self._e])
+        return ExactMatrix.__new__(ExactMatrix)._set(self.den, -self.re, -self.im)
+
+    def _bilinear(self, other: "ExactMatrix", op) -> "ExactMatrix":
+        """op(self, other) for a product op, on the Gaussian-integer parts."""
+        (ar, ai), (br, bi) = (self.re, self.im), (other.re, other.im)
+        return ExactMatrix.from_parts(
+            self.den * other.den, op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
+        )
 
     def __mul__(self, scalar):
-        s = _entry(scalar) if not isinstance(scalar, GaussianRational) else scalar
-        return ExactMatrix([[a * s for a in r] for r in self._e])
+        return self._bilinear(ExactMatrix([[scalar]]), np.multiply)
 
     __rmul__ = __mul__
 
@@ -292,69 +318,44 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other._e))
-        return ExactMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols]
-                for row in self._e
-            ]
-        )
+        return self._bilinear(other, np.matmul)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._e == other._e
+        return (self.shape, self.den) == (other.shape, other.den) and all(
+            map(np.array_equal, (self.re, self.im), (other.re, other.im))
+        )
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self.shape, self.den, *self.re.ravel().tolist(), *self.im.ravel().tolist()))
 
     @property
     def h(self) -> "ExactMatrix":
         """Conjugate transpose."""
-        return ExactMatrix(
-            [[self._e[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return ExactMatrix.__new__(ExactMatrix)._set(self.den, self.re.T, -self.im.T)
 
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self._e[i][i] for i in range(self.rows)), _ZERO)
+        return self._gaussian(self.re.trace(), self.im.trace())
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self._e[i][j]
-                    row.extend(a * b for b in other._e[k])
-                out.append(row)
-        return ExactMatrix(out)
+        return self._bilinear(other, np.kron)
 
     def is_hermitian(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        # normalized Fractions are equal iff numerators and denominators are,
-        # so each pair is compared without building its conjugate
-        e = self._e
-        for i, row in enumerate(e):
-            if row[i].im != 0:
-                return False
-            for j in range(i + 1, self.cols):
-                a, b = row[j], e[j][i]
-                if a.re != b.re or a.im.numerator != -b.im.numerator or (
-                    a.im.denominator != b.im.denominator
-                ):
-                    return False
-        return True
+        h = self.h
+        return self.shape == h.shape and np.array_equal(self.re, h.re) and np.array_equal(self.im, h.im)
 
     def is_zero(self) -> bool:
-        return all(not a for r in self._e for a in r)
+        return not (self.re.any() or self.im.any())
 
     def to_complex(self) -> np.ndarray:
-        return np.array(
-            [[complex(a) for a in r] for r in self._e], dtype=np.complex128
-        )
+        """The nearest complex floats: int true division is correctly rounded,
+        so every part is bitwise float(Fraction(part, den))."""
+        out = np.empty(self.shape, dtype=np.complex128)
+        out.real, out.imag = self.re / self.den, self.im / self.den
+        return out
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -363,13 +364,41 @@ class ExactMatrix:
 # -- conversion from floating point ---------------------------------------
 
 
+def _limit_denominator(x, bound: int) -> tuple[int, int]:
+    """(p, q), in lowest terms, with p/q = Fraction(x).limit_denominator(bound).
+
+    CPython 3.11's algorithm on x.as_integer_ratio(), in integers only: of
+    the last convergent p1/q1 and the semiconvergent below the bound, the
+    one closer to x wins, the convergent on a tie.  Both are in lowest terms
+    (adjacent convergents have determinant +-1).
+    """
+    num, den = x.as_integer_ratio()
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p/q - x|, both sides multiplied by den q1 q > 0
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return p1, q1
+    return p, q
+
+
 def rationalize(x: float, max_denominator: int) -> Fraction:
     """Nearest rational with denominator <= max_denominator."""
     if not isfinite(x):
         raise NonFiniteInput(f"cannot rationalize {x!r}")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(*_limit_denominator(x, max_denominator))
 
 
 def rational_str(q) -> str:
@@ -380,21 +409,27 @@ def rational_str(q) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
+def _rationalized_parts(arr, max_denominator: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, re, im) with (re + i im) / D the entrywise `rationalize` of a
+    complex array, D the least common denominator of its parts and re, im
+    object arrays of Python ints."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("cannot rationalize a non-finite entry")
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be >= 1")
+    pairs = [
+        _limit_denominator(x, max_denominator)
+        for x in np.stack([arr.real, arr.imag]).ravel().tolist()
+    ]
+    den = lcm(*(q for _, q in pairs))
+    nums = np.array([p * (den // q) for p, q in pairs], dtype=object)
+    return (den, *nums.reshape(2, *arr.shape))
+
+
 def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
     """Rationalize a complex floating matrix entrywise."""
-    arr = np.asarray(arr, dtype=np.complex128)
-    return ExactMatrix(
-        [
-            [
-                GaussianRational(
-                    rationalize(float(z.real), max_denominator),
-                    rationalize(float(z.imag), max_denominator),
-                )
-                for z in row
-            ]
-            for row in arr
-        ]
-    )
+    return ExactMatrix.from_parts(*_rationalized_parts(arr, max_denominator))
 
 
 # -- positive semidefiniteness with certificate ----------------------------
@@ -451,36 +486,10 @@ def refute_psd(m: ExactMatrix) -> Fraction | None:
         v = np.round(v * (2.0**30 / np.abs(v).max()))
     if not np.isfinite(v).all():
         return None
-    den, n_re, n_im = _integer_parts(m)
     v_re, v_im = (part.astype(np.int64).astype(object) for part in (v.real, v.imag))
-    mv_re, mv_im = n_re @ v_re - n_im @ v_im, n_re @ v_im + n_im @ v_re
-    value = Fraction(v_re @ mv_re + v_im @ mv_im, den)
+    mv_re, mv_im = m.re @ v_re - m.im @ v_im, m.re @ v_im + m.im @ v_re
+    value = Fraction(v_re @ mv_re + v_im @ mv_im, m.den)
     return value if value < 0 else None
-
-
-def _common_denominator(qs: list[Fraction]) -> tuple[int, np.ndarray]:
-    """(D, N) with D the least common denominator of the rationals qs and
-    N = D qs, an object array of Python ints."""
-    den = lcm(*(q.denominator for q in qs))
-    return den, np.array([q.numerator * (den // q.denominator) for q in qs], dtype=object)
-
-
-def _integer_parts(m: ExactMatrix) -> tuple[int, np.ndarray, np.ndarray]:
-    """(D, re, im) with D the least common denominator of M's entries and
-    re + i im = D M, as object arrays of Python ints."""
-    den, ints = _common_denominator([q for row in m._e for z in row for q in (z.re, z.im)])
-    n_re, n_im = ints.reshape(m.rows, m.cols, 2).transpose(2, 0, 1)
-    return den, n_re, n_im
-
-
-def _from_integer_parts(den: int, n_re: np.ndarray, n_im: np.ndarray) -> ExactMatrix:
-    """The matrix (re + i im) / D: the inverse of `_integer_parts`."""
-    return ExactMatrix(
-        [
-            [GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(rr, ri)]
-            for rr, ri in zip(n_re.tolist(), n_im.tolist())
-        ]
-    )
 
 
 def _congruence_proves_pd(m: ExactMatrix) -> bool:
@@ -500,9 +509,8 @@ def _congruence_proves_pd(m: ExactMatrix) -> bool:
         t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=0))))
     if not np.isfinite(t).all() or not t.diagonal().all():
         return False
-    _, n_re, n_im = _integer_parts(m)
     t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
-    nt_re, nt_im = n_re @ t_re - n_im @ t_im, n_re @ t_im + n_im @ t_re
+    nt_re, nt_im = m.re @ t_re - m.im @ t_im, m.re @ t_im + m.im @ t_re
     z_re = t_re.T @ nt_re + t_im.T @ nt_im
     z_im = t_re.T @ nt_im - t_im.T @ nt_re
     # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest
@@ -521,9 +529,8 @@ def _schur_psd_check(m: ExactMatrix) -> PsdCheck:
     vanishes; otherwise its first nonzero entry, in row-major position
     order, gives the margin -2|s_ij|^2.
     """
-    d = m.rows
-    re = [[z.re for z in row] for row in m._e]
-    im = [[z.im for z in row] for row in m._e]
+    d, den = m.rows, m.den
+    re, im = ([[Fraction(x, den) for x in row] for row in part.tolist()] for part in (m.re, m.im))
     order = list(range(d))  # original index at each position
     for k in range(d):
         p = max(range(k, d), key=lambda q: abs(re[order[q]][order[q]]))
@@ -677,18 +684,12 @@ def hermitian_basis(s: int) -> list[ExactMatrix]:
     out = []
     for i in range(s):
         for j in range(i, s):
-            if i == j:
-                grid = [[1 if (r, c) == (i, i) else 0 for c in range(s)] for r in range(s)]
-                out.append(ExactMatrix(grid))
-            else:
-                sym = [[0] * s for _ in range(s)]
-                sym[i][j] = GaussianRational(1)
-                sym[j][i] = GaussianRational(1)
-                anti = [[0] * s for _ in range(s)]
-                anti[i][j] = GaussianRational(0, -1)
-                anti[j][i] = GaussianRational(0, 1)
-                out.append(ExactMatrix(sym))
-                out.append(ExactMatrix(anti))
+            sym, anti = np.zeros((2, s, s), dtype=int)
+            sym[i, j] = sym[j, i] = 1
+            anti[i, j], anti[j, i] = -1, 1
+            out.append(ExactMatrix.from_parts(1, sym, 0 * sym))
+            if i < j:
+                out.append(ExactMatrix.from_parts(1, 0 * anti, anti))
     return out
 
 

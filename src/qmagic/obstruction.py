@@ -40,10 +40,11 @@ onto {trace(Y B_j) = 0} are mode products of Y's integer numerators with
 the factor stacks and their inverse Gram matrices, read once per
 (n, s, mode).  For an exact square B_0 is built in Gaussian-integer
 numerators over one common denominator (numpy object arrays of Python
-ints), its kernel identity is checked on those numerators, and it becomes
-an `ExactMatrix` once, at the end; trace(Y B_0) is one integer dot product
-of numerators.  Float squares keep their float arithmetic, on the
-representation helpers of `structures`.
+ints), its kernel identity is checked on those numerators, and its
+`ExactMatrix` stores them; a certificate Y stays in such numerators from
+rounding through projection to the PSD check, and trace(Y B_0) is one
+integer dot product of the two.  Float squares keep their float
+arithmetic, on the representation helpers of `structures`.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -61,10 +62,7 @@ import numpy as np
 from .exact import (
     ExactMatrix,
     GaussianRational,
-    _common_denominator,
-    _from_integer_parts,
-    _integer_parts,
-    exact_from_float_matrix,
+    _rationalized_parts,
     hermitian_basis_stack,
     nullspace_exact,
     psd_check_exact,
@@ -146,7 +144,7 @@ def phi_matrix(a: MagicSquare):
     """diag(A) - col(A) col(A)*, Hermitian of size n^2 s; for an exact square
     from Gaussian-integer numerators over one denominator (`_b0_numerators`)."""
     if a.exact:
-        return _from_integer_parts(*_b0_numerators(a, WEAK))
+        return ExactMatrix.from_parts(*_b0_numerators(a, WEAK))
     col, diag = col_and_diag(a)
     return diag - col @ col.conj().T
 
@@ -164,7 +162,7 @@ def psi_matrix(a: MagicSquare):
     if a.exact:
         den, n_re, n_im = _col_numerators(a)
         scale = n * (n - 1) * (n - 2) * den * den
-        return _from_integer_parts(scale, *_psi_numerators(den, n_re, n_im, n, s))
+        return ExactMatrix.from_parts(scale, *_psi_numerators(den, n_re, n_im, n, s))
     alpha = float(Fraction(1, (n - 1) * (n - 2)))
     beta = float(Fraction(n - 1, n * (n - 2)))
     gamma = float(Fraction(1, n * (n - 2)))
@@ -201,7 +199,7 @@ def _col_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
     """(D, re, im) with re + i im = D col(A), an (n^2 s, s) integer pair."""
     n = a.n
     col = ExactMatrix.from_blocks([[a.block(i, j)] for i in range(n) for j in range(n)])
-    return _integer_parts(col)
+    return col.den, col.re, col.im
 
 
 def _phi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, s: int):
@@ -310,10 +308,9 @@ def _factors(n: int, s: int, mode: str):
         m = len(flat)
         gram = (re @ re.T + im @ im.T).tolist()
         augmented = [g + [int(p == q) for q in range(m)] for p, g in enumerate(gram)]
-        red, _ = rref_exact(ExactMatrix(augmented))
-        den, inv = _common_denominator([red[p, m + q].re for p in range(m) for q in range(m)])
+        inv = rref_exact(ExactMatrix(augmented))[0].block(0, m, m, 2 * m)  # real, as the Gram
         form = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1)
-        out.append((form, den, inv.reshape(m, m)))
+        out.append((form, inv.den, inv.re))
     return tuple(out)
 
 
@@ -407,9 +404,9 @@ def constant_term(a: MagicSquare, mode: str):
     """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
     mode, where the kernel identity on e (x) e_i (x) I_s is verified.
 
-    Exact squares give an `ExactMatrix` converted once from the integer
-    numerators of `_b0_numerators`, on which the kernel identity is checked
-    exactly; float squares give a complex array from `phi_matrix` and
+    Exact squares give the `ExactMatrix` of the integer numerators of
+    `_b0_numerators`, on which the kernel identity is checked exactly;
+    float squares give a complex array from `phi_matrix` and
     `psi_matrix`, checked within a tolerance.
     """
     if mode not in (WEAK, STRONG):
@@ -420,7 +417,7 @@ def constant_term(a: MagicSquare, mode: str):
         scale, re, im = _b0_numerators(a, mode)
         if mode == STRONG:
             _check_kernel_identity((re, im), a.n, a.s, 0)
-        return _from_integer_parts(scale, re, im)
+        return ExactMatrix.from_parts(scale, re, im)
     if mode == WEAK:
         return phi_matrix(a)
     b0 = phi_matrix(a) + psi_matrix(a)
@@ -579,17 +576,16 @@ def blend_dual(
     )
 
 
-def _pairings(y: tuple, n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
-    """trace(Y B) for Y = (re + i im) / D given as y = (D, re, im): B1 ... Bm
-    in direction order through `_direction_pairings`, then B0 as
-    sum re_Y re_B0 + im_Y im_B0 on integer parts.  Every pairing is real."""
-    den, re, im = y
+def _pairings(y: ExactMatrix, n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
+    """trace(Y B) on the stored numerators of Y and B0: B1 ... Bm in
+    direction order through `_direction_pairings`, then B0 as
+    sum re_Y re_B0 + im_Y im_B0.  Every pairing is real."""
     pairings = {
-        f"B{j + 1}": Fraction(p, den)
-        for j, p in enumerate(_direction_pairings(re, im, n, s, mode).ravel().tolist())
+        f"B{j + 1}": Fraction(p, y.den)
+        for j, p in enumerate(_direction_pairings(y.re, y.im, n, s, mode).ravel().tolist())
     }
-    b0_den, b0_re, b0_im = _integer_parts(b0)
-    pairings["B0"] = Fraction(int((re * b0_re).sum() + (im * b0_im).sum()), den * b0_den)
+    b0_dot = (y.re * b0.re).sum() + (y.im * b0.im).sum()
+    pairings["B0"] = Fraction(int(b0_dot), y.den * b0.den)
     return pairings
 
 
@@ -602,8 +598,9 @@ def exact_certify(
 ) -> ObstructionCertificate:
     """Turn a numeric dual candidate into an exact certificate over Q[i].
 
-    Entries are rationalized with the given denominator bound to R + i I
-    over one denominator D and symmetrized as (R + R^T + i (I - I^T)) / 2D.
+    Entries are rounded with the given denominator bound straight to
+    integers R + i I over one denominator D and symmetrized as
+    (R + R^T + i (I - I^T)) / 2D.
     Still on integer numerators, the matrix is projected exactly onto
     {trace(Y B_j) = 0 for all j} through the Kronecker factors of the
     directions (`_project`) before the PSD check, because positivity is the
@@ -622,12 +619,11 @@ def exact_certify(
     d = problem.dim
     if y_num.shape != (d, d):
         raise ValueError(f"certificate has shape {y_num.shape}, expected {(d, d)}")
-    den, r, i = _integer_parts(exact_from_float_matrix(y_num, max_denominator))
+    den, r, i = _rationalized_parts(y_num, max_denominator)
 
     n, s, mode = problem.square.n, problem.square.s, problem.mode
-    parts = _project(2 * den, r + r.T, i - i.T, n, s, mode)
-    pairings = _pairings(parts, n, s, mode, problem.b0_exact)
-    y = _from_integer_parts(*parts)
+    y = ExactMatrix.from_parts(*_project(2 * den, r + r.T, i - i.T, n, s, mode))
+    pairings = _pairings(y, n, s, mode, problem.b0_exact)
     if not final and (value := refute_psd(y)) is not None:
         raise CertificationFailed("psd", value)
     check = psd_check_exact(y)
@@ -684,7 +680,7 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     if not y.is_hermitian():
         return {"ok": False, "hermitian": False}
     check = psd_check_exact(y)
-    pairings = _pairings(_integer_parts(y), a.n, a.s, cert.mode, b0)
+    pairings = _pairings(y, a.n, a.s, cert.mode, b0)
     p0 = pairings.pop("B0")
     pair_ok = all(p == 0 and cert.pairings.get(label, p) == p for label, p in pairings.items())
     negativity = p0 < 0 and cert.pairings.get("B0", p0) == p0

@@ -23,11 +23,13 @@ Aggregates
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational
+from .exact import ExactMatrix, GaussianRational, rational_str
 from .obstruction import STRONG, WEAK, ObstructionCertificate
 from .semiclassical import SemiclassicalDecomposition
 from .structures import InvalidMagicSquare, MagicSquare
@@ -41,7 +43,7 @@ class FormatError(ValueError):
 
 
 def rational_to_json(x: Fraction) -> str:
-    return str(Fraction(x))
+    return rational_str(x)
 
 
 def rational_from_json(data) -> Fraction:
@@ -49,7 +51,10 @@ def rational_from_json(data) -> Fraction:
         return Fraction(data)
     if not isinstance(data, str):
         raise FormatError(f"expected a rational string, got {type(data).__name__}")
+    ratio = re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]+))?", data, re.ASCII)
     try:
+        if ratio:  # through Decimal, which has no int-to-str digit limit
+            return Fraction(*(int(Decimal(part)) for part in ratio.groups("1")))
         return Fraction(data)
     except (ValueError, ZeroDivisionError) as err:
         raise FormatError(f"bad rational {data!r}: {err}") from None
@@ -76,7 +81,7 @@ def gaussian_from_json(data) -> GaussianRational:
 
 
 def exact_matrix_to_json(m: ExactMatrix) -> list:
-    return [[gaussian_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[gaussian_to_json(z) for z in row] for row in m.row_list()]
 
 
 def exact_matrix_from_json(data) -> ExactMatrix:

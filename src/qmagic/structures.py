@@ -181,8 +181,7 @@ def difference(x, y):
 def residual(m):
     """The largest entry: max |re| + |im| over Q[i], the largest modulus for floats."""
     if isinstance(m, ExactMatrix):
-        entries = (m[i, j] for i in range(m.rows) for j in range(m.cols))
-        return max((abs(z.re) + abs(z.im) for z in entries if z), default=Fraction(0))
+        return Fraction(int((np.abs(m.re) + np.abs(m.im)).max()), m.den)
     return float(np.abs(m).max())
 
 

@@ -25,11 +25,14 @@ from qmagic.sampling import random_member_square
 from qmagic.semiclassical import SemiclassicalDecomposition, interior_map_decomposition
 from qmagic.serialize import (
     birkhoff_from_json,
+    certificate_from_json,
     certificate_to_json,
     decomposition_from_json,
     decomposition_to_json,
     dump_json,
     dump_square,
+    load_json,
+    rational_from_json,
     square_from_json,
     square_to_json,
 )
@@ -328,6 +331,26 @@ def test_verify_certificate_tampered_pairing(run, strong_cert, workdir):
     dump_json(data, tampered)
     code, _ = run("verify-certificate", tampered)
     assert code == 1
+
+
+def test_verify_certificate_past_the_int_digit_limit(run, workdir):
+    """The shipped certificate scaled by a positive rational c of more than
+    4300 digits (Y >= 0, zero pairings and trace(Y B0) < 0 all survive) is
+    written, read back equal and verified; `str` of such an int raises."""
+    cert, square = certificate_from_json(json.loads(SHIPPED_CERT.read_text()))
+    c = Fraction(10**4400 + 1, 3**9300)
+    big = ObstructionCertificate(
+        cert.n, cert.s, cert.mode, cert.y_exact * c, {k: v * c for k, v in cert.pairings.items()}
+    )
+    path = workdir / "long.cert.json"
+    dump_json(certificate_to_json(big, square), path)
+    data = load_json(path)
+    assert len(data["pairings"]["B0"].partition("/")[0]) > 4300
+    assert certificate_from_json(data)[0] == big
+    code, report = run("verify-certificate", path)
+    assert code == 0
+    assert report["verdicts"][str(path)] == "verified"
+    assert rational_from_json(report["details"]["checks"]["trace_b0"]) == big.pairings["B0"]
 
 
 def test_verify_certificate_needs_square(run, strong_cert, workdir):

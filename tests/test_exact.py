@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -112,6 +113,126 @@ class TestExactMatrix:
         m = ExactMatrix.identity(2)
         with pytest.raises(AttributeError):
             m.rows = 3
+
+
+class ReferenceMatrix:
+    """Per-entry reference for `ExactMatrix`: rows of `GaussianRational`s,
+    each a pair of Fractions, with every operation written entry by entry.
+
+    `ExactMatrix` keeps one denominator and integer numerators instead; it
+    must agree with this on every operation, value for value and float for
+    float.
+    """
+
+    def __init__(self, rows):
+        self.e = tuple(tuple(G(z) if not isinstance(z, G) else z for z in row) for row in rows)
+        self.rows, self.cols = len(self.e), len(self.e[0])
+
+    @classmethod
+    def of(cls, m: ExactMatrix) -> "ReferenceMatrix":
+        return cls(m.row_list())
+
+    def __eq__(self, other):
+        return self.e == other.e
+
+    def __add__(self, other):
+        return ReferenceMatrix([[a + b for a, b in zip(x, y)] for x, y in zip(self.e, other.e)])
+
+    def __sub__(self, other):
+        return ReferenceMatrix([[a - b for a, b in zip(x, y)] for x, y in zip(self.e, other.e)])
+
+    def scaled(self, z):
+        return ReferenceMatrix([[a * z for a in row] for row in self.e])
+
+    def __matmul__(self, other):
+        cols = list(zip(*other.e))
+        return ReferenceMatrix(
+            [[sum((a * b for a, b in zip(row, col)), G(0)) for col in cols] for row in self.e]
+        )
+
+    @property
+    def h(self):
+        return ReferenceMatrix([[z.conjugate() for z in col] for col in zip(*self.e)])
+
+    def kron(self, other):
+        return ReferenceMatrix(
+            [[a * b for a in ra for b in rb] for ra in self.e for rb in other.e]
+        )
+
+    @classmethod
+    def from_blocks(cls, grid):
+        return cls([sum((b.e[i] for b in row), ()) for row in grid for i in range(row[0].rows)])
+
+    def block(self, r0, r1, c0, c1):
+        return ReferenceMatrix([row[c0:c1] for row in self.e[r0:r1]])
+
+    def trace(self):
+        return sum((self.e[i][i] for i in range(self.rows)), G(0))
+
+    def is_hermitian(self):
+        return self.rows == self.cols and self.e == self.h.e
+
+    def to_complex(self):
+        return np.array([[complex(float(z.re), float(z.im)) for z in row] for row in self.e])
+
+
+def _reference_case(rng, d):
+    """Two d x d matrices, their references and a scalar: small entries over
+    mixed denominators, sparse, with a Hermitian first matrix half the time."""
+    def draw(rows, cols):
+        den = rng.choice([1, 2, 3, 4, 6, 12, 35, 10**20 + 39], size=(rows, cols, 2))
+        num = rng.integers(-30, 31, size=(rows, cols, 2)) * (rng.random((rows, cols, 2)) < 0.7)
+        return [[G(F(int(num[i, j, 0]), int(den[i, j, 0])), F(int(num[i, j, 1]), int(den[i, j, 1])))
+                 for j in range(cols)] for i in range(rows)]
+
+    a, b = draw(d, d), draw(d, d)
+    if rng.random() < 0.5:
+        a = [[a[i][j] if i < j else a[j][i].conjugate() if i > j else G(a[i][i].re) for j in range(d)]
+             for i in range(d)]
+    z = G(F(int(rng.integers(-9, 10)), int(rng.integers(1, 9))), F(int(rng.integers(-9, 10)), 7))
+    return a, b, z
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=16, deadline=None)
+def test_exact_matrix_agrees_with_the_per_entry_reference(n, s, seed):
+    """Every operation on the integer parts equals the per-entry reference on
+    n^2 s x n^2 s matrices, `to_complex` bit for bit, and the parts are the
+    least common denominator and the numerators of the entries over it."""
+    rng = np.random.default_rng(seed)
+    d = n * n * s
+    a, b, z = _reference_case(rng, d)
+    x, y = ExactMatrix(a), ExactMatrix(b)
+    rx, ry = ReferenceMatrix(a), ReferenceMatrix(b)
+    ref = ReferenceMatrix.of
+    assert ref(x) == rx and ref(y) == ry
+    assert x.den == math.lcm(*(q.denominator for row in a for w in row for q in (w.re, w.im)))
+    assert all(x.re[i, j] == a[i][j].re * x.den and x.im[i, j] == a[i][j].im * x.den
+               for i in range(d) for j in range(d))
+    assert ref(x + y) == rx + ry and ref(x - y) == rx - ry and ref(-x) == rx.scaled(G(-1))
+    assert ref(x * z) == rx.scaled(z) == ref(z * x)
+    col = y.block(0, d, 0, s)
+    assert ref(col) == ry.block(0, d, 0, s)
+    assert ref(x @ col) == rx @ ry.block(0, d, 0, s)
+    assert ref(x.h) == rx.h and x.trace() == rx.trace()
+    assert x.is_hermitian() == rx.is_hermitian() and (x + x.h).is_hermitian()
+    small, big = x.block(0, n, 0, n), y.block(0, n * s, 0, n * s)
+    assert ref(small.kron(big)) == ReferenceMatrix.of(small).kron(ReferenceMatrix.of(big))
+    h = d // 2
+    grid = [[x.block(0, h, 0, h), y.block(0, h, h, d)], [y.block(h, d, 0, h), x.block(h, d, h, d)]]
+    assert ref(ExactMatrix.from_blocks(grid)) == ReferenceMatrix.from_blocks(
+        [[ReferenceMatrix.of(blk) for blk in row] for row in grid]
+    )
+    for m, r in ((x, rx), (y, ry), (x @ col, rx @ ry.block(0, d, 0, s))):
+        assert m.to_complex().tobytes() == r.to_complex().tobytes()
+    # equal values over different denominators: equal matrices, equal hashes
+    k = int(rng.integers(2, 10**6))
+    for m in (x, y, x + y - y, ExactMatrix.zeros(d)):
+        other = ExactMatrix.from_parts(m.den * k, m.re * k, m.im * k)
+        assert other == m and hash(other) == hash(m)
+        assert (other.den, other.re.tolist(), other.im.tolist()) == (m.den, m.re.tolist(), m.im.tolist())
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+    assert (x - x).is_zero() and (x - x).den == 1 and (x == y) == (rx == ry)
 
 
 @dataclass(frozen=True)
@@ -444,6 +565,31 @@ class TestRationalize:
     def test_recovers_exactly_representable_ratios(self, p, q):
         assert rationalize(p / q, q) == F(p, q)
 
+    @pytest.mark.parametrize("bound", [1, 2, 10**3, 10**6, 10**9])
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 5e-324, -5e-324]),
+            st.floats(min_value=-1e2, max_value=1e2),
+            st.builds(
+                lambda m, e, sign: sign * m * 10.0**e,
+                st.floats(1, 10), st.integers(-12, 1), st.sampled_from([-1, 1]),
+            ),
+            st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @settings(max_examples=400)
+    def test_limit_denominator_is_fractions(self, bound, x):
+        """The integer-only rounding kernel is Fraction.limit_denominator, as
+        (numerator, denominator) in lowest terms."""
+        q = F(x).limit_denominator(bound)
+        assert exact._limit_denominator(x, bound) == (q.numerator, q.denominator)
+        assert rationalize(x, bound) == q
+
+    def test_ties_at_bound_one_are_not_odd(self):
+        assert exact._limit_denominator(0.5, 1) == (0, 1)
+        assert exact._limit_denominator(-0.5, 1) == (-1, 1)
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             rationalize(float("nan"), 10)
@@ -584,3 +730,7 @@ def test_exact_from_float_matrix():
     m = exact_from_float_matrix(arr, 100)
     assert m[0, 0] == gr(F(1, 2), F(1, 4))
     assert m[1, 1] == gr(-2)
+    assert (m.den, m.re.tolist(), m.im.tolist()) == (4, [[2, 4], [0, -8]], [[1, 0], [0, 0]])
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(NonFiniteInput):
+            exact_from_float_matrix([[0.0, bad]], 100)

@@ -1,8 +1,10 @@
 """Hull obstruction: phi/psi constructions, pencils, and exact certificates."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
+import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -15,7 +17,6 @@ from qmagic.cli import main
 from qmagic.exact import (
     ExactMatrix,
     GaussianRational,
-    _integer_parts,
     _projection_operator,
     affine_least_squares,
     hermitian_basis,
@@ -51,7 +52,7 @@ from qmagic.sampling import (
     random_member_square,
     square_from_decomposition,
 )
-from qmagic.serialize import certificate_from_json, dump_square
+from qmagic.serialize import certificate_from_json, certificate_to_json, dump_square, rational_to_json
 from qmagic.semiclassical import (
     interior_map_decomposition,
     synthesize_commuting_dilation,
@@ -347,7 +348,7 @@ def test_b0_pairing_is_the_trace_of_the_product(cex):
     cert = certificate_from_json(json.loads(shipped.read_text()))[0]
     b0 = constant_term(cex, cert.mode)
     y = cert.y_exact
-    got = _pairings(_integer_parts(y), cex.n, cex.s, cert.mode, b0)["B0"]
+    got = _pairings(y, cex.n, cex.s, cert.mode, b0)["B0"]
     assert got == (y @ b0).trace().re
     assert got == cert.pairings["B0"]
 
@@ -486,7 +487,7 @@ def test_pairing_rows_match_trace_of_product(mode, n, s):
     den, yr, yi = _random_hermitian(rng, n * n * s)
     y = _exact_from_parts(den, yr, yi)
     b0 = constant_term(square_from_decomposition(random_exact_decomposition(rng, n, s)), mode)
-    got = _pairings((den, yr, yi), n, s, mode, b0)
+    got = _pairings(y, n, s, mode, b0)
     dirs = pencil_directions(n, s, mode)
     assert list(got) == [f"B{j + 1}" for j in range(len(dirs))] + ["B0"]
     assert np.array_equal(dirs, np.round(dirs))
@@ -818,6 +819,36 @@ def test_find_certificate_failure_margin_is_the_elimination_margin(
     margin = str(reference_ldl(y).witness_value)
     assert report["details"]["failure"] == {"condition": "psd", "margin": margin}
     assert hashlib.sha256(margin.encode()).hexdigest() == CEX_RUNG_1000_MARGIN_SHA256
+
+
+# sha256 of the certificates and `verify_certificate` reports of the four
+# squares of the benchmark's `certify` workload at seed 1, each certified
+# from the blended dual of its deciding solve, as `obstruction-check` does
+CERTIFY_SEED_1_SHA256 = "21eb5387c5b256023bce6ca7afba127a15760b73a01127b49747d84267a8c575"
+
+
+def test_certify_workload_answers_are_pinned(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    docs = []
+    for case in workloads.certify_cases(1):
+        res = check_mconv_obstruction(case.square, mode="strong")
+        cert = certify_with_ladder(blend_dual(res.problem, res.solver).y, res.problem)
+        report = verify_certificate(cert, case.square)
+        docs.append(
+            {
+                "certificate": certificate_to_json(cert),
+                "report": {
+                    k: rational_to_json(v) if isinstance(v, Fraction) else v
+                    for k, v in report.items()
+                },
+            }
+        )
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == CERTIFY_SEED_1_SHA256
 
 
 def test_find_certificate_reports_a_margin_past_the_digit_limit(

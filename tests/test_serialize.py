@@ -59,6 +59,24 @@ def test_rational_parsing():
             rational_from_json(bad)
 
 
+@pytest.mark.parametrize(
+    "x", [Fraction(10**4400 + 1, 3**9300), Fraction(-(7**6000)), Fraction(3, 10**5000 + 1)]
+)
+def test_rational_roundtrip_past_the_int_digit_limit(x):
+    """Parts longer than the 4300 digits `str` and `Fraction(str)` allow are
+    written and read exactly."""
+    text = rational_to_json(x)
+    assert max(len(part) for part in text.lstrip("-").split("/")) > 4300
+    assert rational_from_json(text) == x
+    assert rational_from_json("+" + text.lstrip("-")) == abs(x)
+
+
+@pytest.mark.parametrize("tail", ["/0", "/x", ".5", "e3", " ", "/-3", "/" + "9" * 5000 + " "])
+def test_long_rationals_are_only_p_over_q(tail):
+    with pytest.raises(FormatError):
+        rational_from_json("9" * 5000 + tail)
+
+
 @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
 def test_gaussian_roundtrip(re, im):
     z = GaussianRational(re, im)
