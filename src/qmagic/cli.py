@@ -70,6 +70,8 @@ from .structures import (
     NotAnIsometry,
     compress,
     constant_square,
+    difference,
+    residual,
 )
 
 EXIT_OK = 0
@@ -343,7 +345,7 @@ def cmd_dilate(args, report: RunReport) -> int:
     if source is not None:
         flo = source.to_float()
         resid = max(
-            float(np.abs(np.asarray(compressed.block(i, j)) - np.asarray(flo.block(i, j))).max())
+            residual(difference(compressed.block(i, j), flo.block(i, j)))
             for i in range(source.n)
             for j in range(source.n)
         )

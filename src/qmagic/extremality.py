@@ -190,25 +190,15 @@ def _sum_kernel_projector(n: int, s: int) -> np.ndarray:
     lie in the kernel.  Compressing onto their orthocomplement before
     factoring removes roundoff mass along these directions, which would
     otherwise surface as sqrt(eps)-size residuals in the sum identities.
+    With J the all-ones matrix, the projector onto their span is
+    (I (x) J/n + J/n (x) I - J/n (x) J/n) (x) I_s.
     """
-    d = n * n * s
-    cols = np.zeros((d, 2 * n * s), dtype=np.complex128)
-    for i in range(n):
-        for idx in range(s):
-            for j in range(n):
-                cols[(i * n + j) * s + idx, 2 * (i * s + idx)] = 1.0
-                cols[(j * n + i) * s + idx, 2 * (i * s + idx) + 1] = 1.0
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    q = u[:, sv > 1e-9 * sv[0]]
-    return np.eye(d) - q @ q.conj().T
+    eye, mean = np.eye(n), np.full((n, n), 1 / n)
+    sums = np.kron(eye, mean) + np.kron(mean, eye) - np.kron(mean, mean)
+    return np.eye(n * n * s) - np.kron(sums, np.eye(s))
 
 
-def extend_dilation_step(
-    a: MagicSquare,
-    x: np.ndarray,
-    tol: float = SPLIT_TOL,
-    rank_cutoff: float = RANK_CUTOFF,
-) -> ExtensionStep:
+def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) -> ExtensionStep:
     """Extend a 3x3 member square by one dimension using a witness X.
 
     Factors phi(A) + X = B B* by eigendecomposition, verifies the block
@@ -249,7 +239,7 @@ def extend_dilation_step(
     mt = (mt + mt.conj().T) / 2
     drift = float(np.abs(mt - m).max())
     lam, vecs = np.linalg.eigh(mt)
-    keep = lam > rank_cutoff * max(float(lam.max()), 1e-300)
+    keep = lam > RANK_CUTOFF * max(float(lam.max()), 1e-300)
     factor = vecs[:, keep] * np.sqrt(lam[keep])  # m = factor factor* up to drift
     b = {}
     for i in range(n):
@@ -292,7 +282,7 @@ def extend_dilation_step(
     w = {}
     for i in range(n):
         for j in range(n):
-            pinv = _pinv_sqrt(blocks[i][j], rank_cutoff)
+            pinv = _pinv_sqrt(blocks[i][j], RANK_CUTOFF)
             p[(i, j)] = pinv
             w[(i, j)] = b[(i, j)].conj().T @ (b[(0, 0)] @ v)
             g[i, j] = float(np.linalg.norm(pinv @ w[(i, j)]) ** 2)

@@ -43,8 +43,9 @@ numerators over one common denominator (numpy object arrays of Python
 ints), its kernel identity is checked on those numerators, and its
 `ExactMatrix` stores them; a certificate Y stays in such numerators from
 rounding through projection to the PSD check, and trace(Y B_0) is one
-integer dot product of the two.  Float squares keep their float
-arithmetic, on the representation helpers of `structures`.
+integer dot product of the two.  A float square builds phi(A) from its
+stacked blocks in complex numpy arithmetic, and psi(A) from the same
+vectorized slot formula that gives the integer numerators of psi.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -74,10 +75,8 @@ from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_f
 from .structures import (
     MagicSquare,
     as_complex,
-    assemble,
     complete_corner,
     residual,
-    zeros,
 )
 
 if TYPE_CHECKING:
@@ -121,23 +120,7 @@ class CertificationFailed(ValueError):
         self.margin = margin
 
 
-# -- stacked column, block diagonal, phi, psi --------------------------------
-
-
-def col_and_diag(a: MagicSquare):
-    """Stacked column col(A) and block diagonal diag(A), lexicographic order.
-
-    Exact squares give exact matrices, float squares give complex arrays.
-    """
-    n, s = a.n, a.s
-    blocks = [a.block(i, j) for i in range(n) for j in range(n)]
-    zero = zeros(s, s, a.exact)
-    col = assemble([[b] for b in blocks], a.exact)
-    diag = assemble(
-        [[b if p == q else zero for q in range(n * n)] for p, b in enumerate(blocks)],
-        a.exact,
-    )
-    return col, diag
+# -- phi and psi --------------------------------------------------------------
 
 
 def phi_matrix(a: MagicSquare):
@@ -145,7 +128,12 @@ def phi_matrix(a: MagicSquare):
     from Gaussian-integer numerators over one denominator (`_b0_numerators`)."""
     if a.exact:
         return ExactMatrix.from_parts(*_b0_numerators(a, WEAK))
-    col, diag = col_and_diag(a)
+    s = a.s
+    blocks = [b for row in a.blocks for b in row]
+    col = np.concatenate(blocks)
+    diag = np.zeros((len(col), len(col)), dtype=complex)
+    for p, b in zip(range(0, len(col), s), blocks):
+        diag[p : p + s, p : p + s] = b
     return diag - col @ col.conj().T
 
 
@@ -166,23 +154,25 @@ def psi_matrix(a: MagicSquare):
     alpha = float(Fraction(1, (n - 1) * (n - 2)))
     beta = float(Fraction(n - 1, n * (n - 2)))
     gamma = float(Fraction(1, n * (n - 2)))
-    eye = np.eye(s)
-    zero = np.zeros((s, s), dtype=complex)
-    grid = [[zero] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    if k == l:
-                        continue
-                    grid[i * n + k][j * n + l] = (
-                        -alpha * eye
-                        + beta * (a.block(i, k) + a.block(j, l))
-                        + gamma * (a.block(i, l) + a.block(j, k))
-                    )
-    return np.block(grid)
+    return _psi_slots(np.array(a.blocks), -alpha * np.eye(s), beta, gamma)
+
+
+def _psi_slots(b: np.ndarray, unit, near, far) -> np.ndarray:
+    """The (n^2 s)-square matrix with slot (i k), (j l) equal to
+    unit + near (b_ik + b_jl) + far (b_il + b_jk) where i != j and k != l,
+    and zero elsewhere, for an (n, n, s, s) array b of blocks b_ij."""
+    n, s = b.shape[0], b.shape[2]
+    idx = np.arange(n)
+    off = (idx[:, None, None, None] != idx[None, None, :, None]) & (
+        idx[None, :, None, None] != idx[None, None, None, :]
+    )
+    slots = (  # on (i, k, j, l) axes
+        unit
+        + near * (b[:, :, None, None] + b[None, None])
+        + far * (b[:, None, None, :] + b.transpose(1, 0, 2, 3)[None, :, :, None])
+    )
+    slots = np.where(off[..., None, None], slots, 0)
+    return slots.transpose(0, 1, 4, 2, 3, 5).reshape(n * n * s, n * n * s)
 
 
 # -- the same terms in integers, for exact squares ----------------------------
@@ -213,23 +203,13 @@ def _phi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, s: int):
 
 
 def _psi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, n: int, s: int):
-    """(re, im) of L D^2 psi(A), every slot at once on (i, k, j, l) axes."""
-    d = n * n * s
-    idx = np.arange(n)
-    off = (idx[:, None, None, None] != idx[None, None, :, None]) & (
-        idx[None, :, None, None] != idx[None, None, None, :]
-    )
-    parts = []
-    for part, unit in ((n_re, -n * den * den), (n_im, 0)):
-        b = part.reshape(n, n, s, s)  # b[i, j] = N_ij
-        slots = (
-            unit * np.eye(s, dtype=int).astype(object)
-            + (n - 1) ** 2 * den * (b[:, :, None, None] + b[None, None])
-            + (n - 1) * den * (b[:, None, None, :] + b.transpose(1, 0, 2, 3)[None, :, :, None])
-        )
-        slots = np.where(off[..., None, None], slots, 0)
-        parts.append(slots.transpose(0, 1, 4, 2, 3, 5).reshape(d, d))
-    return parts
+    """(re, im) of L D^2 psi(A): the slots of `_psi_slots` on N's parts."""
+    unit = -n * den * den * np.eye(s, dtype=int).astype(object)
+    near, far = (n - 1) ** 2 * den, (n - 1) * den
+    return [
+        _psi_slots(part.reshape(n, n, s, s), u, near, far)
+        for part, u in ((n_re, unit), (n_im, 0))
+    ]
 
 
 def _b0_numerators(a: MagicSquare, mode: str) -> tuple[int, np.ndarray, np.ndarray]:
@@ -404,22 +384,21 @@ def constant_term(a: MagicSquare, mode: str):
     """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
     mode, where the kernel identity on e (x) e_i (x) I_s is verified.
 
-    Exact squares give the `ExactMatrix` of the integer numerators of
-    `_b0_numerators`, on which the kernel identity is checked exactly;
-    float squares give a complex array from `phi_matrix` and
-    `psi_matrix`, checked within a tolerance.
+    Weak mode is `phi_matrix`.  In strong mode exact squares give the
+    `ExactMatrix` of the integer numerators of `_b0_numerators`, on which
+    the kernel identity is checked exactly; float squares give the complex
+    array `phi_matrix(a) + psi_matrix(a)`, checked within a tolerance.
     """
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
     if mode == STRONG and a.n < 3:
         raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={a.n}")
-    if a.exact:
-        scale, re, im = _b0_numerators(a, mode)
-        if mode == STRONG:
-            _check_kernel_identity((re, im), a.n, a.s, 0)
-        return ExactMatrix.from_parts(scale, re, im)
     if mode == WEAK:
         return phi_matrix(a)
+    if a.exact:
+        scale, re, im = _b0_numerators(a, mode)
+        _check_kernel_identity((re, im), a.n, a.s, 0)
+        return ExactMatrix.from_parts(scale, re, im)
     b0 = phi_matrix(a) + psi_matrix(a)
     _check_kernel_identity((b0,), a.n, a.s, 1e-8 * (1.0 + residual(b0)))
     return b0

@@ -254,7 +254,7 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
         dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
         recon = dec.blocks()
         resid = max(
-            float(np.abs(recon[i][j] - a.block(i, j)).max())
+            residual(difference(recon[i][j], a.block(i, j)))
             for i in range(a.n)
             for j in range(a.n)
         )

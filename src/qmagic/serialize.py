@@ -47,10 +47,10 @@ def rational_to_json(x: Fraction) -> str:
 
 
 def rational_from_json(data) -> Fraction:
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise FormatError(f"expected a rational string, got {type(data).__name__}")
     if isinstance(data, int):
         return Fraction(data)
-    if not isinstance(data, str):
-        raise FormatError(f"expected a rational string, got {type(data).__name__}")
     ratio = re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]+))?", data, re.ASCII)
     try:
         if ratio:  # through Decimal, which has no int-to-str digit limit
@@ -103,10 +103,16 @@ def float_matrix_from_json(data) -> np.ndarray:
         raise FormatError("expected a nested array for a float matrix")
     try:
         return np.array(
-            [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
+            [[_complex(re, im) for re, im in row] for row in data], dtype=np.complex128
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"bad float matrix entry: {err}") from None
+
+
+def _complex(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a boolean is not a number")
+    return complex(re, im)
 
 
 def _looks_float(scalar) -> bool:
@@ -133,12 +139,12 @@ def square_from_json(data, tol: float | None = None) -> MagicSquare:
     blocks = data["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(r, list) for r in blocks):
         raise FormatError("blocks must be an array of arrays")
-    n = data.get("n", len(blocks))
+    n = _positive_int(data, "n") if "n" in data else len(blocks)
     if not blocks or len(blocks) != n or any(len(r) != n for r in blocks):
         raise FormatError(f"blocks do not form an {n} x {n} grid")
     parse = exact_matrix_from_json if rep == "exact" else float_matrix_from_json
     grid = [[parse(b) for b in row] for row in blocks]
-    s = data.get("s")
+    s = _positive_int(data, "s") if "s" in data else None
     size = grid[0][0].rows if rep == "exact" else grid[0][0].shape[0]
     if s is not None and s != size:
         raise FormatError(f"declared s={s} but blocks have size {size}")

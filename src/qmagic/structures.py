@@ -338,25 +338,17 @@ def validate_quantum_permutation(
 
 def compress(a: MagicSquare, v, *, tol: float = DEFAULT_TOL) -> MagicSquare:
     """Compress every block by an isometry: blocks become V* a_ij V."""
-    if isinstance(v, ExactMatrix):
-        if not a.exact:
-            raise MixedRepresentation("exact isometry on a floating square")
-        if v.h @ v != ExactMatrix.identity(v.cols):
-            raise NotAnIsometry("V*V != I exactly")
-        return MagicSquare(
-            [[v.h @ b @ v for b in row] for row in a.blocks], tol=tol
-        )
-    v = np.asarray(v, dtype=np.complex128)
-    if a.exact:
-        raise MixedRepresentation("floating isometry on an exact square")
-    if v.shape[0] != a.s:
+    if not isinstance(v, ExactMatrix):
+        v = np.asarray(v, dtype=np.complex128)
+    if isinstance(v, ExactMatrix) != a.exact:
+        raise MixedRepresentation("isometry and square differ in representation")
+    if len(v.shape) != 2 or v.shape[0] != a.s:
         raise NotAnIsometry(f"isometry domain {v.shape} does not match block size {a.s}")
-    resid = float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
-    if resid > tol:
-        raise NotAnIsometry(f"V*V - I residual {resid:.2e} exceeds tol")
-    return MagicSquare(
-        [[v.conj().T @ b @ v for b in row] for row in a.blocks], tol=tol
-    )
+    vh = adjoint(v)
+    defect = difference(vh @ v, identity(v.shape[1], a.exact))
+    if not vanishes(defect, tol):
+        raise NotAnIsometry(f"V*V - I has an entry of size {float(residual(defect)):.2e}")
+    return MagicSquare([[vh @ b @ v for b in row] for row in a.blocks], tol=tol)
 
 
 def direct_sum(a: MagicSquare, b: MagicSquare, *, tol: float = DEFAULT_TOL) -> MagicSquare:

@@ -9,6 +9,7 @@ from qmagic.extremality import (
     DilationTriple,
     InvariantViolated,
     RelationViolated,
+    _sum_kernel_projector,
     arveson_split_check,
     extend_dilation_step,
     make_projector_dilation,
@@ -166,6 +167,25 @@ def test_arveson_rejects_contraction_violation():
 
 
 # -- extend_dilation_step -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_sum_kernel_projector_matches_svd_construction(n, s):
+    """The closed form equals I - Q Q* for an orthonormal basis Q, read off an
+    SVD, of the row-sum and column-sum vectors sum_j e_i (x) e_j (x) xi and
+    sum_i e_i (x) e_j (x) xi."""
+    d = n * n * s
+    cols = np.zeros((d, 2 * n * s))
+    for i in range(n):
+        for k in range(s):
+            for j in range(n):
+                cols[(i * n + j) * s + k, 2 * (i * s + k)] = 1.0
+                cols[(j * n + i) * s + k, 2 * (i * s + k) + 1] = 1.0
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    q = u[:, sv > 1e-9 * sv[0]]
+    expected = np.eye(d) - q @ q.T
+    np.testing.assert_allclose(_sum_kernel_projector(n, s), expected, rtol=0, atol=1e-12)
 
 
 def test_extension_on_semiclassical_squares():

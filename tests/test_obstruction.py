@@ -31,7 +31,6 @@ from qmagic.obstruction import (
     build_obstruction,
     certify_with_ladder,
     check_mconv_obstruction,
-    col_and_diag,
     constant_term,
     counterexample_m2_3,
     exact_certify,
@@ -104,6 +103,21 @@ def strong_problem(cex):
 
 
 # -- col, diag, phi ----------------------------------------------------------
+
+
+def col_and_diag(a: MagicSquare):
+    """Stacked column col(A) and block diagonal diag(A), lexicographic order,
+    assembled block by block: exact matrices for exact squares, complex
+    arrays for float ones."""
+    n, s = a.n, a.s
+    blocks = [a.block(i, j) for i in range(n) for j in range(n)]
+    zero = zeros(s, s, a.exact)
+    col = assemble([[b] for b in blocks], a.exact)
+    diag = assemble(
+        [[b if p == q else zero for q in range(n * n)] for p, b in enumerate(blocks)],
+        a.exact,
+    )
+    return col, diag
 
 
 def test_col_and_diag_n1():
@@ -319,14 +333,15 @@ def _b0_square(label: str) -> MagicSquare:
 @pytest.mark.parametrize("label", B0_SQUARES)
 def test_constant_term_matches_entrywise_reference(label):
     """The integer-numerator phi, psi and B0 equal the entrywise construction
-    over Q[i] in both modes; float copies give B0 bit for bit as the float
-    reference does; strong mode at n <= 2 is refused."""
+    over Q[i] in both modes; float copies give phi, psi and B0 bit for bit as
+    the float reference does; strong mode at n <= 2 is refused."""
     a = _b0_square(label)
     f = a.to_float()
     phi = reference_phi(a)
     assert phi_matrix(a) == phi
     assert constant_term(a, "weak") == phi
     float_phi = reference_phi(f)
+    assert phi_matrix(f).tobytes() == float_phi.tobytes()
     assert constant_term(f, "weak").tobytes() == float_phi.tobytes()
     if a.n <= 2:
         for square in (a, f):
@@ -336,8 +351,10 @@ def test_constant_term_matches_entrywise_reference(label):
     psi = reference_psi(a)
     assert psi_matrix(a) == psi
     assert constant_term(a, "strong") == phi + psi
+    float_psi = reference_psi(f)
+    assert psi_matrix(f).tobytes() == float_psi.tobytes()
     got = constant_term(f, "strong")
-    ref = float_phi + reference_psi(f)
+    ref = float_phi + float_psi
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 

@@ -54,7 +54,7 @@ def test_rational_parsing():
     assert rational_from_json("3") == 3
     assert rational_from_json(-5) == -5
     assert rational_from_json("-7/2") == Fraction(-7, 2)
-    for bad in ("3/0", 1.5, [1], "x/y"):
+    for bad in ("3/0", 1.5, [1], "x/y", True):
         with pytest.raises(FormatError):
             rational_from_json(bad)
 
@@ -177,6 +177,11 @@ def test_square_grammar_rejections():
         mutate(data)
         with pytest.raises(FormatError):
             square_from_json(data)
+    # True == 1, so a boolean n would pass the grid check of a 1 x 1 square
+    one = square_to_json(constant_square(1, 1))
+    one["n"] = True
+    with pytest.raises(FormatError):
+        square_from_json(one)
 
 
 def test_square_axiom_failure_is_not_a_format_error():

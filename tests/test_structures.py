@@ -177,6 +177,13 @@ class TestCompress:
         a = constant_square(2, 2, exact=False)
         with pytest.raises(NotAnIsometry):
             compress(a, np.eye(2) * 2)
+        # a NaN makes every float comparison false, so it must fail the check
+        with pytest.raises(NotAnIsometry):
+            compress(a, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(NotAnIsometry):
+            compress(constant_square(2, 2), ExactMatrix.identity(3))
+        with pytest.raises(NotAnIsometry):
+            compress(a, np.ones(2))
 
     def test_exact_compression(self):
         a = constant_square(2, 2)
