@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmagic.extremality import DegenerateTopLeft, extend_dilation_step
-from qmagic.obstruction import member_witness_from_dilation
+from qmagic.extremality import (
+    DegenerateTopLeft,
+    extend_dilation_step,
+    member_witness_from_dilation,
+)
 from qmagic.sampling import random_exact_decomposition, square_from_decomposition
 from qmagic.semiclassical import SemiclassicalDecomposition, synthesize_commuting_dilation
 from qmagic.structures import compress

@@ -60,13 +60,7 @@ def run(config: SweepConfig) -> int:
                 dec = None
             if dec is not None:
                 interior_ok += 1
-                rebuilt = dec.reconstruct()
-                if all(
-                    (rebuilt.block(i, j) - square.block(i, j)).is_zero()
-                    for i in range(config.n)
-                    for j in range(config.n)
-                ):
-                    rebuild_ok += 1
+                rebuild_ok += dec.reconstruct() == square
             if config.check_lmi:
                 if check_semiclassical(square, eps=config.eps).verdict == "yes":
                     lmi_yes += 1

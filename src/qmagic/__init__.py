@@ -22,6 +22,7 @@ from .extremality import (
     arveson_split_check,
     extend_dilation_step,
     make_projector_dilation,
+    member_witness_from_dilation,
     split_decompose,
     validate_triple,
 )
@@ -37,7 +38,6 @@ from .obstruction import (
     counterexample_m2_3,
     exact_certify,
     find_dual_certificate,
-    member_witness_from_dilation,
     phi_matrix,
     psi_matrix,
     verify_certificate,

@@ -11,8 +11,14 @@ The extension step goes the other way: given a member square A of size s
 phi(A) + X >= 0, factor phi(A) + X = B B*, read off the factor blocks
 b_ij, and assemble a square A' of size s+1 whose top-left corner
 compresses back to A and whose coupling column is nonzero.  A, being a
-proper compression of A', is then not an Arveson extreme point.  The
-pipeline is numeric throughout: matrix square roots leave the rationals.
+proper compression of A', is then not an Arveson extreme point.  X lives
+in Z (x) Z (x) Mat_s, on the slots (i k),(j l) with i != j and k != l, so
+the relations the factor must satisfy are B B* = phi(A) on every other
+slot: b_ik* b_il = delta_kl a_ik - a_ik a_il along a block row and
+b_ik* b_jk = -a_ik a_jk down a block column.  A witness comes from a
+commuting dilation U of A: its factor blocks are the corners of U's
+blocks in a basis completing the dilation's isometry.  The pipeline is
+numeric throughout: matrix square roots leave the rationals.
 """
 
 from __future__ import annotations
@@ -22,7 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .obstruction import phi_matrix
-from .structures import MagicSquare
+from .sampling import random_unitary
+from .semiclassical import CommutingDilation
+from .structures import (
+    MagicSquare,
+    adjoint,
+    as_complex,
+    difference,
+    identity,
+    psd_margin,
+    residual,
+)
 
 SPLIT_TOL = 1e-8
 RANK_CUTOFF = 1e-10
@@ -66,10 +82,6 @@ def _complete_isometry(v: np.ndarray) -> np.ndarray:
     return np.hstack([v, q[:, s:]])
 
 
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-
-
 def validate_triple(d: DilationTriple, tol: float = SPLIT_TOL) -> None:
     """Check the three defining conditions of a dilation triple."""
     u = np.asarray(d.u, dtype=np.complex128)
@@ -79,20 +91,20 @@ def validate_triple(d: DilationTriple, tol: float = SPLIT_TOL) -> None:
     t = w.shape[0]
     if u.shape != (s, s) or w.shape != (t, t) or v.shape != (t, s) or t < s:
         raise InvariantViolated(f"shapes u{u.shape}, w{w.shape}, v{v.shape}")
-    herm = max(float(np.abs(u - u.conj().T).max()), float(np.abs(w - w.conj().T).max()))
+    herm = max(residual(difference(m, adjoint(m))) for m in (u, w))
     if herm > tol:
         raise InvariantViolated(f"hermiticity residual {herm:.2e}")
-    proj = float(np.abs(u @ u - u).max())
+    proj = residual(difference(u @ u, u))
     if proj > tol:
         raise InvariantViolated(f"u is not a projector, residual {proj:.2e}")
-    iso = float(np.abs(v.conj().T @ v - np.eye(s)).max())
+    iso = residual(difference(adjoint(v) @ v, identity(s, False)))
     if iso > tol:
         raise InvariantViolated(f"v is not an isometry, residual {iso:.2e}")
-    lo = _min_eig(w)
-    hi = _min_eig(np.eye(t) - w)
-    if lo < -tol or hi < -tol:
+    lo_ok, lo = psd_margin(w, tol)
+    hi_ok, hi = psd_margin(identity(t, False) - w, tol)
+    if not (lo_ok and hi_ok):
         raise InvariantViolated(f"w outside [0, I]: eigenvalue bounds {lo:.2e}, {hi:.2e}")
-    corner = float(np.abs(v.conj().T @ w @ v - u).max())
+    corner = residual(difference(adjoint(v) @ w @ v, u))
     if corner > tol:
         raise InvariantViolated(f"v* w v != u, residual {corner:.2e}")
 
@@ -137,7 +149,7 @@ def arveson_split_check(
     """
     n = u_square.n
     if isinstance(a_square, MagicSquare):
-        blocks = [[np.asarray(a_square.to_float().block(i, j)) for j in range(n)] for i in range(n)]
+        blocks = a_square.to_float().blocks
     else:
         blocks = [[np.asarray(b, dtype=np.complex128) for b in row] for row in a_square]
     v = np.asarray(v, dtype=np.complex128)
@@ -201,9 +213,10 @@ def _sum_kernel_projector(n: int, s: int) -> np.ndarray:
 def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) -> ExtensionStep:
     """Extend a 3x3 member square by one dimension using a witness X.
 
-    Factors phi(A) + X = B B* by eigendecomposition, verifies the block
-    relations b_ik* b_il = delta a_ik - a_ik a_il (rows), the column
-    analogue, and the vanishing row/column sums, then assembles
+    Factors phi(A) + X = B B* by eigendecomposition, verifies B B* = phi(A)
+    on the slots of a common block row or column (the relations
+    b_ik* b_il = delta a_ik - a_ik a_il and b_ik* b_jk = -a_ik a_jk) and
+    the vanishing row/column sums of the b_ij, then assembles
 
         a'_ij = [[a_ij,            b_ij* b_11 v],
                  [v* b_11* b_ij,   v* b_11* b_ij p_ij^2 b_ij* b_11 v + c_ij]]
@@ -216,7 +229,7 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
     n, s = a.n, a.s
     if n != 3:
         raise ValueError(f"the extension step is defined for n=3, got n={n}")
-    blocks = [[np.asarray(flo.block(i, j)) for j in range(n)] for i in range(n)]
+    blocks = flo.blocks
     a11 = blocks[0][0]
     h = a11 - a11 @ a11
     lam_h, vec_h = np.linalg.eigh((h + h.conj().T) / 2)
@@ -225,12 +238,9 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
             f"a_11 - a_11^2 has top eigenvalue {float(lam_h.max()):.2e}"
         )
 
-    x = np.asarray(x, dtype=np.complex128)
-    m = phi_matrix(flo) + x
+    phi = phi_matrix(flo)
+    m = phi + np.asarray(x, dtype=np.complex128)
     m = (m + m.conj().T) / 2
-    lam, vecs = np.linalg.eigh(m)
-    if float(lam.min()) < -1e-6:
-        raise RelationViolated(f"phi(A) + X has eigenvalue {float(lam.min()):.2e}")
     # A Gram matrix of the required form kills the sum functionals exactly,
     # so compress onto their orthocomplement before factoring; the drift
     # this introduces is itself a sum-identity residual and is gated below.
@@ -241,82 +251,85 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
     lam, vecs = np.linalg.eigh(mt)
     keep = lam > RANK_CUTOFF * max(float(lam.max()), 1e-300)
     factor = vecs[:, keep] * np.sqrt(lam[keep])  # m = factor factor* up to drift
-    b = {}
-    for i in range(n):
-        for j in range(n):
-            r = (i * n + j) * s
-            b[(i, j)] = factor[r : r + s, :].conj().T  # t x s
+    rows = factor.reshape(n, n, s, -1)  # rows[i, j] = b_ij*
+    b = {(i, j): rows[i, j].conj().T for i in range(n) for j in range(n)}  # t x s
 
-    worst = drift
-    where = ("sum", "kernel")
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                target = -blocks[i][k] @ blocks[i][l]
-                if k == l:
-                    target = blocks[i][k] + target
-                resid = float(np.abs(b[(i, k)].conj().T @ b[(i, l)] - target).max())
-                if resid > worst:
-                    worst, where = resid, ("row", i, k, l)
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                target = -blocks[i][j] @ blocks[k][j]
-                resid = float(np.abs(b[(i, j)].conj().T @ b[(k, j)] - target).max())
-                if resid > worst:
-                    worst, where = resid, ("column", j, i, k)
-    for i in range(n):
-        srow = sum(b[(i, j)] for j in range(n))
-        scol = sum(b[(j, i)] for j in range(n))
-        resid = max(float(np.abs(srow).max()), float(np.abs(scol).max()))
-        if resid > worst:
-            worst, where = resid, ("sum", i)
+    # X lives on the slots (i k),(j l) with i != j and k != l; on every slot
+    # sharing a block row or column the factor must reproduce phi(A).  These
+    # slots hold the diagonal, so an indefinite phi(A) + X, whose negative
+    # part the factor drops, fails here too.
+    same_row = np.kron(np.eye(n), np.ones((n, n)))
+    same_col = np.kron(np.ones((n, n)), np.eye(n))
+    mask = np.kron(same_row + same_col, np.ones((s, s))) > 0
+    gap = np.where(mask, np.abs(factor @ factor.conj().T - phi), 0.0)
+    at = np.unravel_index(int(gap.argmax()), gap.shape)
+    sums = max(float(np.abs(rows.sum(axis=0)).max()), float(np.abs(rows.sum(axis=1)).max()))
+    worst = max(float(gap[at]), sums, drift)
     if worst > tol:
-        raise RelationViolated(f"factor relations fail at {where}, residual {worst:.2e}")
+        slot = tuple(divmod(int(k) // s, n) for k in at)
+        raise RelationViolated(
+            f"factor relations fail, residual {worst:.2e}; B B* is furthest from "
+            f"phi(A) at slot {slot}"
+        )
 
     v = vec_h[:, -1] / np.sqrt(lam_h[-1])
-    p = {}
-    g = np.zeros((n, n))
-    w = {}
-    for i in range(n):
-        for j in range(n):
-            pinv = _pinv_sqrt(blocks[i][j], RANK_CUTOFF)
-            p[(i, j)] = pinv
-            w[(i, j)] = b[(i, j)].conj().T @ (b[(0, 0)] @ v)
-            g[i, j] = float(np.linalg.norm(pinv @ w[(i, j)]) ** 2)
-    row_sums = tuple(float(g[i, :].sum()) for i in range(n))
-    col_sums = tuple(float(g[:, j].sum()) for j in range(n))
+    p = {(i, j): _pinv_sqrt(blocks[i][j], RANK_CUTOFF) for i in range(n) for j in range(n)}
+    w = {key: bk.conj().T @ (b[(0, 0)] @ v) for key, bk in b.items()}
+    g = np.array(
+        [[float(np.linalg.norm(p[(i, j)] @ w[(i, j)]) ** 2) for j in range(n)] for i in range(n)]
+    )
+    row, col = g.sum(axis=1), g.sum(axis=0)
     total = float(n - g.sum())
-    c = np.zeros((n, n))
-    if total > 1e-12:
-        for i in range(n):
-            for j in range(n):
-                c[i, j] = (1 - row_sums[i]) * (1 - col_sums[j]) / total
-
-    extended = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            top = np.hstack([blocks[i][j], w[(i, j)].reshape(s, 1)])
-            bottom = np.hstack(
-                [w[(i, j)].conj().reshape(1, s), [[g[i, j] + c[i, j]]]]
-            )
-            row.append(np.vstack([top, bottom]))
-        extended.append(row)
-    big = MagicSquare(extended, tol=tol)
+    c = np.outer(1 - row, 1 - col) / total if total > 1e-12 else np.zeros((n, n))
+    extended = [
+        [
+            np.block([[blocks[i][j], w[(i, j)][:, None]], [w[(i, j)].conj(), g[i, j] + c[i, j]]])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
     return ExtensionStep(
         square=a,
         b_blocks=b,
         v=v,
         p_blocks=p,
         c=c,
-        row_sums=row_sums,
-        col_sums=col_sums,
+        row_sums=tuple(map(float, row)),
+        col_sums=tuple(map(float, col)),
         total=total,
-        extended=big,
+        extended=MagicSquare(extended, tol=tol),
     )
+
+
+# -- feasibility witnesses from dilations ------------------------------------
+
+
+@dataclass(frozen=True)
+class MemberWitness:
+    """Numeric X with phi(A) + X = B B* >= 0 built from a dilation."""
+
+    x: np.ndarray
+    blocks: dict  # (i, j) -> the corner block b_ij of the dilated generator
+
+
+def member_witness_from_dilation(dilation: CommutingDilation) -> MemberWitness:
+    """Reconstruct the feasibility witness of a dilated square.
+
+    Complete the isometry V to a unitary W = [V, V_perp] and read off the
+    corner blocks b_ij = (W* u_ij W)[s:, :s].  They satisfy
+    b_ij* b_ij = a_ij - a_ij^2, and stacking them into B gives an
+    explicit X = B B* - phi(A) supported on the off-diagonal slots with
+    phi(A) + X >= 0.
+    """
+    a = dilation.compressed()
+    n, s = a.n, a.s
+    w = _complete_isometry(np.asarray(dilation.v, dtype=np.complex128))
+    u = np.array([[as_complex(blk) for blk in row] for row in dilation.u.blocks])
+    corners = (w.conj().T @ u @ w)[:, :, s:, :s]  # (n, n, t - s, s)
+    bcol = corners.conj().swapaxes(2, 3).reshape(n * n * s, -1)
+    x = bcol @ bcol.conj().T - phi_matrix(a.to_float())
+    blocks = {(i, j): corners[i, j] for i in range(n) for j in range(n)}
+    return MemberWitness(x=x, blocks=blocks)
 
 
 # -- samplers for property suites --------------------------------------------
@@ -327,8 +340,6 @@ def make_projector_dilation(
 ) -> DilationTriple:
     """A genuine projector dilation: w a projector on t dims, v an isometry
     mixing range(w) and ker(w) columns so that u = v* w v is a projector."""
-    from .sampling import random_unitary
-
     basis = random_unitary(rng, t)
     rank = int(rng.integers(1, t))
     w = basis[:, :rank] @ basis[:, :rank].conj().T

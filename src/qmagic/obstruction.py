@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,9 +77,6 @@ from .structures import (
     complete_corner,
     residual,
 )
-
-if TYPE_CHECKING:
-    from .semiclassical import CommutingDilation
 
 WEAK = "weak"
 STRONG = "strong"
@@ -671,44 +667,3 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
         "negativity": negativity,
     }
 
-
-# -- feasibility witnesses from dilations ------------------------------------
-
-
-@dataclass(frozen=True)
-class MemberWitness:
-    """Numeric X with phi(A) + X = B B* >= 0 built from a dilation."""
-
-    x: np.ndarray
-    blocks: dict  # (i, j) -> the corner block b_ij of the dilated generator
-
-
-def member_witness_from_dilation(dilation: "CommutingDilation") -> MemberWitness:
-    """Reconstruct the feasibility witness of a dilated square.
-
-    Complete the isometry V to a unitary W = [V, V_perp] and read off the
-    corner blocks b_ij = (W* u_ij W)[s:, :s].  They satisfy
-    b_ij* b_ij = a_ij - a_ij^2, and stacking them into B gives an
-    explicit X = B B* - phi(A) supported on the off-diagonal slots with
-    phi(A) + X >= 0.
-    """
-    a = dilation.compressed()
-    n, s = a.n, a.s
-    v = np.asarray(dilation.v, dtype=np.complex128)
-    t = v.shape[0]
-    q, _ = np.linalg.qr(v, mode="complete")
-    # columns s: of q are orthonormal and orthogonal to range(v)
-    w = np.hstack([v, q[:, s:]])
-    blocks = {}
-    bcol = np.zeros((n * n * s, t - s), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            u = np.asarray(dilation.u.block(i, j), dtype=np.complex128)
-            tilted = w.conj().T @ u @ w
-            b = tilted[s:, :s]
-            blocks[(i, j)] = b
-            r = (i * n + j) * s
-            bcol[r : r + s, :] = b.conj().T
-    phi = phi_matrix(a.to_float())
-    x = bcol @ bcol.conj().T - phi
-    return MemberWitness(x=x, blocks=blocks)

@@ -211,7 +211,7 @@ def psd_margin(m, tol: float):
 class Violation:
     kind: str  # "not_hermitian" | "block_not_psd" | "row_sum" | "col_sum"
     location: tuple
-    margin: object  # numeric residual / eigenvalue, or exact witness value
+    margin: object  # largest entry of a residual, or a PSD witness value / eigenvalue
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,9 @@ class ValidationReport:
 
 def _mismatch(kind, loc, x, y, tol):
     """A violation unless x == y (exactly over Q[i], entrywise within tol for
-    floats); its margin is "exact" or the largest float deviation."""
-    if isinstance(x, ExactMatrix):
-        return None if x == y else Violation(kind, loc, "exact")
-    r = residual(x - y)
-    return None if r <= tol else Violation(kind, loc, r)
+    floats); its margin is the largest entry of x - y (see residual)."""
+    d = difference(x, y)
+    return None if vanishes(d, tol) else Violation(kind, loc, residual(d))
 
 
 def _psd_violation(block, loc, tol):
@@ -239,7 +237,14 @@ def _psd_violation(block, loc, tol):
 
 
 def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check the magic-square axioms; report every violation with its margin."""
+    """Check the magic-square axioms; report every violation with its margin.
+
+    A hermiticity, row-sum or column-sum margin is the largest entry of the
+    difference that should vanish: max |re| + |im| as a Fraction for exact
+    blocks, the largest modulus for float ones.  A PSD margin is the value
+    of psd_margin: an exact witness value v* b v < 0, or the least float
+    eigenvalue.
+    """
     n, s, exact, grid = _coerce_blocks(blocks)
     ident = identity(s, exact)
     found = [_psd_violation(grid[i][j], (i, j), tol) for i in range(n) for j in range(n)]
@@ -305,32 +310,26 @@ def validate_quantum_permutation(
     """Check projector and row/column orthogonality identities on a magic square.
 
     Both identity families are verified independently even though orthogonality
-    follows from projectivity for magic squares.
+    follows from projectivity for magic squares.  A violation's margin is the
+    largest entry of b^2 - b or of the product of two blocks that must be
+    orthogonal: max |re| + |im| as a Fraction for exact squares, the largest
+    modulus for float ones (which fail once it exceeds tol).
     """
-    violations = []
-
-    def resid(m):
-        if a.exact:
-            return None if m.is_zero() else "exact"
-        r = float(np.linalg.norm(m))
-        return None if r <= tol else r
-
-    for i in range(a.n):
-        for j in range(a.n):
-            b = a.block(i, j)
-            r = resid(b @ b - b)
-            if r is not None:
-                violations.append(Violation("projector", (i, j), r))
+    zero = zeros(a.s, a.s, a.exact)
+    found = [
+        _mismatch("projector", (i, j), b @ b, b, tol)
+        for i, row in enumerate(a.blocks)
+        for j, b in enumerate(row)
+    ]
     for i in range(a.n):
         for j in range(a.n):
             for k in range(j + 1, a.n):
-                r = resid(a.block(i, j) @ a.block(i, k))
-                if r is not None:
-                    violations.append(Violation("row_orthogonality", (i, j, k), r))
-                r = resid(a.block(j, i) @ a.block(k, i))
-                if r is not None:
-                    violations.append(Violation("col_orthogonality", (i, j, k), r))
-    return ValidationReport(not violations, tol, tuple(violations))
+                in_row = a.block(i, j) @ a.block(i, k)
+                in_col = a.block(j, i) @ a.block(k, i)
+                found.append(_mismatch("row_orthogonality", (i, j, k), in_row, zero, tol))
+                found.append(_mismatch("col_orthogonality", (i, j, k), in_col, zero, tol))
+    violations = tuple(v for v in found if v)
+    return ValidationReport(not violations, tol, violations)
 
 
 # -- constructions ----------------------------------------------------------

@@ -19,6 +19,7 @@ from qmagic.extremality import (
     InvariantViolated,
     extend_dilation_step,
     make_projector_dilation,
+    member_witness_from_dilation,
     split_decompose,
 )
 from qmagic.obstruction import (
@@ -29,7 +30,6 @@ from qmagic.obstruction import (
     check_mconv_obstruction,
     counterexample_m2_3,
     find_dual_certificate,
-    member_witness_from_dilation,
     pencil_directions,
     phi_matrix,
 )

@@ -1,5 +1,7 @@
 """Tests for dilation splitting and the one-step extension construction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from qmagic.extremality import (
     arveson_split_check,
     extend_dilation_step,
     make_projector_dilation,
+    member_witness_from_dilation,
     split_decompose,
     validate_triple,
 )
-from qmagic.obstruction import member_witness_from_dilation, phi_matrix
+from qmagic.obstruction import phi_matrix
 from qmagic.sampling import (
     random_commuting_qpm,
     random_exact_decomposition,
@@ -248,22 +251,24 @@ def test_extension_rejects_quantum_permutation_input():
         extend_dilation_step(qpm, np.zeros((18, 18)))
 
 
-def test_extension_rejects_diagonal_slot_witness():
-    rng = np.random.default_rng(11)
+@pytest.mark.parametrize(
+    "seed, entries, slot",
+    [
+        (11, [(0, 0)], "((0, 0), (0, 0))"),  # diagonal slot, outside Z (x) Z
+        (12, [(0, 2), (2, 0)], "((0, 0), (0, 1))"),  # equal block-row indices
+        (15, [(0, 6), (6, 0)], "((0, 0), (1, 0))"),  # equal block-column indices
+    ],
+    ids=["diagonal", "same-row", "same-column"],
+)
+def test_extension_rejects_off_support_slot_witness(seed, entries, slot):
+    """Mass of X on a slot sharing a block row or column is refused, and the
+    message names that slot."""
+    rng = np.random.default_rng(seed)
     square, x = semiclassical_pair(rng)
     bad = x.copy()
-    bad[0, 0] += 1e-2  # mass on the ((0,0),(0,0)) slot, outside Z (x) Z
-    with pytest.raises(RelationViolated):
-        extend_dilation_step(square, bad)
-
-
-def test_extension_rejects_same_row_slot_witness():
-    rng = np.random.default_rng(12)
-    square, x = semiclassical_pair(rng)
-    bad = x.copy()
-    bad[0, 2] += 1e-2  # slot ((0,0),(0,1)) couples equal block-row indices
-    bad[2, 0] += 1e-2
-    with pytest.raises(RelationViolated):
+    for r, c in entries:
+        bad[r, c] += 1e-2
+    with pytest.raises(RelationViolated, match=re.escape(f"slot {slot}")):
         extend_dilation_step(square, bad)
 
 

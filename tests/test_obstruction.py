@@ -22,6 +22,7 @@ from qmagic.exact import (
     hermitian_basis,
     psd_check_exact,
 )
+from qmagic.extremality import member_witness_from_dilation
 from qmagic.obstruction import (
     CertificateNotFound,
     CertificationFailed,
@@ -35,7 +36,6 @@ from qmagic.obstruction import (
     counterexample_m2_3,
     exact_certify,
     find_dual_certificate,
-    member_witness_from_dilation,
     phi_matrix,
     psi_matrix,
     pencil_directions,

@@ -138,6 +138,24 @@ class TestValidateQuantumPermutation:
         proj_fail = {v.location for v in report.violations if v.kind == "projector"}
         assert proj_fail == {(i, j) for i in range(3) for j in range(3)}
 
+    def test_margins_are_largest_entries_in_both_representations(self):
+        """Blocks I/3: b^2 - b = -(2/9) I and every product of two blocks is I/9,
+        so the margins are 2/9 and 1/9, exactly or as floats."""
+        exact = validate_quantum_permutation(constant_square(3, 2))
+        flo = validate_quantum_permutation(constant_square(3, 2, exact=False))
+        assert [(v.kind, v.location) for v in exact.violations] == [
+            (v.kind, v.location) for v in flo.violations
+        ]
+        for ve, vf in zip(exact.violations, flo.violations):
+            expected = F(2, 9) if ve.kind == "projector" else F(1, 9)
+            assert ve.margin == expected and isinstance(ve.margin, Fraction)
+            assert abs(vf.margin - float(expected)) <= 1e-15
+        assert {v.kind for v in exact.violations} == {
+            "projector",
+            "row_orthogonality",
+            "col_orthogonality",
+        }
+
     def test_commuting_generator_small_n(self):
         rng = np.random.default_rng(0)
         for n in (2, 3):
