@@ -343,9 +343,8 @@ def cmd_dilate(args, report: RunReport) -> int:
         "compressed": square_to_json(compressed),
     }
     if source is not None:
-        flo = source.to_float()
         resid = max(
-            residual(difference(compressed.block(i, j), flo.block(i, j)))
+            residual(difference(compressed.block(i, j), source.block(i, j)))
             for i in range(source.n)
             for j in range(source.n)
         )

@@ -252,9 +252,10 @@ class ExactMatrix:
     def from_blocks(cls, grid) -> "ExactMatrix":
         """Assemble from a 2d grid of ExactMatrix blocks (shapes must tile)."""
         den = lcm(*(b.den for block_row in grid for b in block_row))
+        parts = [[b._over(den) for b in block_row] for block_row in grid]
         re, im = (
-            np.block([[b._over(den)[part] for b in block_row] for block_row in grid])
-            for part in (0, 1)
+            np.concatenate([np.concatenate([p[k] for p in row], axis=1) for row in parts])
+            for k in (0, 1)
         )
         return cls.from_parts(den, re, im)
 
@@ -284,19 +285,22 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
+        """op(self, other) for an entrywise op such as + or -, over the
+        least common denominator of the two."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         den = lcm(self.den, other.den)
         (ar, ai), (br, bi) = self._over(den), other._over(den)
-        return ExactMatrix.from_parts(den, ar + br, ai + bi)
+        return ExactMatrix.from_parts(den, op(ar, br), op(ai, bi))
+
+    def __add__(self, other):
+        return self._termwise(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + -other
+        return self._termwise(other, np.subtract)
 
     def __neg__(self):
         return ExactMatrix.__new__(ExactMatrix)._set(self.den, -self.re, -self.im)

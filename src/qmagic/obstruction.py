@@ -38,14 +38,15 @@ stack of an `SdpProblem`.  Their Frobenius Gram matrix is G_H (x) G_H (x)
 G_h, so a certificate's pairings trace(Y B_j) and its orthogonal projection
 onto {trace(Y B_j) = 0} are mode products of Y's integer numerators with
 the factor stacks and their inverse Gram matrices, read once per
-(n, s, mode).  For an exact square B_0 is built in Gaussian-integer
-numerators over one common denominator (numpy object arrays of Python
-ints), its kernel identity is checked on those numerators, and its
-`ExactMatrix` stores them; a certificate Y stays in such numerators from
-rounding through projection to the PSD check, and trace(Y B_0) is one
-integer dot product of the two.  A float square builds phi(A) from its
-stacked blocks in complex numpy arithmetic, and psi(A) from the same
-vectorized slot formula that gives the integer numerators of psi.
+(n, s, mode).  B_0 is phi(A), or phi(A) + psi(A), written once for both
+representations: phi on the block helpers of `structures` (over Q[i] for
+an exact square, in complex floats for a float one), psi from one
+vectorized slot formula on the complex blocks or on the Gaussian-integer
+numerators of an exact square.  An exact B_0 is an `ExactMatrix`, whose
+integer numerators over one common denominator carry the kernel identity
+check; a certificate Y stays in such numerators from rounding through
+projection to the PSD check, and trace(Y B_0) is one integer dot product
+of the two.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -61,7 +62,6 @@ import numpy as np
 
 from .exact import (
     ExactMatrix,
-    GaussianRational,
     _rationalized_parts,
     hermitian_basis_stack,
     nullspace_exact,
@@ -73,9 +73,13 @@ from .exact import (
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
 from .structures import (
     MagicSquare,
+    adjoint,
     as_complex,
+    assemble,
     complete_corner,
+    difference,
     residual,
+    zeros,
 )
 
 WEAK = "weak"
@@ -120,17 +124,16 @@ class CertificationFailed(ValueError):
 
 
 def phi_matrix(a: MagicSquare):
-    """diag(A) - col(A) col(A)*, Hermitian of size n^2 s; for an exact square
-    from Gaussian-integer numerators over one denominator (`_b0_numerators`)."""
-    if a.exact:
-        return ExactMatrix.from_parts(*_b0_numerators(a, WEAK))
-    s = a.s
+    """diag(A) - col(A) col(A)*, Hermitian of size n^2 s, over Q[i] for an
+    exact square and in complex floats for a float one."""
     blocks = [b for row in a.blocks for b in row]
-    col = np.concatenate(blocks)
-    diag = np.zeros((len(col), len(col)), dtype=complex)
-    for p, b in zip(range(0, len(col), s), blocks):
-        diag[p : p + s, p : p + s] = b
-    return diag - col @ col.conj().T
+    zero = zeros(a.s, a.s, a.exact)
+    col = assemble([[b] for b in blocks], a.exact)
+    diag = assemble(
+        [[b if p == q else zero for q in range(len(blocks))] for p, b in enumerate(blocks)],
+        a.exact,
+    )
+    return difference(diag, col @ adjoint(col))
 
 
 def psi_matrix(a: MagicSquare):
@@ -138,15 +141,14 @@ def psi_matrix(a: MagicSquare):
 
     Supported only on slots E_ij (x) E_kl with i != j and k != l, and
     built so that (phi(A) + psi(A)) kills e (x) e_i (x) I_s for all i.
-    An exact square takes it from the integer slots of `_psi_numerators`.
+    An exact square takes it from the integer slots of `_psi_numerators`,
+    a float one from the same slot formula on its complex blocks.
     """
     n, s = a.n, a.s
     if n < 3:
         raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={n}")
     if a.exact:
-        den, n_re, n_im = _col_numerators(a)
-        scale = n * (n - 1) * (n - 2) * den * den
-        return ExactMatrix.from_parts(scale, *_psi_numerators(den, n_re, n_im, n, s))
+        return ExactMatrix.from_parts(*_psi_numerators(a))
     alpha = float(Fraction(1, (n - 1) * (n - 2)))
     beta = float(Fraction(n - 1, n * (n - 2)))
     gamma = float(Fraction(1, n * (n - 2)))
@@ -171,54 +173,28 @@ def _psi_slots(b: np.ndarray, unit, near, far) -> np.ndarray:
     return slots.transpose(0, 1, 4, 2, 3, 5).reshape(n * n * s, n * n * s)
 
 
-# -- the same terms in integers, for exact squares ----------------------------
+# -- psi in integers, for exact squares ---------------------------------------
 #
 # With D the least common denominator of A's entries, N = D col(A) has
 # Gaussian-integer blocks N_ij, held as real and imaginary object arrays of
-# Python ints.  Then D^2 phi(A) = D blockdiag(N) - N N*, and with
-# L = n(n-1)(n-2) the coefficients of psi are alpha = n/L, beta = (n-1)^2/L
-# and gamma = (n-1)/L, so L D^2 psi(A) has the integer slots
-# -n D^2 I + (n-1)^2 D (N_ik + N_jl) + (n-1) D (N_il + N_jk).
+# Python ints.  With L = n(n-1)(n-2) the coefficients of psi are
+# alpha = n/L, beta = (n-1)^2/L and gamma = (n-1)/L, so L D^2 psi(A) has the
+# integer slots -n D^2 I + (n-1)^2 D (N_ik + N_jl) + (n-1) D (N_il + N_jk).
 
 
-def _col_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
-    """(D, re, im) with re + i im = D col(A), an (n^2 s, s) integer pair."""
-    n = a.n
-    col = ExactMatrix.from_blocks([[a.block(i, j)] for i in range(n) for j in range(n)])
-    return col.den, col.re, col.im
-
-
-def _phi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, s: int):
-    """(re, im) of D^2 phi(A) = D blockdiag(N) - N N*."""
-    re = -(n_re @ n_re.T + n_im @ n_im.T)
-    im = n_re @ n_im.T - n_im @ n_re.T
-    for p in range(0, len(n_re), s):
-        re[p : p + s, p : p + s] += den * n_re[p : p + s]
-        im[p : p + s, p : p + s] += den * n_im[p : p + s]
-    return re, im
-
-
-def _psi_numerators(den: int, n_re: np.ndarray, n_im: np.ndarray, n: int, s: int):
-    """(re, im) of L D^2 psi(A): the slots of `_psi_slots` on N's parts."""
+def _psi_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L D^2, re, im) with re + i im = L D^2 psi(A): the slots of
+    `_psi_slots` on the real and imaginary parts of N."""
+    n, s = a.n, a.s
+    col = ExactMatrix.from_blocks([[b] for row in a.blocks for b in row])
+    den = col.den
     unit = -n * den * den * np.eye(s, dtype=int).astype(object)
     near, far = (n - 1) ** 2 * den, (n - 1) * den
-    return [
+    re, im = (
         _psi_slots(part.reshape(n, n, s, s), u, near, far)
-        for part, u in ((n_re, unit), (n_im, 0))
-    ]
-
-
-def _b0_numerators(a: MagicSquare, mode: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(scale, re, im) with re + i im = scale B0 for an exact square:
-    D^2 phi(A) in weak mode, L D^2 (phi(A) + psi(A)) in strong mode."""
-    den, n_re, n_im = _col_numerators(a)
-    re, im = _phi_numerators(den, n_re, n_im, a.s)
-    if mode == WEAK:
-        return den * den, re, im
-    n = a.n
-    lcd = n * (n - 1) * (n - 2)
-    psi_re, psi_im = _psi_numerators(den, n_re, n_im, n, a.s)
-    return lcd * den * den, lcd * re + psi_re, lcd * im + psi_im
+        for part, u in ((col.re, unit), (col.im, 0))
+    )
+    return n * (n - 1) * (n - 2) * den * den, re, im
 
 
 # -- the pencils ------------------------------------------------------------
@@ -380,31 +356,27 @@ def constant_term(a: MagicSquare, mode: str):
     """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
     mode, where the kernel identity on e (x) e_i (x) I_s is verified.
 
-    Weak mode is `phi_matrix`.  In strong mode exact squares give the
-    `ExactMatrix` of the integer numerators of `_b0_numerators`, on which
-    the kernel identity is checked exactly; float squares give the complex
-    array `phi_matrix(a) + psi_matrix(a)`, checked within a tolerance.
+    Both terms are `ExactMatrix`es for an exact square and complex arrays
+    for a float one; `psi_matrix` raises `NotDefinedForSmallN` for n < 3.
     """
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
-    if mode == STRONG and a.n < 3:
-        raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={a.n}")
     if mode == WEAK:
         return phi_matrix(a)
-    if a.exact:
-        scale, re, im = _b0_numerators(a, mode)
-        _check_kernel_identity((re, im), a.n, a.s, 0)
-        return ExactMatrix.from_parts(scale, re, im)
     b0 = phi_matrix(a) + psi_matrix(a)
-    _check_kernel_identity((b0,), a.n, a.s, 1e-8 * (1.0 + residual(b0)))
+    _check_kernel_identity(b0, a.n, a.s)
     return b0
 
 
-def _check_kernel_identity(parts, n: int, s: int, tol: float) -> None:
+def _check_kernel_identity(b0, n: int, s: int) -> None:
     """(phi + psi)(e (x) e_i (x) I_s) = 0 for every i, that is, the block
-    columns (j, i) of B0 sum to zero over j.  `parts` are the integer
-    numerators (re, im) of a multiple of B0, checked with tol 0, or the
-    float B0 alone, checked within 1e-8 relative to its size."""
+    columns (j, i) of B0 sum to zero over j: exactly on the numerators
+    re and im of an exact B0, within 1e-8 relative to its size for a
+    float one."""
+    if isinstance(b0, ExactMatrix):
+        parts, tol = (b0.re, b0.im), 0
+    else:
+        parts, tol = (b0,), 1e-8 * (1.0 + residual(b0))
     for part in parts:
         sums = part.reshape(len(part), n, n, s).sum(axis=1)  # [row, i, c]
         held = np.abs(sums).max(axis=(0, 2)) <= tol
@@ -441,13 +413,9 @@ def check_mconv_obstruction(
 # -- the separating example --------------------------------------------------
 
 
-def _gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(*re) if isinstance(re, tuple) else Fraction(re),
-                            Fraction(*im) if isinstance(im, tuple) else Fraction(im))
-
-
 def _corner_block(rows) -> ExactMatrix:
-    """(1/3) I + (9/62) H for a 2x2 Hermitian H given entrywise."""
+    """(1/3) I + (9/62) H for a 2x2 Hermitian H given entrywise, as "p/q"
+    strings and (re, im) pairs of them."""
     h = ExactMatrix(rows)
     return Fraction(1, 3) * ExactMatrix.identity(2) + Fraction(9, 62) * h
 
@@ -460,30 +428,10 @@ def counterexample_m2_3() -> MagicSquare:
     completion.  The square is a valid magic square over Q[i] but is not
     semiclassical and admits an exact dual certificate in both modes.
     """
-    a11 = _corner_block(
-        [
-            [_gr((-34, 93)), _gr((4, 5), (2, 13))],
-            [_gr((4, 5), (-2, 13)), _gr((7, 16))],
-        ]
-    )
-    a12 = _corner_block(
-        [
-            [_gr((5, 6)), _gr((1, 3), (-20, 81))],
-            [_gr((1, 3), (20, 81)), _gr((-41, 55))],
-        ]
-    )
-    a21 = _corner_block(
-        [
-            [_gr((-2, 3)), _gr((-25, 92), (-3, 7))],
-            [_gr((-25, 92), (3, 7)), _gr((1, 34))],
-        ]
-    )
-    a22 = _corner_block(
-        [
-            [_gr((29, 30)), _gr((6, 35), (-1, 1))],
-            [_gr((6, 35), (1, 1)), _gr((-5, 8))],
-        ]
-    )
+    a11 = _corner_block([["-34/93", ("4/5", "2/13")], [("4/5", "-2/13"), "7/16"]])
+    a12 = _corner_block([["5/6", ("1/3", "-20/81")], [("1/3", "20/81"), "-41/55"]])
+    a21 = _corner_block([["-2/3", ("-25/92", "-3/7")], [("-25/92", "3/7"), "1/34"]])
+    a22 = _corner_block([["29/30", ("6/35", "-1")], [("6/35", "1"), "-5/8"]])
     return complete_corner([[a11, a12], [a21, a22]])
 
 

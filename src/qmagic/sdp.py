@@ -36,6 +36,7 @@ __all__ = [
 DEFAULT_EPS = 1e-7
 HERM_TOL = 1e-9
 MAX_ITER = 800  # Newton steps over the whole path
+POLISH_ROUNDS = 80  # PSD clipping and affine projection rounds of the dual
 
 
 class NonHermitian(ValueError):
@@ -127,7 +128,7 @@ class SdpResult:
     residuals: dict = field(default_factory=dict)
 
 
-def _dual_polish(y0: np.ndarray, stack: np.ndarray, rounds: int) -> np.ndarray:
+def _dual_polish(y0: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Alternate PSD clipping with exact projection onto the affine set
     {trace(Y F_i) = 0 for every F_i of the stack, trace(Y) = 1}; end on affine."""
     eye = np.broadcast_to(np.eye(y0.shape[-1], dtype=np.complex128), y0.shape)
@@ -141,7 +142,7 @@ def _dual_polish(y0: np.ndarray, stack: np.ndarray, rounds: int) -> np.ndarray:
         return y - (mu @ rows).view(np.complex128).reshape(y.shape)
 
     y = (y0 + _adjoint(y0)) / 2
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         y = affine(y)
         lam, u = np.linalg.eigh((y + _adjoint(y)) / 2)
         y = (u * np.clip(lam, 0, None)[..., None, :]) @ _adjoint(u)
@@ -237,7 +238,7 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
         lam = np.where(np.arange(lam.size).reshape(lam.shape) == lam.argmin(), 1.0, np.inf)
     y_raw = (u / lam[..., None, :]) @ _adjoint(u)
     y_raw = y_raw / np.trace(y_raw, axis1=-2, axis2=-1).sum().real
-    y_cert = _dual_polish(y_raw, stack, rounds=80)
+    y_cert = _dual_polish(y_raw, stack)
 
     pair_max = float(np.abs(problem.pairings(y_cert)).max(initial=0.0))
     p0 = float(np.trace(y_cert @ problem.f0, axis1=-2, axis2=-1).sum().real)

@@ -28,6 +28,7 @@ from .structures import (
     DEFAULT_TOL,
     MagicSquare,
     as_complex,
+    compress,
     difference,
     identity,
     permutations_lex,
@@ -111,8 +112,6 @@ class CommutingDilation:
     decomposition: SemiclassicalDecomposition
 
     def compressed(self) -> MagicSquare:
-        from .structures import compress
-
         return compress(self.u, self.v)
 
 

@@ -152,7 +152,9 @@ def zeros(rows: int, cols: int, exact: bool):
 
 def assemble(grid, exact: bool):
     """One matrix from a 2d grid of blocks whose shapes tile."""
-    return ExactMatrix.from_blocks(grid) if exact else np.block(grid)
+    if exact:
+        return ExactMatrix.from_blocks(grid)
+    return np.concatenate([np.concatenate(row, axis=1) for row in grid])
 
 
 def adjoint(m):

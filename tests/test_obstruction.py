@@ -225,24 +225,18 @@ def test_psi_float_agrees_with_exact(cex):
 def test_broken_kernel_identity_is_refused(cex, monkeypatch):
     # u = e_1 (x) (e_1 - e_2) (x) e_1 pairs to zero with every e_i (x) e (x) I_s
     # but not with e (x) e_1 (x) I_s, so only the stated identity sees u u*
-    # The exact square builds B0 from the integer numerators of
-    # `_b0_numerators` (scale, re, im) = scale B0 and the float one from
-    # `psi_matrix`; each seam gets the same bump u u*/1000.
+    # Exact and float squares both take B0 = phi + psi through `psi_matrix`;
+    # each gets the same bump u u*/1000 there.
     u = np.zeros(18, dtype=int)
     u[0], u[2] = 1, -1
     uu = np.outer(u, u).astype(object)
-    numerators = obstruction._b0_numerators
-
-    def bumped(a, mode):
-        scale, re, im = numerators(a, mode)
-        return 1000 * scale, 1000 * re + scale * uu, 1000 * im
-
     for square in (cex, cex.to_float()):
         if square.exact:
-            monkeypatch.setattr(obstruction, "_b0_numerators", bumped)
+            bump = ExactMatrix.from_parts(1000, uu, 0 * uu)
         else:
-            broken = psi_matrix(square) + uu.astype(float) / 1000
-            monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
+            bump = uu.astype(float) / 1000
+        broken = psi_matrix(square) + bump
+        monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
         with pytest.raises(RuntimeError, match="kernel identity"):
             build_obstruction(square, "strong")
         if square.exact:
