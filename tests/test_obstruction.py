@@ -51,8 +51,15 @@ from qmagic.sampling import (
     random_member_square,
     square_from_decomposition,
 )
-from qmagic.serialize import certificate_from_json, certificate_to_json, dump_square, rational_to_json
+from qmagic.serialize import (
+    certificate_from_json,
+    certificate_to_json,
+    decomposition_to_json,
+    dump_square,
+    rational_to_json,
+)
 from qmagic.semiclassical import (
+    check_semiclassical,
     interior_map_decomposition,
     synthesize_commuting_dilation,
 )
@@ -838,14 +845,18 @@ def test_find_certificate_failure_margin_is_the_elimination_margin(
 CERTIFY_SEED_1_SHA256 = "21eb5387c5b256023bce6ca7afba127a15760b73a01127b49747d84267a8c575"
 
 
-def test_certify_workload_answers_are_pinned(monkeypatch):
+def _workloads(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_certify_workload_answers_are_pinned(monkeypatch):
     docs = []
-    for case in workloads.certify_cases(1):
+    for case in _workloads(monkeypatch).certify_cases(1):
         res = check_mconv_obstruction(case.square, mode="strong")
         cert = certify_with_ladder(blend_dual(res.problem, res.solver).y, res.problem)
         report = verify_certificate(cert, case.square)
@@ -860,6 +871,30 @@ def test_certify_workload_answers_are_pinned(monkeypatch):
         )
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     assert digest == CERTIFY_SEED_1_SHA256
+
+
+# sha256 of the answers to the LMI squares of the benchmark's `membership`
+# workload at seed 1: verdict, exactly repaired weights, Newton steps and
+# repair rung of each `check_semiclassical`
+MEMBERSHIP_SEED_1_SHA256 = "ed20e85289ee3aaaa8746cfb7c7f537c928e759d580fe937fc3d30fcfaf401da"
+
+
+def test_membership_workload_answers_are_pinned(monkeypatch):
+    docs = []
+    for case in _workloads(monkeypatch).membership_cases(1):
+        if case.task != "lmi":
+            continue
+        res = check_semiclassical(case.square)
+        docs.append(
+            {
+                "verdict": res.verdict,
+                "weights": res.decomposition and decomposition_to_json(res.decomposition),
+                "iterations": res.residuals["iterations"],
+                "repair_denominator": res.residuals.get("repair_denominator"),
+            }
+        )
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == MEMBERSHIP_SEED_1_SHA256
 
 
 def test_find_certificate_reports_a_margin_past_the_digit_limit(
