@@ -200,14 +200,16 @@ def _psi_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
 # -- the pencils ------------------------------------------------------------
 
 
+@cache
 def zero_diagonal_basis(n: int, doubly_null: bool = False) -> np.ndarray:
-    """Hermitian basis of Z, or of Z_e when `doubly_null`, as a stack of
-    Gaussian-integer arrays: real symmetric S first, then i K for real
-    antisymmetric K, each fixed by its entries on the slots i < j.  For Z_e
-    those entries run over the rational nullspace of the row-sum
-    functionals, S e = 0 (a slot (i, j) counts +1 in rows i and j) and
-    K e = 0 (+1 in row i, -1 in row j); Z has no functionals.  The real
-    dimension is n^2 - n for Z and n^2 - 3n + 1 for Z_e.
+    """Hermitian basis of Z, or of Z_e when `doubly_null`, as a read-only
+    stack of Gaussian-integer arrays, computed once per (n, doubly_null):
+    real symmetric S first, then i K for real antisymmetric K, each fixed by
+    its entries on the slots i < j.  For Z_e those entries run over the
+    rational nullspace of the row-sum functionals, S e = 0 (a slot (i, j)
+    counts +1 in rows i and j) and K e = 0 (+1 in row i, -1 in row j); Z has
+    no functionals.  The real dimension is n^2 - n for Z and n^2 - 3n + 1
+    for Z_e.
     """
     if n < (3 if doubly_null else 2):
         raise NotDefinedForSmallN(f"the space is trivial for n={n}")
@@ -225,7 +227,9 @@ def zero_diagonal_basis(n: int, doubly_null: bool = False) -> np.ndarray:
     expected = n * n - 3 * n + 1 if doubly_null else n * n - n
     if len(out) != expected:
         raise RuntimeError(f"basis has {len(out)} elements, expected {expected}")
-    return np.array(out)
+    basis = np.array(out)
+    basis.flags.writeable = False
+    return basis
 
 
 def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:

@@ -6,8 +6,13 @@ one (m, *F0.shape) complex stack, with the affine map x -> sum x_i F_i
 (`combine`) and its adjoint (`pairings`).  Everything acts on the last two
 axes, so a block-diagonal pencil is never embedded densely.  The solver
 follows the central path of the log-det barrier with damped Newton steps;
-each step takes its gradient and Gram matrix from one batched product
-M^-1/2 F_i M^-1/2 over the stack.  Feasibility is certified by re-verifying
+each step takes its gradient and Gram matrix from the stack of the
+M^-1/2 F_i M^-1/2.  On a block stack whose directions have at most one nonzero
+entry per column, real or imaginary (those of the semiclassical LMI), that
+stack costs two matrix products per diagonal block, over the directions
+laid side by side once per solve, instead of one per direction and block;
+the numbers do not change (`_congruences`).  A one-block pencil keeps one
+product per direction.  Feasibility is certified by re-verifying
 the returned primal point; infeasibility by a dual Y of the shape of F0,
 polished by PSD clipping alternated with affine projection, with
 trace(Y F_i) = 0, trace(Y) = 1, Y PSD and trace(Y F0) < 0.  Anything the
@@ -106,8 +111,10 @@ class SdpProblem:
         raise AttributeError("SdpProblem is immutable")
 
     def combine(self, x: np.ndarray) -> np.ndarray:
-        """sum x_i F_i for real coefficients x."""
-        return np.tensordot(np.asarray(x, dtype=float), self.directions, axes=1)
+        """sum x_i F_i for real coefficients x: one row-times-matrix product."""
+        m, shape = len(self.directions), self.f0.shape
+        rows = self.directions.reshape(m, math.prod(shape))
+        return np.dot(np.asarray(x, dtype=float).reshape(1, m), rows).reshape(shape)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """F0 + sum x_i F_i for real coefficients x."""
@@ -126,6 +133,48 @@ class SdpResult:
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
+
+
+def _single_products(stack: np.ndarray) -> bool:
+    """Whether every column of every matrix of the stack has at most one
+    nonzero entry, and that entry is real or imaginary, as in the directions
+    of the semiclassical LMI (a real weight times a Hermitian basis matrix).
+    Then every entry of isqrt @ F is one rounded product, in whatever order
+    and with whatever fused multiply-adds BLAS forms its sums; only an exact
+    zero can come out with either sign."""
+    mixed = (stack.real != 0) & (stack.imag != 0)
+    return not mixed.any() and bool(np.count_nonzero(stack, axis=-2).max(initial=0) <= 1)
+
+
+def _congruences(stack: np.ndarray):
+    """The map (isqrt, out) -> out[i] = (isqrt @ F_i) @ isqrt over the
+    directions F_i of the stack, the same numbers as that product.  numpy
+    broadcasts it into one BLAS call per direction and diagonal block, m k
+    calls of size b on a (k, b, b) block stack.  A block stack of
+    `_single_products` is laid side by side once, [F_1j | ... | F_mj] for
+    each block j, and each block takes two products: isqrt_j @ [F_1j | ... |
+    F_mj], then those products stacked as rows @ isqrt_j.  Stacking rows
+    keeps OpenBLAS's sum for every entry; the wider left product does not in
+    general (the kernel changes with the column count), hence single
+    products.  The result is bit for bit the broadcast product's, except
+    that an exact zero may take the other sign.  Other stacks, and a
+    one-block pencil, whose products are large already and would pay for
+    the copy, keep one product per direction."""
+    m, shape = len(stack), stack.shape[1:]
+    k, b = math.prod(shape[:-2]), shape[-1]
+    if k == 1 or not _single_products(stack):
+        def broadcast(isqrt, out):
+            np.matmul(isqrt @ stack, isqrt, out=out)
+
+        return broadcast
+    wide = stack.reshape(m, k, b, b).transpose(1, 2, 0, 3).reshape(k, b, m * b)
+
+    def side_by_side(isqrt, out):
+        isqrt = isqrt.reshape(k, b, b)
+        tall = (isqrt @ wide).reshape(k, b, m, b).swapaxes(1, 2).reshape(k, m * b, b)
+        out.reshape(m, k, b, b)[...] = (tall @ isqrt).reshape(k, m, b, b).swapaxes(0, 1)
+
+    return side_by_side
 
 
 def _dual_polish(y0: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -177,6 +226,7 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
         return problem.evaluate(yv[:m]) - yv[m] * eye
 
     mat = pencil(y)
+    congruences = _congruences(stack)
 
     while mu > mu_end and iters < MAX_ITER and not stalled:
         for _ in range(60):
@@ -188,7 +238,7 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
             isqrt = (u / np.sqrt(lam)[..., None, :]) @ _adjoint(u)
             # M^-1/2 F M^-1/2 for every direction, and -M^-1 for the t-direction -I
             gmats = np.empty((m + 1, *mat.shape), dtype=np.complex128)
-            np.matmul(isqrt @ stack, isqrt, out=gmats[:m])
+            congruences(isqrt, gmats[:m])
             gmats[m] = -(isqrt @ isqrt)
             grad = np.trace(gmats, axis1=-2, axis2=-1).real.reshape(m + 1, -1).sum(axis=1)
             grad[m] += 1.0 / mu
@@ -204,10 +254,10 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
             alpha = 1.0
             while alpha > 1e-13:
                 cand = y + alpha * step
-                lam_c = np.linalg.eigvalsh(pencil(cand))
+                mat_c = pencil(cand)
+                lam_c = np.linalg.eigvalsh(mat_c)
                 if lam_c.min() > 0 and np.log(lam_c).sum() + cand[m] / mu > f_cur - 1e-12:
-                    y = cand
-                    mat = pencil(y)
+                    y, mat = cand, mat_c
                     break
                 alpha /= 2
             else:

@@ -389,6 +389,8 @@ def test_ze_basis_n3_is_the_generator():
 )
 def test_zero_diagonal_basis(n, doubly_null):
     basis = zero_diagonal_basis(n, doubly_null=doubly_null)
+    assert basis is zero_diagonal_basis(n, doubly_null=doubly_null)  # computed once
+    assert not basis.flags.writeable
     assert len(basis) == (n * n - 3 * n + 1 if doubly_null else n * n - n)
     assert np.array_equal(basis, np.round(basis))
     assert np.array_equal(basis, basis.conj().swapaxes(1, 2))

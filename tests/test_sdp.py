@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from qmagic.exact import hermitian_basis_stack
 from qmagic.sdp import (
     DimensionMismatch,
     NonHermitian,
     SdpProblem,
     Status,
+    _congruences,
     _real_rows,
+    _single_products,
     solve_feasibility,
 )
 
@@ -14,6 +17,11 @@ from qmagic.sdp import (
 def rand_herm(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (z + z.conj().T) / 2
+
+
+def rand_herm_stack(rng, m, shape):
+    z = rng.normal(size=(m, *shape)) + 1j * rng.normal(size=(m, *shape))
+    return z + z.conj().swapaxes(-1, -2)
 
 
 def block_diag(stack):
@@ -112,6 +120,49 @@ class TestSdpProblem:
             assert np.allclose(p.pairings(y), want, atol=1e-12)
             # the adjoint identity <Y, sum x F> = sum x_i <Y, F_i> (real part)
             assert np.isclose((y @ p.combine(x)).trace().real, x @ p.pairings(y))
+
+    def test_combine_is_the_tensordot_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for shape in ((4, 4), (3, 2, 2), (24, 1, 1)):
+            for m in (0, 1, 7):
+                p = SdpProblem(np.zeros(shape), rand_herm_stack(rng, m, shape))
+                x = rng.normal(size=m)
+                want = np.tensordot(x, p.directions, axes=1)
+                assert p.combine(x).shape == shape
+                assert p.combine(x).tobytes() == want.tobytes()
+
+
+def _lmi_like(rng, r, k, s):
+    """r real weight vectors over k blocks times the Hermitian basis of Mat_s,
+    as the directions of the semiclassical LMI: (r s^2, k, s, s)."""
+    dirs = np.einsum("rp,bij->rbpij", rng.normal(size=(r, k)), hermitian_basis_stack(s))
+    return dirs.reshape(r * s * s, k, s, s)
+
+
+def _congruences_of(stack, isqrt):
+    out = np.empty_like(stack)
+    _congruences(stack)(isqrt, out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape", [(d, d) for d in (18, 32)] + [(k, s, s) for s in (1, 2, 3) for k in (2, 6, 24)]
+)
+def test_congruences_are_the_broadcast_product_bit_for_bit(shape):
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lam, u = np.linalg.eigh(z @ z.conj().swapaxes(-1, -2) + np.eye(shape[-1]))
+    isqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    diagonal = np.broadcast_to(np.diag(rng.uniform(1, 2, shape[-1])), shape) + 0j
+    stacks = [rand_herm_stack(rng, m, shape) for m in (0, 1, 5)]
+    if len(shape) == 3:
+        stacks += [_lmi_like(rng, r, shape[0], shape[-1]) for r in (1, 3)]
+        assert _single_products(stacks[-1])
+        assert _single_products(stacks[-3]) == (shape[-1] == 1)  # random blocks of size 1 are real
+    for stack in stacks:
+        assert _congruences_of(stack, isqrt).tobytes() == ((isqrt @ stack) @ isqrt).tobytes()
+        # products of exact zeros may leave a zero of the other sign
+        assert np.array_equal(_congruences_of(stack, diagonal), (diagonal @ stack) @ diagonal)
 
 
 class TestSolveFeasibility:
