@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,21 +19,13 @@ from qmagic.birkhoff import birkhoff_decompose, magic_space_dimension
 from qmagic.sampling import random_doubly_stochastic
 
 
-@dataclass(frozen=True)
-class StatsConfig:
-    sizes: tuple = field(default_factory=lambda: (2, 3, 4, 5, 6))
-    trials: int = 200
-    seed: int = 11
-    terms: int | None = None  # permutations mixed per sample; None = random
-
-
-def run(config: StatsConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    for n in config.sizes:
+def run(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    for n in args.sizes:
         bound = (n - 1) ** 2 + 1
         counts = Counter()
-        for _ in range(config.trials):
-            m = random_doubly_stochastic(rng, n, terms=config.terms)
+        for _ in range(args.trials):
+            m = random_doubly_stochastic(rng, n, terms=args.terms)
             terms = birkhoff_decompose(m)
             total = sum(w for _, w in terms)
             assert total == 1, "weights must sum to one exactly"
@@ -51,17 +42,14 @@ def run(config: StatsConfig) -> int:
     return 0
 
 
-def parse_args(argv=None) -> StatsConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="+", default=None)
-    parser.add_argument("--trials", type=int, default=StatsConfig.trials)
-    parser.add_argument("--seed", type=int, default=StatsConfig.seed)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[2, 3, 4, 5, 6])
+    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=11)
+    # permutations mixed per sample; None = random
     parser.add_argument("--terms", type=int, default=None)
-    args = parser.parse_args(argv)
-    kwargs = dict(trials=args.trials, seed=args.seed, terms=args.terms)
-    if args.sizes:
-        kwargs["sizes"] = tuple(args.sizes)
-    return StatsConfig(**kwargs)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +22,28 @@ from qmagic.extremality import (
 )
 from qmagic.sampling import random_exact_decomposition, square_from_decomposition
 from qmagic.semiclassical import SemiclassicalDecomposition, synthesize_commuting_dilation
-from qmagic.structures import compress
+from qmagic.structures import compress, grid_residual
 
 
-@dataclass(frozen=True)
-class ExtensionConfig:
-    s: int = 2
-    trials: int = 10
-    seed: int = 3
-
-
-def run(config: ExtensionConfig) -> int:
-    rng = np.random.default_rng(config.seed)
+def run(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     n = 3
     print(f"{'trial':>5} {'coupling':>10} {'min c':>10} {'max s-sum':>12} {'corner resid':>13}")
     failures = 0
-    for trial in range(config.trials):
-        weights = random_exact_decomposition(rng, n, config.s)
+    for trial in range(args.trials):
+        weights = random_exact_decomposition(rng, n, args.s)
         square = square_from_decomposition(weights)
-        dec = SemiclassicalDecomposition(n, config.s, True, weights)
+        dec = SemiclassicalDecomposition(n, args.s, True, weights)
         witness = member_witness_from_dilation(synthesize_commuting_dilation(dec))
         try:
             step = extend_dilation_step(square, witness.x)
         except DegenerateTopLeft:
             print(f"{trial:>5}  degenerate top-left block, skipped")
             continue
-        iso = np.vstack([np.eye(config.s), np.zeros((1, config.s))])
-        back = compress(step.extended, iso)
-        flo = square.to_float()
-        resid = max(
-            float(np.abs(np.asarray(back.block(i, j)) - np.asarray(flo.block(i, j))).max())
-            for i in range(n)
-            for j in range(n)
-        )
+        iso = np.vstack([np.eye(args.s), np.zeros((1, args.s))])
+        resid = grid_residual(compress(step.extended, iso).blocks, square.blocks)
         coupling = max(
-            float(np.abs(np.asarray(step.extended.block(i, j))[: config.s, config.s]).max())
+            float(np.abs(np.asarray(step.extended.block(i, j))[: args.s, args.s]).max())
             for i in range(n)
             for j in range(n)
         )
@@ -68,17 +54,16 @@ def run(config: ExtensionConfig) -> int:
             f"{trial:>5} {coupling:>10.3e} {float(step.c.min()):>10.2e} "
             f"{ssum:>12.9f} {resid:>13.2e}{'' if ok else '  <-- FAIL'}"
         )
-    print(f"{config.trials - failures}/{config.trials} extensions passed")
+    print(f"{args.trials - failures}/{args.trials} extensions passed")
     return 0 if failures == 0 else 1
 
 
-def parse_args(argv=None) -> ExtensionConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--s", type=int, default=ExtensionConfig.s)
-    parser.add_argument("--trials", type=int, default=ExtensionConfig.trials)
-    parser.add_argument("--seed", type=int, default=ExtensionConfig.seed)
-    args = parser.parse_args(argv)
-    return ExtensionConfig(s=args.s, trials=args.trials, seed=args.seed)
+    parser.add_argument("--s", type=int, default=2)
+    parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=3)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,28 +26,18 @@ from qmagic.semiclassical import (
 from qmagic.structures import InvalidMagicSquare
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n: int = 3
-    s: int = 2
-    trials: int = 20
-    seed: int = 7
-    eps: float = 1e-7
-    scales: tuple = field(default_factory=lambda: (Fraction(1), Fraction(8), Fraction(32), Fraction(64)))
-    check_lmi: bool = True
-
-
-def run(config: SweepConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    print(f"n={config.n}, s={config.s}, {config.trials} trials per scale")
+def run(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    check_lmi = not args.no_lmi
+    print(f"n={args.n}, s={args.s}, {args.trials} trials per scale")
     header = f"{'scale':>8} {'valid':>6} {'interior ok':>12} {'exact rebuild':>14}"
-    if config.check_lmi:
+    if check_lmi:
         header += f" {'lmi yes':>8}"
     print(header)
-    for scale in config.scales:
+    for scale in args.scales:
         valid = interior_ok = rebuild_ok = lmi_yes = 0
-        for _ in range(config.trials):
-            weights = perturbed_constant_decomposition(rng, config.n, config.s, scale=scale)
+        for _ in range(args.trials):
+            weights = perturbed_constant_decomposition(rng, args.n, args.s, scale=scale)
             try:
                 square = square_from_decomposition(weights)
             except InvalidMagicSquare:
@@ -61,41 +50,34 @@ def run(config: SweepConfig) -> int:
             if dec is not None:
                 interior_ok += 1
                 rebuild_ok += dec.reconstruct() == square
-            if config.check_lmi:
-                if check_semiclassical(square, eps=config.eps).verdict == "yes":
+            if check_lmi:
+                if check_semiclassical(square, eps=args.eps).verdict == "yes":
                     lmi_yes += 1
         line = (
             f"{str(scale):>8} {valid:>6} {interior_ok:>9}/{valid:<2} {rebuild_ok:>11}/{valid:<2}"
         )
-        if config.check_lmi:
+        if check_lmi:
             line += f" {lmi_yes:>5}/{valid:<2}"
         print(line)
     return 0
 
 
-def parse_args(argv=None) -> SweepConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=SweepConfig.n)
-    parser.add_argument("--s", type=int, default=SweepConfig.s)
-    parser.add_argument("--trials", type=int, default=SweepConfig.trials)
-    parser.add_argument("--seed", type=int, default=SweepConfig.seed)
-    parser.add_argument("--eps", type=float, default=SweepConfig.eps)
+    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--s", type=int, default=2)
+    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--eps", type=float, default=1e-7)
     parser.add_argument(
         "--scales",
         type=Fraction,
         nargs="+",
-        default=None,
+        default=[Fraction(1), Fraction(8), Fraction(32), Fraction(64)],
         help="perturbation scales as rationals, e.g. 1 8 64",
     )
     parser.add_argument("--no-lmi", action="store_true", help="skip the LMI column")
-    args = parser.parse_args(argv)
-    kwargs = dict(
-        n=args.n, s=args.s, trials=args.trials, seed=args.seed, eps=args.eps,
-        check_lmi=not args.no_lmi,
-    )
-    if args.scales:
-        kwargs["scales"] = tuple(args.scales)
-    return SweepConfig(**kwargs)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -70,8 +70,7 @@ from .structures import (
     NotAnIsometry,
     compress,
     constant_square,
-    difference,
-    residual,
+    grid_residual,
 )
 
 EXIT_OK = 0
@@ -343,12 +342,7 @@ def cmd_dilate(args, report: RunReport) -> int:
         "compressed": square_to_json(compressed),
     }
     if source is not None:
-        resid = max(
-            residual(difference(compressed.block(i, j), source.block(i, j)))
-            for i in range(source.n)
-            for j in range(source.n)
-        )
-        report.residuals["compression"] = resid
+        report.residuals["compression"] = grid_residual(compressed.blocks, source.blocks)
     report.verdicts[str(path)] = "dilated"
     report.details["dilation"] = payload
     out = args.out or path.with_suffix(".dilation.json")

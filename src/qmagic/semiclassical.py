@@ -30,6 +30,7 @@ from .structures import (
     as_complex,
     compress,
     difference,
+    grid_residual,
     identity,
     permutations_lex,
     psd_margin,
@@ -83,19 +84,12 @@ class SemiclassicalDecomposition:
     weights: dict
 
     def blocks(self) -> list:
-        """Raw blocks of sum_pi P_pi (x) q_pi, without validation."""
-        zero = zeros(self.s, self.s, self.exact)
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = zero
-                for sigma, q in self.weights.items():
-                    if sigma[i] == j:
-                        acc = acc + q
-                row.append(acc)
-            out.append(row)
-        return out
+        """Raw blocks of sum_pi P_pi (x) q_pi, summed in weight order, unvalidated."""
+        zero, terms = zeros(self.s, self.s, self.exact), self.weights.items()
+        return [
+            [sum((q for sigma, q in terms if sigma[i] == j), zero) for j in range(self.n)]
+            for i in range(self.n)
+        ]
 
     def reconstruct(self, tol: float = DEFAULT_TOL) -> MagicSquare:
         """Assemble sum_pi P_pi (x) q_pi as a validated magic square."""
@@ -194,7 +188,8 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     n, s = a.n, a.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
-    q0 = np.stack(list(_min_norm_weights(a.to_float().blocks, identity(s, False)).values()))
+    grid = [[as_complex(b) for b in row] for row in a.blocks]  # A is valid, so is its copy
+    q0 = np.stack(list(_min_norm_weights(grid, identity(s, False)).values()))
     dirs = np.einsum("rp,bij->rbpij", _elimination(n), hermitian_basis_stack(s))
     return SdpProblem(q0, dirs.reshape(-1, *q0.shape))
 
@@ -251,12 +246,7 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     weights = dict(zip(permutations_lex(a.n), problem.evaluate(res.x)))
     if not a.exact:
         dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
-        recon = dec.blocks()
-        resid = max(
-            residual(difference(recon[i][j], a.block(i, j)))
-            for i in range(a.n)
-            for j in range(a.n)
-        )
+        resid = grid_residual(dec.blocks(), a.blocks)
         return CheckResult(
             "yes", decomposition=dec,
             residuals={**residuals, "reconstruction": resid},
@@ -298,27 +288,24 @@ def synthesize_commuting_dilation(dec: SemiclassicalDecomposition) -> CommutingD
     """Build U = diag-block quantum permutation and V stacked from q_pi^(1/2).
 
     U is exact 0/1 data rendered as floats: u_ij is the diagonal of the
-    incidence row (i, j), each mark repeated s times.  V is numeric (square
-    roots leave the rationals), but V* u_ij V = a_ij holds through the exact
-    identity sum_{pi(i)=j} q_pi = a_ij.  A permutation missing from the
-    weights has weight zero.  Raises TooLarge above MAX_LMI_N, where U, n^2
-    blocks of size n! s, grows too large.
+    incidence row (i, j), each mark repeated s times.  V stacks, in lex
+    order, the PSD roots of the Hermitian parts of the (n!, s, s) weight
+    stack from one batched eigh; a permutation missing from the weights
+    weighs zero.  Square roots leave the rationals, but V* u_ij V = a_ij
+    holds through the exact identity sum_{pi(i)=j} q_pi = a_ij.  Raises
+    TooLarge above MAX_LMI_N, where U, n^2 blocks of size n! s, grows too
+    large.
     """
     n, s = dec.n, dec.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
-    perms = permutations_lex(n)
     marks = _incidence(n).reshape(n, n, -1)
     u = MagicSquare([[np.diag(np.repeat(m, s) + 0j) for m in row] for row in marks])
-    v = np.zeros((len(perms) * s, s), dtype=np.complex128)
-    for k, sigma in enumerate(perms):
-        if sigma not in dec.weights:
-            continue
-        qc = as_complex(dec.weights[sigma])
-        lam, w = np.linalg.eigh((qc + qc.conj().T) / 2)
-        root = (w * np.sqrt(np.clip(lam, 0, None))) @ w.conj().T
-        v[k * s : (k + 1) * s, :] = root
-    return CommutingDilation(u, v, dec)
+    zero = zeros(s, s, False)
+    q = np.stack([as_complex(dec.weights.get(sigma, zero)) for sigma in permutations_lex(n)])
+    lam, w = np.linalg.eigh((q + q.conj().swapaxes(1, 2)) / 2)
+    roots = (w * np.sqrt(np.clip(lam, 0, None))[:, None, :]) @ w.conj().swapaxes(1, 2)
+    return CommutingDilation(u, roots.reshape(-1, s), dec)
 
 
 def verify_positive_unital_map(

@@ -290,10 +290,12 @@ def _positive_int(data: dict, key: str) -> int:
 
 
 def load_json(path):
+    """The JSON document in a file; FormatError for bytes that are not UTF-8,
+    malformed or too deeply nested JSON, or a bare int past the digit limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON: {err}") from None
 
 

@@ -5,9 +5,9 @@ rows and columns each sum to the identity.  Squares carry either an exact
 (Gaussian-rational) or a floating representation; the two never mix silently.
 
 This module owns that split: its representation helpers (identity, zeros,
-assemble, adjoint, scalar, as_complex, difference, residual, vanishes,
-psd_margin) hold all block arithmetic that differs between the two, and the
-constructions here and in other modules are written once on top of them.
+assemble, adjoint, scalar, as_complex, difference, residual, grid_residual,
+vanishes, psd_margin) hold all block arithmetic that differs between the
+two; the constructions here and elsewhere are written once on top of them.
 """
 
 from __future__ import annotations
@@ -185,6 +185,14 @@ def residual(m):
     if isinstance(m, ExactMatrix):
         return Fraction(int((np.abs(m.re) + np.abs(m.im)).max()), m.den)
     return float(np.abs(m).max())
+
+
+def grid_residual(xs, ys):
+    """The largest residual(difference(x_ij, y_ij)) over two grids of blocks:
+    a Fraction when both grids are exact, else a float, NaN when any
+    difference has a NaN entry."""
+    diffs = [[difference(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(xs, ys)]
+    return residual(assemble(diffs, isinstance(diffs[0][0], ExactMatrix)))
 
 
 def vanishes(m, tol: float) -> bool:

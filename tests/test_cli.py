@@ -625,6 +625,43 @@ def test_verify_shipped_certificate(run):
     assert Fraction(checks["trace_b0"]) < 0
 
 
+# -- raw bytes at the file boundary ---------------------------------------------------
+#
+# Files that json.dumps never writes: every command that reads one refuses it
+# with exit 3 and a JSON report, like any other malformed input.
+
+_LONG_INT = b"9" * 5000  # past Python's int-to-str digit limit
+_RAW_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested-100000-deep": b"[" * 100000,
+    "long-int-n": b'{"n": ' + _LONG_INT + b', "s": 1, "repr": "exact", "blocks": [[["1"]]]}',
+    "long-int-entry": b'{"n": 1, "s": 1, "repr": "exact", "blocks": [[[[' + _LONG_INT + b"]]]]}",
+    "truncated": b'{"n": 2, "s": 1, "repr": "exact", "blocks": [[',
+    "empty": b"",
+}
+_READERS = {  # the arguments before the file
+    "validate": ["validate"],
+    "check-semiclassical": ["check-semiclassical"],
+    "obstruction-check": ["obstruction-check"],
+    "birkhoff": ["birkhoff"],
+    "dilate": ["dilate"],
+    "verify-certificate": ["verify-certificate"],
+    "verify-certificate-square": ["verify-certificate", SHIPPED_CERT, "--square"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RAW_FILES))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_raw_file_bytes_are_usage_errors(capsys, tmp_path, kind, reader):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(_RAW_FILES[kind])
+    code = main([str(a) for a in (*_READERS[reader], path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error" in json.loads(captured.out)["verdicts"]
+    assert "Traceback" not in captured.err
+
+
 # -- fuzzing the exit-code contract ------------------------------------------------
 #
 # Generated and mutated documents go through main() for the commands that run

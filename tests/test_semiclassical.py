@@ -38,6 +38,7 @@ from qmagic.semiclassical import (
     synthesize_commuting_dilation,
     verify_positive_unital_map,
 )
+from qmagic.serialize import decomposition_from_json, float_matrix_to_json
 from qmagic.structures import (
     MagicSquare,
     compress,
@@ -416,6 +417,58 @@ def test_dilation_missing_permutation_has_zero_weight():
     assert dil.compressed() == MagicSquare(
         [[ident.to_complex(), np.zeros((2, 2))], [np.zeros((2, 2)), ident.to_complex()]]
     )
+
+
+def _loop_blocks(dec):
+    """dec.blocks() as a triple loop over slots and weights."""
+    out = []
+    for i in range(dec.n):
+        row = []
+        for j in range(dec.n):
+            acc = np.zeros((dec.s, dec.s), dtype=complex)
+            for sigma, q in dec.weights.items():
+                if sigma[i] == j:
+                    acc = acc + q
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _loop_isometry(dec):
+    """The V of synthesize_commuting_dilation, one eigh per permutation."""
+    perms, s = permutations_lex(dec.n), dec.s
+    v = np.zeros((len(perms) * s, s), dtype=np.complex128)
+    for k, sigma in enumerate(perms):
+        if sigma in dec.weights:
+            q = dec.weights[sigma]
+            lam, w = np.linalg.eigh((q + q.conj().T) / 2)
+            v[k * s : (k + 1) * s] = (w * np.sqrt(np.clip(lam, 0, None))) @ w.conj().T
+    return v
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1)])
+def test_blocks_and_dilation_are_the_loops_bit_for_bit(n, s):
+    """A float decomposition read from JSON keeps the file's order: here
+    reversed lex order, with every third term from the second on left out.
+    blocks() adds the weights in that order, and V is the per-permutation
+    root, with rows of +0.0 for the missing terms."""
+    weights = random_exact_decomposition(np.random.default_rng(10 * n + s), n, s)
+    terms = sorted(weights.items(), reverse=True)
+    data = [
+        {"perm": list(sigma), "q": float_matrix_to_json(q.to_complex())}
+        for k, (sigma, q) in enumerate(terms)
+        if k % 3 != 1
+    ]
+    dec = decomposition_from_json(data)
+    assert [list(sigma) for sigma in dec.weights] == [term["perm"] for term in data]
+    for row, ref in zip(dec.blocks(), _loop_blocks(dec)):
+        assert [b.tobytes() for b in row] == [r.tobytes() for r in ref]
+    v = synthesize_commuting_dilation(dec).v
+    assert v.tobytes() == _loop_isometry(dec).tobytes()
+    missing = [k for k, sigma in enumerate(permutations_lex(n)) if sigma not in dec.weights]
+    assert missing
+    for k in missing:
+        assert v[k * s : (k + 1) * s].tobytes() == bytes(16 * s * s)
 
 
 def test_dilation_guard_refuses_before_allocating():

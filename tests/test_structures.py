@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmagic.exact import ExactMatrix
+from qmagic.exact import ExactMatrix, GaussianRational
 from qmagic.sampling import (
     outer_direct_sum,
     projector_at_angle,
@@ -27,6 +27,7 @@ from qmagic.structures import (
     constant_square,
     direct_sum,
     embed_pad,
+    grid_residual,
     perm_matrix_exact,
     permutations_lex,
     validate_magic,
@@ -99,6 +100,38 @@ class TestValidateMagic:
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert {"not_hermitian", "row_sum", "col_sum"} <= kinds
+
+
+def _exact_grid(entries):
+    return [[ExactMatrix([[x]]) for x in row] for row in entries]
+
+
+def _float_grid(entries):
+    return [[np.array([[x]], dtype=complex) for x in row] for row in entries]
+
+
+_NAN = complex("nan")
+
+
+@pytest.mark.parametrize(
+    "xs, ys, expected",
+    [
+        # exact: max |re| + |im| over every slot, as a Fraction
+        (_exact_grid([[F(1, 2), GaussianRational(F(1, 3), F(-1, 4))], [0, F(-2, 3)]]),
+         _exact_grid([[0, 0], [0, F(1, 6)]]), F(5, 6)),
+        # float: the largest modulus
+        (_float_grid([[0.5, 3 + 4j], [1, 0]]), _float_grid([[0, 0], [0, 0]]), 5.0),
+        # an exact grid against a float one compares as floats
+        (_exact_grid([[F(1, 4), 1]]), _float_grid([[0, 0.5]]), 0.5),
+        # NaN wins wherever it sits
+        (_float_grid([[_NAN, 9]]), _float_grid([[0, 0]]), _NAN.real),
+        (_float_grid([[9, 0], [0, _NAN]]), _float_grid([[0, 0], [0, 0]]), _NAN.real),
+    ],
+)
+def test_grid_residual_is_the_largest_entry_over_all_slots(xs, ys, expected):
+    got = grid_residual(xs, ys)
+    assert type(got) is type(expected)
+    assert got == expected or (np.isnan(expected) and np.isnan(got))
 
 
 class TestValidateQuantumPermutation:
