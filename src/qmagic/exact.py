@@ -9,11 +9,14 @@ conversion helpers (`rationalize`, `ExactMatrix.to_complex`,
 `exact_from_float_matrix`), which round straight to integers.
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
-(a rounded float inverse Cholesky factor, then Gershgorin), else by an exact
-Hermitian elimination (Schur complements, largest-diagonal pivoting), which
-decides every rejection.  `refute_psd` only ever rejects: an exact v* M v < 0
-for v the rounded float eigenvector of the least eigenvalue, a cheap sound
-proof that M is not PSD where the elimination's margin is not needed.
+(a rounded float inverse Cholesky factor, then Gershgorin on the upper
+triangle of the congruent matrix), else by an exact Hermitian elimination
+(Schur complements, largest-diagonal pivoting), which decides every
+rejection.  `psd_check_stack` gives the same checks for a stack of integer
+numerators over one denominator, with one congruence proof for the stack.
+`refute_psd` only ever rejects: an exact v* M v < 0 for v the rounded float
+eigenvector of the least eigenvalue, a cheap sound proof that M is not PSD
+where the elimination's margin is not needed.
 
 `affine_least_squares` is the exact orthogonal projection onto an affine set
 given by its rows, with its shape-only work (rank selection, inverse Gram)
@@ -41,6 +44,7 @@ __all__ = [
     "ExactMatrix",
     "PsdCheck",
     "psd_check_exact",
+    "psd_check_stack",
     "refute_psd",
     "rationalize",
     "rational_str",
@@ -431,6 +435,15 @@ def _rationalized_parts(arr, max_denominator: int) -> tuple[int, np.ndarray, np.
     return (den, *nums.reshape(2, *arr.shape))
 
 
+def _stack_parts(mats) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, re, im) with (re_k + i im_k) / D the k-th of a sequence of exact
+    matrices of one shape: D their least common denominator and re, im
+    (k, rows, cols) object arrays of Python ints."""
+    den = lcm(*(m.den for m in mats))
+    parts = [m._over(den) for m in mats]
+    return den, np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
+
+
 def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
     """Rationalize a complex floating matrix entrywise."""
     return ExactMatrix.from_parts(*_rationalized_parts(arr, max_denominator))
@@ -466,9 +479,26 @@ def psd_check_exact(m: ExactMatrix) -> PsdCheck:
     """
     if not m.is_hermitian():
         raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix")
-    if _congruence_proves_pd(m):
+    if _congruence_proves_pd(m.den, m.re, m.im):
         return PsdCheck(True)
     return _schur_psd_check(m)
+
+
+def psd_check_stack(den: int, re: np.ndarray, im: np.ndarray):
+    """`psd_check_exact` of every M_k = (re_k + i im_k) / den of a (k, d, d)
+    stack of integer numerators, in order: one congruence proof covers the
+    whole stack, and each member it does not prove goes to the elimination
+    only when its turn comes, so `all()` over the checks stops at the first
+    rejection.  Every check, witness value included, is that of
+    `psd_check_exact(M_k)`.
+    """
+    if not (np.array_equal(re, re.swapaxes(-1, -2)) and np.array_equal(im, -im.swapaxes(-1, -2))):
+        raise NonHermitianInput("psd_check_stack requires exactly Hermitian matrices")
+    proven = _congruence_proves_pd(den, re, im)
+    return (
+        PsdCheck(True) if ok else _schur_psd_check(ExactMatrix.from_parts(den, r, i))
+        for ok, r, i in zip(proven, re, im)
+    )
 
 
 def refute_psd(m: ExactMatrix) -> Fraction | None:
@@ -496,30 +526,54 @@ def refute_psd(m: ExactMatrix) -> Fraction | None:
     return value if value < 0 else None
 
 
-def _congruence_proves_pd(m: ExactMatrix) -> bool:
-    """True only if M > 0, proven in Gaussian integers.
+def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """For each Hermitian M = (re + i im) / den of a stack on the last two
+    axes: True only if M > 0, proven in Gaussian integers.
 
     A float inverse Cholesky factor of M, each column scaled to about 2^30
     and rounded, gives an upper triangular Gaussian-integer T; a nonzero
-    diagonal makes it invertible.  With D the common denominator, Z =
-    T* (D M) T is computed exactly; a real diagonal that beats each row's
-    off-diagonal sum of |re| + |im| gives Z > 0 by Gershgorin, so M > 0.
+    diagonal makes it invertible.  Z = T* (N T), N = den M, is computed
+    exactly: column j of N T needs only rows :j+1 of T, and Z is Hermitian,
+    so only its upper triangle is formed.  A real diagonal that beats each
+    row's off-diagonal sum of |re| + |im| (the lower half read by symmetry)
+    gives Z > 0 by Gershgorin, so M > 0.  The float factors are batched; a
+    member whose factor fails or whose entries overflow a float is decided
+    alone, as if it came by itself, and is not proven.
     """
+    stack, d = re.shape[:-2], re.shape[-1]
+    re, im = re.reshape(-1, d, d), im.reshape(-1, d, d)
+    approx = np.empty(re.shape, dtype=np.complex128)
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(m.to_complex())).conj().T
+        approx.real, approx.imag = re / den, im / den
+        inv = np.linalg.inv(np.linalg.cholesky(approx)).conj().swapaxes(-1, -2)
     except (np.linalg.LinAlgError, OverflowError):
-        return False
+        if len(re) == 1:
+            return np.zeros(stack, dtype=bool)
+        return np.array([_congruence_proves_pd(den, *m) for m in zip(re, im)]).reshape(stack)
     with np.errstate(all="ignore"):
-        t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=0))))
-    if not np.isfinite(t).all() or not t.diagonal().all():
-        return False
+        t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=-2, keepdims=True))))
+    flat = t.reshape(len(t), d * d)
+    ok = np.isfinite(flat).all(axis=1) & flat[:, :: d + 1].all(axis=1)
+    if not ok.all():
+        t[~ok] = 0  # not proven; zeros keep the integer cast defined
     t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
-    nt_re, nt_im = m.re @ t_re - m.im @ t_im, m.re @ t_im + m.im @ t_re
-    z_re = t_re.T @ nt_re + t_im.T @ nt_im
-    z_im = t_re.T @ nt_im - t_im.T @ nt_re
+    nt_re, nt_im = np.empty((2, *re.shape), dtype=object)
+    for j in range(d):
+        tr, ti = t_re[:, : j + 1, j : j + 1], t_im[:, : j + 1, j : j + 1]
+        mr, mi = re[:, :, : j + 1], im[:, :, : j + 1]
+        nt_re[:, :, j : j + 1], nt_im[:, :, j : j + 1] = mr @ tr - mi @ ti, mr @ ti + mi @ tr
+    z_re, z_im = np.zeros((2, *re.shape), dtype=object)
+    for i in range(d):
+        tr, ti = t_re[:, None, : i + 1, i], t_im[:, None, : i + 1, i]
+        nr, ni = nt_re[:, : i + 1, i:], nt_im[:, : i + 1, i:]
+        z_re[:, i : i + 1, i:], z_im[:, i : i + 1, i:] = tr @ nr + ti @ ni, tr @ ni - ti @ nr
+    upper = np.abs(z_re) + np.abs(z_im)
+    diag = np.diagonal(upper, axis1=-2, axis2=-1)
     # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest
-    row_sums = (np.abs(z_re) + np.abs(z_im)).sum(axis=1)
-    return not z_im.diagonal().any() and bool((2 * z_re.diagonal() > row_sums).all())
+    row_sums = upper.sum(axis=-1) + upper.sum(axis=-2) - diag
+    real = ~np.diagonal(z_im, axis1=-2, axis2=-1).astype(bool).any(axis=-1)
+    beats = (2 * np.diagonal(z_re, axis1=-2, axis2=-1) > row_sums).astype(bool).all(axis=-1)
+    return (ok & real & beats).reshape(stack)
 
 
 def _schur_psd_check(m: ExactMatrix) -> PsdCheck:

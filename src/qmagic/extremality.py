@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .obstruction import phi_matrix
+from .obstruction import _phi, phi_matrix
 from .sampling import random_unitary
 from .semiclassical import CommutingDilation
 from .structures import (
@@ -148,18 +148,15 @@ def arveson_split_check(
     in the common basis [v, v_perp].
     """
     n = u_square.n
-    if isinstance(a_square, MagicSquare):
-        blocks = a_square.to_float().blocks
-    else:
-        blocks = [[np.asarray(b, dtype=np.complex128) for b in row] for row in a_square]
+    grid = a_square.blocks if isinstance(a_square, MagicSquare) else a_square
+    blocks = [[as_complex(b) for b in row] for row in grid]
     v = np.asarray(v, dtype=np.complex128)
-    uf = u_square.to_float()
     worst = 0.0
     corners = {}
     basis = _complete_isometry(v)
     for i in range(n):
         for j in range(n):
-            triple = DilationTriple(np.asarray(uf.block(i, j)), blocks[i][j], v)
+            triple = DilationTriple(as_complex(u_square.block(i, j)), blocks[i][j], v)
             result = split_decompose(triple, tol)
             worst = max(worst, result.residual)
             corners[(i, j)] = result.p
@@ -225,11 +222,10 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
     output validates as a magic square of block size s + 1 and its
     top-left corner compresses back to A.
     """
-    flo = a.to_float()
     n, s = a.n, a.s
     if n != 3:
         raise ValueError(f"the extension step is defined for n=3, got n={n}")
-    blocks = flo.blocks
+    blocks = [[as_complex(b) for b in row] for row in a.blocks]  # A is valid, so is its copy
     a11 = blocks[0][0]
     h = a11 - a11 @ a11
     lam_h, vec_h = np.linalg.eigh((h + h.conj().T) / 2)
@@ -238,7 +234,7 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
             f"a_11 - a_11^2 has top eigenvalue {float(lam_h.max()):.2e}"
         )
 
-    phi = phi_matrix(flo)
+    phi = _phi(blocks, False)
     m = phi + np.asarray(x, dtype=np.complex128)
     m = (m + m.conj().T) / 2
     # A Gram matrix of the required form kills the sum functionals exactly,

@@ -126,12 +126,17 @@ class CertificationFailed(ValueError):
 def phi_matrix(a: MagicSquare):
     """diag(A) - col(A) col(A)*, Hermitian of size n^2 s, over Q[i] for an
     exact square and in complex floats for a float one."""
-    blocks = [b for row in a.blocks for b in row]
-    zero = zeros(a.s, a.s, a.exact)
-    col = assemble([[b] for b in blocks], a.exact)
+    return _phi(a.blocks, a.exact)
+
+
+def _phi(grid, exact: bool):
+    """`phi_matrix` of an n x n grid of exact or complex blocks."""
+    blocks = [b for row in grid for b in row]
+    zero = zeros(*blocks[0].shape, exact)
+    col = assemble([[b] for b in blocks], exact)
     diag = assemble(
         [[b if p == q else zero for q in range(len(blocks))] for p, b in enumerate(blocks)],
-        a.exact,
+        exact,
     )
     return difference(diag, col @ adjoint(col))
 

@@ -8,7 +8,12 @@ form, its least-norm solution `_min_norm_weights`: the LMI takes it as the
 constant term of a pencil of n! blocks q_pi of size s over the kernel of
 the incidence matrix, solved as a block stack; the exact rational repair of
 the solver's weights adds it for the residual; and on the interior ball it
-is the decomposition itself.  Membership is decided by the eps-resolution
+is the decomposition itself.  It works on the (n!, s, s) weight stack at
+once, gathering sum_k g_{k, pi(k)} for every pi: complex floats, or for
+exact squares integer numerators over one denominator.  The repair keeps
+those until one stacked PSD proof (`psd_check_stack`) has passed and builds
+the n! exact weights only then; the interior formula proves its weights
+with one stacked proof too.  Membership is decided by the eps-resolution
 semantics of the solver plus, for exact input, that exact repair.
 """
 
@@ -17,11 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
-from .exact import ExactMatrix, exact_from_float_matrix, hermitian_basis_stack, psd_check_exact
+from .exact import (
+    ExactMatrix,
+    _rationalized_parts,
+    _stack_parts,
+    hermitian_basis_stack,
+    psd_check_stack,
+)
 from .birkhoff import magic_space_dimension
 from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
 from .structures import (
@@ -33,9 +44,8 @@ from .structures import (
     grid_residual,
     identity,
     permutations_lex,
-    psd_margin,
+    psd_margins,
     residual,
-    scalar,
     vanishes,
     zeros,
 )
@@ -150,26 +160,47 @@ def _elimination(n: int) -> np.ndarray:
     return kernel
 
 
-def _min_norm_weights(grid, row) -> dict:
-    """The least-norm solution {pi: q_pi} of sum_{pi(i)=j} q_pi = g_ij, for an
-    n x n grid of blocks whose rows and columns all sum to `row`:
+@cache
+def _lex_permutations(n: int) -> np.ndarray:
+    """`permutations_lex(n)` as an (n!, n) array: row pi holds pi(0), ..., pi(n-1)."""
+    perms = np.array(permutations_lex(n)).reshape(-1, n)
+    perms.flags.writeable = False
+    return perms
+
+
+def _min_norm_weights(grid: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The least-norm solution of sum_{pi(i)=j} q_pi = g_ij, as the
+    (n!, s, s) stack of the q_pi in lex order, for an (n, n, s, s) grid of
+    blocks whose rows and columns all sum to the block `row`:
 
         q_pi = (sum_k g_{k, pi(k)} - ((n-2)/(n-1)) row) / ((n-2)! n),
 
     and q = row at n = 1.  The incidence Gram lies in the algebra spanned by
     I, "same row", "same column" and J, which gives its pseudo-inverse this
-    closed form.  Exact blocks give exact weights, float blocks float ones.
+    closed form.  The sums gather g_{k, pi(k)} for every pi at once and add
+    them in k order.  Float blocks give the float weights; integer
+    numerators (object arrays) of a grid and row over one denominator D
+    give the numerators (n-1) sum_k g_{k, pi(k)} - (n-2) row of the weights
+    over n! D, exactly.
     """
     n = len(grid)
-    exact = isinstance(row, ExactMatrix)
+    perms = _lex_permutations(n)
+    total = grid[0, perms[:, 0]]
+    for k in range(1, n):
+        total = total + grid[k, perms[:, k]]
+    if grid.dtype == object:
+        return (n - 1) * total - (n - 2) * row
     if n == 1:  # the lone weight, complex like every float weight
-        return {(0,): zeros(*row.shape, exact) + row}
-    shift = row * scalar(Fraction(n - 2, n - 1), exact)
-    scale = scalar(Fraction(1, factorial(n - 2) * n), exact)
-    return {
-        sigma: (sum((grid[k][sigma[k]] for k in range(1, n)), grid[0][sigma[0]]) - shift) * scale
-        for sigma in permutations_lex(n)
-    }
+        return np.zeros_like(total) + row
+    shift = row * float(Fraction(n - 2, n - 1))
+    return (total - shift) * float(Fraction(1, factorial(n - 2) * n))
+
+
+def _square_parts(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
+    """An exact square's blocks as (D, re, im): integer numerators over
+    their least common denominator D, each an (n, n, s, s) object array."""
+    den, re, im = _stack_parts([b for row in a.blocks for b in row])
+    return den, re.reshape(a.n, a.n, a.s, a.s), im.reshape(a.n, a.n, a.s, a.s)
 
 
 def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
@@ -188,34 +219,51 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     n, s = a.n, a.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
-    grid = [[as_complex(b) for b in row] for row in a.blocks]  # A is valid, so is its copy
-    q0 = np.stack(list(_min_norm_weights(grid, identity(s, False)).values()))
+    # A is valid, so is its copy
+    grid = np.array([[as_complex(b) for b in row] for row in a.blocks])
+    q0 = _min_norm_weights(grid, identity(s, False))
     dirs = np.einsum("rp,bij->rbpij", _elimination(n), hermitian_basis_stack(s))
     return SdpProblem(q0, dirs.reshape(-1, *q0.shape))
 
 
-def _exact_repair(a: MagicSquare, weights: dict, max_denominator: int):
-    """Rationalize numeric weights and project them exactly onto the affine
-    set {sum_pi P_pi (x) q_pi = A}; None if PSD breaks.
+def _exact_repair(a: MagicSquare, weights: np.ndarray, max_denominator: int):
+    """Rationalize numeric weights, the (n!, s, s) stack in lex order, and
+    project them exactly onto the affine set {sum_pi P_pi (x) q_pi = A};
+    None if PSD breaks.
 
     The projection of the rationalized x0 is x0 plus the least-norm solution
     for the residual A - sum_pi P_pi (x) x0_pi, whose rows and columns all
     sum to I - sum_pi x0_pi.  The constraints act on each Hermitian
     coordinate alike, with the same Frobenius weight for every pi, so this
     is also the Frobenius-weighted projection of the whole block system.
+    It all runs on integer numerators over one denominator: x0 is rounded
+    straight to integers R + i I over D and symmetrized as
+    (R + R^T + i (I - I^T)) / 2D, as in `exact_certify`; the fitted blocks
+    are one product with the incidence matrix; one congruence proof covers
+    the result.  The n! exact weights are built only when it is PSD.
     """
     n, s = a.n, a.s
-    x0 = {}
-    for sigma in permutations_lex(n):
-        q = exact_from_float_matrix(weights[sigma], max_denominator)
-        x0[sigma] = (q + q.h) * Fraction(1, 2)
-    fitted = SemiclassicalDecomposition(n, s, True, x0).blocks()
-    grid = [[a.block(i, j) - fitted[i][j] for j in range(n)] for i in range(n)]
-    unit = identity(s, True) - sum(x0.values(), zeros(s, s, True))
-    out = {sigma: x0[sigma] + dq for sigma, dq in _min_norm_weights(grid, unit).items()}
-    if not all(psd_check_exact(q).is_psd for q in out.values()):
+    x_den, x_re, x_im = _rationalized_parts(weights, max_denominator)
+    x_den, x_re, x_im = 2 * x_den, x_re + x_re.swapaxes(1, 2), x_im - x_im.swapaxes(1, 2)
+    a_den, a_re, a_im = _square_parts(a)
+    e = lcm(x_den, a_den)
+    incidence = _incidence(n).astype(object)
+
+    def correction(target, x0, unit):  # the least-norm weights of the residual, over e n!
+        fitted = (incidence @ x0.reshape(len(x0), -1)).reshape(n, n, s, s)
+        grid = target * (e // a_den) - fitted * (e // x_den)
+        return _min_norm_weights(grid, unit - x0.sum(axis=0) * (e // x_den))
+
+    den = e * factorial(n)
+    eye = np.eye(s, dtype=object) * e
+    re = x_re * (den // x_den) + correction(a_re, x_re, eye)
+    im = x_im * (den // x_den) + correction(a_im, x_im, 0 * eye)
+    if not all(check.is_psd for check in psd_check_stack(den, re, im)):
         return None
-    return out
+    return {
+        sigma: ExactMatrix.from_parts(den, *q)
+        for sigma, q in zip(permutations_lex(n), zip(re, im))
+    }
 
 
 def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult:
@@ -243,8 +291,9 @@ def check_semiclassical(a: MagicSquare, eps: float = DEFAULT_EPS) -> CheckResult
     if res.status is Status.INCONCLUSIVE and not near:
         return CheckResult("inconclusive", residuals=residuals)
 
-    weights = dict(zip(permutations_lex(a.n), problem.evaluate(res.x)))
+    weights = problem.evaluate(res.x)
     if not a.exact:
+        weights = dict(zip(permutations_lex(a.n), weights))
         dec = SemiclassicalDecomposition(a.n, a.s, False, weights)
         resid = grid_residual(dec.blocks(), a.blocks)
         return CheckResult(
@@ -273,12 +322,19 @@ def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
     every q_pi is PSD, that is when sum_k a_{k, pi(k)} >= ((n-2)/(n-1)) I.
     No SDP involved; exact on exact input.
     """
-    weights = _min_norm_weights(a.blocks, identity(a.s, a.exact))
-    margins = {sigma: psd_margin(q, DEFAULT_TOL) for sigma, q in weights.items()}
-    violations = [(sigma, margin) for sigma, (ok, margin) in margins.items() if not ok]
+    n, s, perms = a.n, a.s, permutations_lex(a.n)
+    if a.exact:
+        den, g_re, g_im = _square_parts(a)
+        eye = np.eye(s, dtype=object) * den
+        re, im = _min_norm_weights(g_re, eye), _min_norm_weights(g_im, 0 * eye)
+        weights = [ExactMatrix.from_parts(den * factorial(n), *q) for q in zip(re, im)]
+    else:
+        weights = list(_min_norm_weights(np.array(a.blocks), identity(s, False)))
+    margins = psd_margins(weights, DEFAULT_TOL)
+    violations = [(sigma, margin) for sigma, (ok, margin) in zip(perms, margins) if not ok]
     if violations:
         raise BoundViolated(violations)
-    return SemiclassicalDecomposition(a.n, a.s, a.exact, weights)
+    return SemiclassicalDecomposition(n, s, a.exact, dict(zip(perms, weights)))
 
 
 # -- dilation synthesis ------------------------------------------------------
@@ -315,8 +371,8 @@ def verify_positive_unital_map(
     positivity of each q_pi, unitality of their sum, and the generator
     identities sum_{pi(i)=j} q_pi = a_ij.  Exact decompositions are held
     to zero residual; float ones to tol."""
-    positivity = tuple((sigma, *psd_margin(q, tol)) for sigma, q in dec.weights.items())
     weights = list(dec.weights.values())
+    positivity = tuple((sigma, *m) for sigma, m in zip(dec.weights, psd_margins(weights, tol)))
     unit = sum(weights[1:], weights[0]) - identity(dec.s, dec.exact)
 
     recon = dec.blocks()

@@ -6,8 +6,9 @@ rows and columns each sum to the identity.  Squares carry either an exact
 
 This module owns that split: its representation helpers (identity, zeros,
 assemble, adjoint, scalar, as_complex, difference, residual, grid_residual,
-vanishes, psd_margin) hold all block arithmetic that differs between the
-two; the constructions here and elsewhere are written once on top of them.
+vanishes, psd_margin, psd_margins) hold all block arithmetic that differs
+between the two; the constructions here and elsewhere are written once on
+top of them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational, psd_check_exact
+from .exact import ExactMatrix, GaussianRational, _stack_parts, psd_check_stack
 
 __all__ = [
     "ShapeMismatch",
@@ -207,11 +208,17 @@ def psd_margin(m, tol: float):
     Hermitian elimination (Schur complements, largest-diagonal pivoting),
     with a value v* m v < 0 of the quadratic form (0 when PSD) as margin;
     for floats the least eigenvalue of the Hermitian part, >= -tol."""
-    if isinstance(m, ExactMatrix):
-        check = psd_check_exact(m)
-        return check.is_psd, Fraction(0) if check.is_psd else check.witness_value
-    lam = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-    return lam >= -tol, lam
+    return psd_margins([m], tol)[0]
+
+
+def psd_margins(blocks, tol: float) -> list:
+    """`psd_margin` of each of a list of blocks, all exact or all float:
+    exact ones share one stacked congruence proof (`psd_check_stack`)."""
+    if blocks and isinstance(blocks[0], ExactMatrix):
+        checks = psd_check_stack(*_stack_parts(blocks))
+        return [(c.is_psd, Fraction(0) if c.is_psd else c.witness_value) for c in checks]
+    lams = [float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) for m in blocks]
+    return [(lam >= -tol, lam) for lam in lams]
 
 
 # -- validation -------------------------------------------------------------
@@ -238,12 +245,14 @@ def _mismatch(kind, loc, x, y, tol):
     return None if vanishes(d, tol) else Violation(kind, loc, residual(d))
 
 
-def _psd_violation(block, loc, tol):
-    herm = _mismatch("not_hermitian", loc, block, adjoint(block), tol)
-    if herm:
-        return herm
-    ok, margin = psd_margin(block, tol)
-    return None if ok else Violation("block_not_psd", loc, margin)
+def _block_violations(slots, tol) -> list:
+    """The hermiticity or else PSD violation of each (location, block), or
+    None; the Hermitian blocks' PSD tests share one stacked proof when exact."""
+    found = [_mismatch("not_hermitian", loc, b, adjoint(b), tol) for loc, b in slots]
+    hermitian = [k for k, herm in enumerate(found) if not herm]
+    for k, (ok, margin) in zip(hermitian, psd_margins([slots[k][1] for k in hermitian], tol)):
+        found[k] = None if ok else Violation("block_not_psd", slots[k][0], margin)
+    return found
 
 
 def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -257,7 +266,7 @@ def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
     """
     n, s, exact, grid = _coerce_blocks(blocks)
     ident = identity(s, exact)
-    found = [_psd_violation(grid[i][j], (i, j), tol) for i in range(n) for j in range(n)]
+    found = _block_violations([((i, j), grid[i][j]) for i in range(n) for j in range(n)], tol)
     for i in range(n):
         row_sum = sum(grid[i][1:], grid[i][0])
         found.append(_mismatch("row_sum", (i,), row_sum, ident, tol))
@@ -403,10 +412,8 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
         ],
     ]
     completed = [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
-    offending = [
-        loc for loc in completed
-        if _psd_violation(grid[loc[0]][loc[1]], loc, tol) is not None
-    ]
+    found = _block_violations([(loc, grid[loc[0]][loc[1]]) for loc in completed], tol)
+    offending = [loc for loc, violation in zip(completed, found) if violation]
     if offending:
         raise CompletionNotPSD(offending)
     return MagicSquare(grid, tol=tol)

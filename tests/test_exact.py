@@ -19,13 +19,14 @@ from qmagic.exact import (
     exact_from_float_matrix,
     nullspace_exact,
     psd_check_exact,
+    psd_check_stack,
     rank_exact,
     rational_str,
     rationalize,
     refute_psd,
     rref_exact,
 )
-from qmagic.exact import _congruence_proves_pd, _schur_psd_check
+from qmagic.exact import _congruence_proves_pd, _schur_psd_check, _stack_parts
 from qmagic.serialize import certificate_from_json
 
 G = GaussianRational
@@ -457,13 +458,50 @@ def test_congruence_proof_agrees_with_ldl():
         ldl = reference_ldl(m)
         for check in (_schur_psd_check(m), psd_check_exact(m)):
             assert (check.is_psd, check.witness_value) == (ldl.is_psd, ldl.witness_value)
-        if _congruence_proves_pd(m):
+        if _congruence_proves_pd(m.den, m.re, m.im):
             assert ldl.is_psd
             proven += 1
         else:
             fallback += 1
     # both paths must be exercised for the comparison to mean anything
     assert proven > 100 and fallback > 100
+
+
+def test_stacked_congruence_proof_agrees_with_each_matrix():
+    """One proof over a stack decides every member as a proof of that member
+    alone: stacks of one size d mixing PD, singular and indefinite members
+    (whose failed float factor sends the stack member by member), and the
+    stack of the proven members alone (one batched factor)."""
+    by_size = {}
+    for m in _psd_property_cases(np.random.default_rng(2024)):
+        by_size.setdefault(m.rows, []).append(m)
+    batched = 0
+    for mats in by_size.values():
+        alone = [bool(_congruence_proves_pd(m.den, m.re, m.im)) for m in mats]
+        assert True in alone and False in alone
+        proven = [m for m, ok in zip(mats, alone) if ok]
+        for group, want in ((mats, alone), (proven, [True] * len(proven))):
+            den, re, im = _stack_parts(group)
+            assert _congruence_proves_pd(den, re, im).tolist() == want
+            checks = list(psd_check_stack(den, re, im))
+            assert checks == [psd_check_exact(m) for m in group]
+        batched += len(proven)
+    assert batched > 100
+
+
+def test_psd_check_stack_stops_at_the_first_rejection(monkeypatch):
+    mats = [ExactMatrix([[1, 0], [0, -1]]), ExactMatrix([[-1, 0], [0, 1]])]
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return _schur_psd_check(m)
+
+    monkeypatch.setattr(exact, "_schur_psd_check", counted)
+    assert not all(check.is_psd for check in psd_check_stack(*_stack_parts(mats)))
+    assert calls == mats[:1]
+    with pytest.raises(NonHermitianInput):
+        psd_check_stack(*_stack_parts([ExactMatrix([[0, 1], [2, 0]])]))
 
 
 def test_congruence_proves_counterexample_certificate(monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
+    "bench_pairs.py": ["--dry-run", "--workloads", "membership", "--seeds", "1", "--pairs", "2"],
     "birkhoff_stats.py": ["--sizes", "3", "--trials", "2"],
     "extension_demo.py": ["--s", "1", "--trials", "1"],
     "interior_sweep.py": ["--n", "3", "--s", "1", "--trials", "2", "--no-lmi"],
@@ -44,3 +45,26 @@ def test_script_help_and_tiny_config(script):
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout.strip()
     assert "Traceback" not in ran.stderr
+
+
+def test_bench_pairs_dry_run_plans_alternating_pairs(tmp_path):
+    ran = _run(
+        "bench_pairs.py", "--dry-run", "--parent", "HEAD~1", "--workloads", "certify",
+        "membership", "--seeds", "1", "5", "--pairs", "3", "--work", str(tmp_path),
+    )
+    assert ran.returncode == 0, ran.stderr
+    lines = ran.stdout.splitlines()
+    assert lines[0] == f"git archive HEAD~1 | tar -x -C {tmp_path / 'parent'}"
+    assert lines[1] == f"copy working tree files to {tmp_path / 'change'}"
+    runs = lines[2:]
+    assert len(runs) == 2 * 2 * 3 * 2
+    assert [line.split("]")[0] for line in runs[:6]] == [
+        "[pair 1 parent", "[pair 1 change", "[pair 2 change",
+        "[pair 2 parent", "[pair 3 parent", "[pair 3 change",
+    ]
+    for line in runs:
+        side = "parent" if " parent]" in line else "change"
+        assert f"cd {tmp_path / side} && PYTHONDONTWRITEBYTECODE=1 " in line
+        assert "perfbench/run.py --workload" in line and line.endswith("--seconds 10 --trace 0")
+    assert "--workload membership --seed 5" in runs[-1]
+    assert not any(tmp_path.iterdir())  # a dry run creates nothing

@@ -10,6 +10,7 @@ from qmagic.sdp import (
     _congruences,
     _real_rows,
     _single_products,
+    _trace_sums,
     solve_feasibility,
 )
 
@@ -163,6 +164,23 @@ def test_congruences_are_the_broadcast_product_bit_for_bit(shape):
         assert _congruences_of(stack, isqrt).tobytes() == ((isqrt @ stack) @ isqrt).tobytes()
         # products of exact zeros may leave a zero of the other sign
         assert np.array_equal(_congruences_of(stack, diagonal), (diagonal @ stack) @ diagonal)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(d, d) for d in (18, 32)] + [(k, s, s) for s in (1, 2, 3, 4) for k in (2, 6, 24)],
+)
+def test_gradient_traces_are_np_trace_bit_for_bit(shape):
+    """The Newton gradient's summed traces, over a stack like the solver's
+    (directions, then the t-direction), equal np.trace's bytes: einsum on
+    block stacks of blocks up to 3 x 3, np.trace on a one-block pencil and
+    on larger blocks, where einsum sums in another order."""
+    rng = np.random.default_rng(11)
+    for m in (0, 1, 5):
+        g = rng.normal(size=(m + 1, *shape)) + 1j * rng.normal(size=(m + 1, *shape))
+        g *= 10.0 ** rng.integers(-8, 8, size=g.shape)
+        want = np.trace(g, axis1=-2, axis2=-1).real.reshape(m + 1, -1).sum(axis=1)
+        assert _trace_sums(g).tobytes() == want.tobytes()
 
 
 class TestSolveFeasibility:

@@ -48,7 +48,6 @@ from qmagic.structures import (
     validate_quantum_permutation,
 )
 from test_exact import (
-    hermitian_coordinate_weights,
     hermitian_coordinates,
     hermitian_from_coordinates,
 )
@@ -242,52 +241,62 @@ def test_float_member_square_accepted():
 
 
 def _block_system_repair(a: MagicSquare, weights: dict, max_denominator: int) -> dict:
-    """Reference repair: one Frobenius-weighted projection of all n! s^2
+    """Reference repair: the Frobenius-weighted projection of all n! s^2
     coordinates onto the full block system {sum q = I, sum_pi P_pi (x) q_pi
-    = A}, identity block included.  No PSD check."""
+    = A}, identity block included, by exact generic least squares.  Each
+    row of the system touches one Hermitian coordinate, with one weight for
+    every pi, so the projection splits into one `affine_least_squares` per
+    coordinate over the n! weights, all on the same n^2 + 1 rows.  No PSD
+    check."""
     n, s = a.n, a.s
     perms = permutations_lex(n)
-    s2 = s * s
     x0 = []
     for sigma in perms:
         q = exact_from_float_matrix(weights[sigma], max_denominator)
-        x0.extend(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
-    nvars = len(perms) * s2
-    rows, rhs = [], []
-    ident_coords = hermitian_coordinates(ExactMatrix.identity(s))
-    for c in range(s2):
-        row = [Fraction(0)] * nvars
-        for k in range(len(perms)):
-            row[k * s2 + c] = Fraction(1)
-        rows.append(row)
-        rhs.append(ident_coords[c])
+        x0.append(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
+    rows = [[Fraction(1)] * len(perms)]
+    targets = [hermitian_coordinates(ExactMatrix.identity(s))]
     for i in range(n):
         for j in range(n):
-            target = hermitian_coordinates(a.block(i, j))
-            for c in range(s2):
-                row = [Fraction(0)] * nvars
-                for k, sigma in enumerate(perms):
-                    if sigma[i] == j:
-                        row[k * s2 + c] = Fraction(1)
-                rows.append(row)
-                rhs.append(target[c])
-    w = hermitian_coordinate_weights(s) * len(perms)
-    x = affine_least_squares(rows, rhs, x0, weights=w)
+            rows.append([Fraction(int(sigma[i] == j)) for sigma in perms])
+            targets.append(hermitian_coordinates(a.block(i, j)))
+    coords = [
+        affine_least_squares(rows, [t[c] for t in targets], [x[c] for x in x0])
+        for c in range(s * s)
+    ]
     return {
-        sigma: hermitian_from_coordinates(s, x[k * s2 : (k + 1) * s2])
+        sigma: hermitian_from_coordinates(s, [coords[c][k] for c in range(s * s)])
         for k, sigma in enumerate(perms)
     }
 
 
-def _noisy_float_weights(rng, weights: dict) -> dict:
+def _noisy_float_weights(rng, weights: dict, scale: float = 1e-6) -> dict:
     """Float copies of exact weights with a small Hermitian perturbation, so
     that no rung rationalizes them back onto the affine set."""
     out = {}
     for sigma, q in weights.items():
         s = q.rows
         noise = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-        out[sigma] = q.to_complex() + 1e-6 * (noise + noise.conj().T)
+        out[sigma] = q.to_complex() + scale * (noise + noise.conj().T)
     return out
+
+
+def _repair_agrees_with_block_system(sq: MagicSquare, weights: dict, den: int):
+    """The stacked repair of the weights (a dict over every permutation) at
+    one rung, after checking it against the reference projection: equal to
+    it, or None where the reference breaks PSD too."""
+    stack = np.stack([weights[sigma] for sigma in permutations_lex(sq.n)])
+    reference = _block_system_repair(sq, weights, den)
+    repaired = _exact_repair(sq, stack, den)
+    if repaired is None:
+        assert not all(psd_check_exact(q).is_psd for q in reference.values())
+        return None
+    assert repaired == reference
+    assert list(repaired) == permutations_lex(sq.n)
+    assert exact_dec(sq.n, sq.s, repaired).reconstruct() == sq
+    total = sum(repaired.values(), ExactMatrix.zeros(sq.s))
+    assert total == ExactMatrix.identity(sq.s)
+    return repaired
 
 
 @pytest.mark.parametrize(
@@ -299,17 +308,19 @@ def test_exact_repair_matches_block_system_projection(n, s):
     sq = square_from_decomposition(q)
     weights = _noisy_float_weights(rng, q)
     for den in REPAIR_DENOMINATORS:
-        reference = _block_system_repair(sq, weights, den)
-        repaired = _exact_repair(sq, weights, den)
-        if repaired is None:
-            assert not all(psd_check_exact(q).is_psd for q in reference.values())
-            continue
-        assert repaired == reference
-        dec = exact_dec(n, s, repaired)
-        assert dec.reconstruct() == sq
-        total = sum(repaired.values(), ExactMatrix.zeros(s))
-        assert total == ExactMatrix.identity(s)
+        repaired = _repair_agrees_with_block_system(sq, weights, den)
     assert repaired is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(2, 7))
+def test_exact_repair_matches_block_system_projection_over_seeds(n, s, seed, digits):
+    """At every rung, for noise from 1e-2 (PSD often breaks) to 1e-7."""
+    rng = np.random.default_rng(seed)
+    q = random_exact_decomposition(rng, n, s)
+    weights = _noisy_float_weights(rng, q, 10.0**-digits)
+    for den in REPAIR_DENOMINATORS:
+        _repair_agrees_with_block_system(square_from_decomposition(q), weights, den)
 
 
 def test_exact_repair_runs_no_elimination():
@@ -318,9 +329,10 @@ def test_exact_repair_runs_no_elimination():
     q = random_exact_decomposition(rng, 3, 2)
     sq = square_from_decomposition(q)
     weights = _noisy_float_weights(rng, q)
+    stack = np.stack([weights[sigma] for sigma in permutations_lex(3)])
     _projection_operator.cache_clear()
     for den in REPAIR_DENOMINATORS:
-        assert _exact_repair(sq, weights, den) is not None
+        assert _exact_repair(sq, stack, den) is not None
     info = _projection_operator.cache_info()
     assert info.hits == info.misses == 0
 
@@ -335,11 +347,10 @@ def test_min_norm_weights_is_the_pseudo_inverse(n, s, seed):
     x = rng.standard_normal((nf, s, s)) + 1j * rng.standard_normal((nf, s, s))
     m = _incidence(n)
     flat = np.tensordot(m, x, axes=1)  # (n^2, s, s): g_ij = sum_{pi(i)=j} x_pi
-    grid = [[flat[i * n + j] for j in range(n)] for i in range(n)]
-    got = _min_norm_weights(grid, x.sum(axis=0))
-    assert list(got) == permutations_lex(n)
+    got = _min_norm_weights(flat.reshape(n, n, s, s), x.sum(axis=0))
+    assert got.shape == (nf, s, s)
     reference = np.tensordot(np.linalg.pinv(m), flat, axes=1)
-    assert np.abs(np.stack(list(got.values())) - reference).max() <= 1e-12
+    assert np.abs(got - reference).max() <= 1e-12
 
 
 # -- interior decomposition formula ------------------------------------------

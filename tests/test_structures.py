@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmagic.exact import ExactMatrix, GaussianRational
+from qmagic.exact import ExactMatrix, GaussianRational, psd_check_exact
 from qmagic.sampling import (
     outer_direct_sum,
     projector_at_angle,
@@ -70,6 +70,33 @@ class TestValidateMagic:
         locs = {(v.kind, v.location) for v in report.violations}
         assert ("block_not_psd", (0, 1)) in locs
         assert ("block_not_psd", (1, 0)) in locs
+
+    def test_stacked_psd_tests_match_each_block_alone(self):
+        """Validation proves an exact grid's Hermitian blocks in one stack;
+        each block keeps the violation and margin it gets checked alone."""
+        g = GaussianRational
+        blocks = [
+            ExactMatrix([[1, g(0, 1)], [g(0, 1), 1]]),  # not Hermitian
+            ExactMatrix([[2, 1], [1, -2]]),  # indefinite
+            ExactMatrix([[1, 1], [1, 1]]),  # singular PSD
+            ExactMatrix([[F(1, 3), 0], [0, F(2, 7)]]),  # PD
+            ExactMatrix([[0, 0], [0, F(-1, 10**40)]]),  # barely indefinite
+            ExactMatrix([[1, 2], [2, 1]]),
+        ]
+        grid = [blocks[:3], blocks[3:], blocks[1:4]]
+        want = []
+        for i, row in enumerate(grid):
+            for j, b in enumerate(row):
+                if b != b.h:
+                    want.append(("not_hermitian", (i, j)))
+                elif not (check := psd_check_exact(b)).is_psd:
+                    want.append(("block_not_psd", (i, j), check.witness_value))
+        got = [
+            (v.kind, v.location) + ((v.margin,) if v.kind == "block_not_psd" else ())
+            for v in validate_magic(grid).violations
+            if v.kind in ("not_hermitian", "block_not_psd")
+        ]
+        assert got == want and len(want) == 5
 
     def test_row_sum_violation_located(self):
         bad = [[np.eye(1), np.eye(1)], [np.zeros((1, 1)), np.eye(1) * 0.5]]
