@@ -6,11 +6,11 @@
 
 The parent is extracted with `git archive` and the change is the working
 tree's tracked and untracked, not ignored, files, copied fresh; both go
-into new directories under `--work`, so neither side has a bytecode cache,
-and every process runs with PYTHONDONTWRITEBYTECODE=1 so none is written.
-For each workload and seed, pair k runs `perfbench/run.py` once in each
-tree, one run at a time, the parent first on odd pairs and the change
-first on even ones.  The output JSON holds every run and, per metric of
+into one new temporary directory, removed at the end, so neither side has
+a bytecode cache, and every process runs with PYTHONDONTWRITEBYTECODE=1 so
+none is written.  For each workload and seed, pair k runs `perfbench/run.py`
+for `BENCHMARK.json`'s `run_seconds` once in each tree, one run at a time,
+the parent first on odd pairs and the change first on even ones.  The output JSON holds every run and, per metric of
 `BENCHMARK.json`'s end-to-end list, the median and quartiles of each side
 and the number of pairs the change wins.  `--dry-run` prints the planned
 commands and runs nothing.  Uses the standard library only.
@@ -124,50 +124,41 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 5])
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=10.0, help="run.py --seconds")
     parser.add_argument("--out", type=Path, help="JSON file to write (default: stdout)")
-    parser.add_argument("--work", type=Path, help="directory for the two trees (default: a new temporary one)")
     parser.add_argument("--dry-run", action="store_true", help="print the planned commands, run nothing")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    if args.work:
-        work = args.work
-    elif args.dry_run:
-        work = Path(tempfile.gettempdir()) / "bench_pairs-XXXXXXXX"
-    else:
-        work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    trees = {"parent": work / "parent", "change": work / "change"}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     runs = list(plan(args.workloads, args.seeds, args.pairs))
     if args.dry_run:
-        print(f"git archive {args.parent} | tar -x -C {shlex.quote(str(trees['parent']))}")
-        print(f"copy working tree files to {shlex.quote(str(trees['change']))}")
+        print(f"parent tree: git archive {args.parent} into a new temporary directory")
+        print("change tree: a copy of the working tree files into a new temporary directory")
         for workload, seed, pair, side, _ in runs:
-            cmd = shlex.join(run_command(workload, seed, args.seconds))
-            print(f"[pair {pair} {side}] cd {shlex.quote(str(trees[side]))} && PYTHONDONTWRITEBYTECODE=1 {cmd}")
+            cmd = shlex.join(run_command(workload, seed, seconds))
+            print(f"[pair {pair} {side}] PYTHONDONTWRITEBYTECODE=1 {cmd}")
         return 0
 
     parent = git("rev-parse", "--short", args.parent).decode().strip()
-    if work.exists() and any(work.iterdir()):
-        parser.error(f"{work} is not empty")
-    extract_parent(parent, trees["parent"])
-    copy_working_tree(trees["change"])
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    trees = {"parent": work / "parent", "change": work / "change"}
     results = {}
     try:
+        extract_parent(parent, trees["parent"])
+        copy_working_tree(trees["change"])
         for workload, seed, pair, side, first in runs:
-            cmd = run_command(workload, seed, args.seconds)
+            cmd = run_command(workload, seed, seconds)
             run = {"pair": pair, "side": side, "first": first, **run_once(trees[side], cmd, env)}
             print(f"{workload}/seed{seed} {json.dumps(run)}", file=sys.stderr, flush=True)
             results.setdefault(f"{workload}/seed{seed}", []).append(run)
     finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     report = {
         "parent_commit": parent,
-        "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds:g} --trace 0",
         "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} cores, Python {platform.python_version()}",
         "method": (
             f"git archive {parent} and a fresh copy of the working tree in two new directories, "

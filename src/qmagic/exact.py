@@ -475,13 +475,13 @@ def psd_check_exact(m: ExactMatrix) -> PsdCheck:
     The congruence proof (`_congruence_proves_pd`) only ever accepts, and
     only positive definite matrices.  Every other matrix, singular PSD and
     indefinite ones included, goes to the elimination (`_schur_psd_check`),
-    which decides every rejection and its witness value.
+    which decides every rejection and its witness value.  This is
+    `psd_check_stack` of a stack of one.
     """
-    if not m.is_hermitian():
-        raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix")
-    if _congruence_proves_pd(m.den, m.re, m.im):
-        return PsdCheck(True)
-    return _schur_psd_check(m)
+    try:
+        return next(psd_check_stack(m.den, m.re[None], m.im[None]))
+    except NonHermitianInput:
+        raise NonHermitianInput("psd_check_exact requires an exactly Hermitian matrix") from None
 
 
 def psd_check_stack(den: int, re: np.ndarray, im: np.ndarray):
@@ -532,9 +532,10 @@ def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarra
 
     A float inverse Cholesky factor of M, each column scaled to about 2^30
     and rounded, gives an upper triangular Gaussian-integer T; a nonzero
-    diagonal makes it invertible.  Z = T* (N T), N = den M, is computed
-    exactly: column j of N T needs only rows :j+1 of T, and Z is Hermitian,
-    so only its upper triangle is formed.  A real diagonal that beats each
+    diagonal makes it invertible.  Z = T* N T, N = den M, is computed
+    exactly: Z is Hermitian, so only its upper triangle is formed, and as T
+    is upper triangular, column j of that triangle needs only the leading
+    (j+1) x (j+1) blocks of T and N.  A real diagonal that beats each
     row's off-diagonal sum of |re| + |im| (the lower half read by symmetry)
     gives Z > 0 by Gershgorin, so M > 0.  The float factors are batched; a
     member whose factor fails or whose entries overflow a float is decided
@@ -557,16 +558,15 @@ def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarra
     if not ok.all():
         t[~ok] = 0  # not proven; zeros keep the integer cast defined
     t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
-    nt_re, nt_im = np.empty((2, *re.shape), dtype=object)
-    for j in range(d):
-        tr, ti = t_re[:, : j + 1, j : j + 1], t_im[:, : j + 1, j : j + 1]
-        mr, mi = re[:, :, : j + 1], im[:, :, : j + 1]
-        nt_re[:, :, j : j + 1], nt_im[:, :, j : j + 1] = mr @ tr - mi @ ti, mr @ ti + mi @ tr
     z_re, z_im = np.zeros((2, *re.shape), dtype=object)
-    for i in range(d):
-        tr, ti = t_re[:, None, : i + 1, i], t_im[:, None, : i + 1, i]
-        nr, ni = nt_re[:, : i + 1, i:], nt_im[:, : i + 1, i:]
-        z_re[:, i : i + 1, i:], z_im[:, i : i + 1, i:] = tr @ nr + ti @ ni, tr @ ni - ti @ nr
+    for j in range(d):
+        # Z[:j+1, j] = T[:j+1, :j+1]* N[:j+1, :j+1] T[:j+1, j], T upper triangular
+        tr, ti = t_re[:, : j + 1, : j + 1], t_im[:, : j + 1, : j + 1]
+        mr, mi = re[:, : j + 1, : j + 1], im[:, : j + 1, : j + 1]
+        cr, ci = tr[:, :, j:], ti[:, :, j:]
+        ur, ui = mr @ cr - mi @ ci, mr @ ci + mi @ cr
+        tr, ti = tr.swapaxes(-1, -2), ti.swapaxes(-1, -2)
+        z_re[:, : j + 1, j : j + 1], z_im[:, : j + 1, j : j + 1] = tr @ ur + ti @ ui, tr @ ui - ti @ ur
     upper = np.abs(z_re) + np.abs(z_im)
     diag = np.diagonal(upper, axis1=-2, axis2=-1)
     # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest

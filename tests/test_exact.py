@@ -404,7 +404,7 @@ class TestPsdCheck:
             assert psd_check_exact(m).is_psd == (lam > 0)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(NonHermitianInput, match="^psd_check_exact requires"):
             psd_check_exact(ExactMatrix([[0, 1], [2, 0]]))
         with pytest.raises(NonHermitianInput):
             psd_check_exact(ExactMatrix([[2, gr(1, 1)], [gr(1, 1), 2]]))

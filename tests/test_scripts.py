@@ -4,6 +4,7 @@ Each script runs as its own process, the way a user starts it, with the
 package's source directory on PYTHONPATH.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -47,24 +48,26 @@ def test_script_help_and_tiny_config(script):
     assert "Traceback" not in ran.stderr
 
 
-def test_bench_pairs_dry_run_plans_alternating_pairs(tmp_path):
+def test_bench_pairs_dry_run_plans_alternating_pairs():
     ran = _run(
         "bench_pairs.py", "--dry-run", "--parent", "HEAD~1", "--workloads", "certify",
-        "membership", "--seeds", "1", "5", "--pairs", "3", "--work", str(tmp_path),
+        "membership", "--seeds", "1", "5", "--pairs", "3",
     )
     assert ran.returncode == 0, ran.stderr
     lines = ran.stdout.splitlines()
-    assert lines[0] == f"git archive HEAD~1 | tar -x -C {tmp_path / 'parent'}"
-    assert lines[1] == f"copy working tree files to {tmp_path / 'change'}"
+    assert lines[0].startswith("parent tree: git archive HEAD~1 ")
+    assert lines[1].startswith("change tree: ")
     runs = lines[2:]
     assert len(runs) == 2 * 2 * 3 * 2
     assert [line.split("]")[0] for line in runs[:6]] == [
         "[pair 1 parent", "[pair 1 change", "[pair 2 change",
         "[pair 2 parent", "[pair 3 parent", "[pair 3 change",
     ]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    workloads = [line.split("--workload ")[1].split()[:3] for line in runs]
+    assert workloads == [
+        [w, "--seed", seed] for w in ("certify", "membership") for seed in "15" for _ in range(6)
+    ]
     for line in runs:
-        side = "parent" if " parent]" in line else "change"
-        assert f"cd {tmp_path / side} && PYTHONDONTWRITEBYTECODE=1 " in line
-        assert "perfbench/run.py --workload" in line and line.endswith("--seconds 10 --trace 0")
-    assert "--workload membership --seed 5" in runs[-1]
-    assert not any(tmp_path.iterdir())  # a dry run creates nothing
+        assert "] PYTHONDONTWRITEBYTECODE=1 " in line
+        assert line.endswith(f" --seconds {seconds:g} --trace 0")
