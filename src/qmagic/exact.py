@@ -6,14 +6,20 @@ numpy object arrays of Python-int numerators, and computes on them;
 `GaussianRational` is the scalar an entry is read out as, for the
 eliminations and for I/O.  Floating point enters only through the explicit
 conversion helpers (`rationalize`, `ExactMatrix.to_complex`,
-`exact_from_float_matrix`), which round straight to integers.
+`exact_from_float_matrix`), which round straight to integers: every entry
+of an array is rounded as `Fraction.limit_denominator` in one
+continued-fraction loop, on machine integers where they hold every value
+it forms.
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
-(a rounded float inverse Cholesky factor, then Gershgorin on the upper
-triangle of the congruent matrix), else by an exact Hermitian elimination
-(Schur complements, largest-diagonal pivoting), which decides every
-rejection.  `psd_check_stack` gives the same checks for a stack of integer
-numerators over one denominator, with one congruence proof for the stack.
+(a rounded float inverse Cholesky factor T, then Gershgorin on the upper
+triangle of T* N T), else by an exact Hermitian elimination (Schur
+complements, largest-diagonal pivoting), which decides every rejection.
+The proof runs first in int64 on a rounded image of M, with a margin that
+covers the rounding (Rump, BIT 46, 2006), then on M's own numerators for
+what that did not prove.  `psd_check_stack` gives the same checks for a
+stack of integer numerators over one denominator, with one congruence
+proof for the stack.
 `refute_psd` only ever rejects: an exact v* M v < 0 for v the rounded float
 eigenvector of the least eigenvalue, a cheap sound proof that M is not PSD
 where the elimination's margin is not needed.
@@ -372,32 +378,91 @@ class ExactMatrix:
 # -- conversion from floating point ---------------------------------------
 
 
-def _limit_denominator(x, bound: int) -> tuple[int, int]:
-    """(p, q), in lowest terms, with p/q = Fraction(x).limit_denominator(bound).
+def _limit_denominators(num: np.ndarray, den: np.ndarray, bound: int):
+    """(p, q) with p_k / q_k = Fraction(num_k, den_k).limit_denominator(bound)
+    in lowest terms, for integer arrays num and den > 0 in lowest terms, of
+    one dtype: a machine integer one where every value the loop forms fits
+    (at most max(|num| + den, (|num/den| + 2) bound)), else object.
 
-    CPython 3.11's algorithm on x.as_integer_ratio(), in integers only: of
-    the last convergent p1/q1 and the semiconvergent below the bound, the
-    one closer to x wins, the convergent on a tie.  Both are in lowest terms
-    (adjacent convergents have determinant +-1).
+    CPython 3.11's algorithm, one continued-fraction step for every entry
+    at a time.  The floor f of num/den is split off first, so the loop
+    starts from the convergents 1/0 and f/1 and the remainder pair
+    (den, num - f den).  An entry stops at the first partial quotient that
+    would take its denominator past the bound, and then keeps its state.
+    Of its last convergent p1/q1 and the semiconvergent
+    (p0 + k p1)/(q0 + k q1) with k as large as the bound allows, the one
+    closer to num/den wins, the convergent on a tie: 2 (q0 + k q1) d <= den
+    for the last remainder d, read as 2 (q0 + k q1) <= den // d.  Both are
+    in lowest terms (adjacent convergents have determinant +-1).
     """
-    num, den = x.as_integer_ratio()
-    if den <= bound:
+    go = np.flatnonzero(den > bound)  # the others are exact
+    if not go.size:
         return num, den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
+    p, q = num.copy(), den.copy()
+    num, den = num[go], den[go]
+    f = num // den
+    # (p0, q0, n) and (p1, q1, d): the last two convergents, the remainder pair
+    prev, cur = state = np.empty((2, 3, len(go)), dtype=num.dtype)
+    prev[0], prev[1], prev[2] = 1, 0, den
+    cur[0], cur[1], cur[2] = f, 1, num - f * den
     while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
+        a = prev[2] // cur[2]
+        nxt = a * cur  # (p0 + a p1, q0 + a q1, n - a d)
+        nxt[:2] += prev[:2]
+        np.subtract(prev[2], nxt[2], out=nxt[2])
+        step = nxt[1] <= bound
+        if not np.count_nonzero(step):
             break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
+        np.copyto(prev, cur, where=step)
+        np.copyto(cur, nxt, where=step)
+    (p0, q0, _), (p1, q1, rem) = state
     k = (bound - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - x| <= |p/q - x|, both sides multiplied by den q1 q > 0
-    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
-        return p1, q1
+    semi = 2 * (q0 + k * q1) > den // rem
+    p[go], q[go] = np.where(semi, p0 + k * p1, p1), np.where(semi, q0 + k * q1, q1)
     return p, q
+
+
+def _rounded(x: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) with p_k / q_k = Fraction(x_k).limit_denominator(bound) in
+    lowest terms, for a 1d array of finite floats: p an object array, q
+    int64 for bounds up to 2^60.
+
+    |x| < 1/(2 bound) rounds to 0: every other fraction with denominator at
+    most the bound is 1/bound or more from 0.  The rest go through
+    `_limit_denominators` in uint64 on |x| = w + num / 2^63 with its floor w
+    split off, wherever num is an integer and |x| bound < 2^61, so that
+    every value formed stays below 2^63 + 2^53; then (w q + p) / q rounds
+    |x|.  Rounding commutes with the sign for bounds of 2 and more: on a
+    tie Fraction takes the candidate of smaller denominator, and only a
+    bound of 1 leaves two of one denominator (two integers).  Every other
+    entry, and every entry for a bound of 1 or past 2^60, goes through the
+    same loop in object dtype on its signed ratio.
+    """
+    y = np.abs(x)
+    y[y < np.nextafter(1 / (2 * bound), 0)] = 0.0
+    whole = np.floor(y)
+    num = (y - whole) * 2.0**63  # exact: the bits of y below 1, times 2^63
+    fits = (num == np.floor(num)) & (y < (2.0**61 / bound if 1 < bound <= 2**60 else -1.0))
+    rest = np.flatnonzero(~fits)
+    num[rest] = whole[rest] = 0.0
+    num, den = num.astype(np.uint64), np.uint64(2**63)
+    g = np.gcd(num, den)
+    p, q = _limit_denominators(num // g, den // g, bound)
+    q = q.astype(np.int64)
+    p = whole.astype(np.int64) * q + p.astype(np.int64)
+    p = np.where(x < 0, -p, p).astype(object)
+    if rest.size:
+        num, den = np.array([v.as_integer_ratio() for v in x[rest].tolist()], dtype=object).T
+        q = q if bound <= 2**60 else q.astype(object)
+        p[rest], q[rest] = _limit_denominators(num, den, bound)
+    return p, q
+
+
+def _limit_denominator(x, bound: int) -> tuple[int, int]:
+    """(p, q), in lowest terms, with p/q = Fraction(x).limit_denominator(bound):
+    the one-entry call of `_rounded`."""
+    p, q = _rounded(np.array([x], dtype=np.float64), bound)
+    return int(p[0]), int(q[0])
 
 
 def rationalize(x: float, max_denominator: int) -> Fraction:
@@ -420,18 +485,24 @@ def rational_str(q) -> str:
 def _rationalized_parts(arr, max_denominator: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(D, re, im) with (re + i im) / D the entrywise `rationalize` of a
     complex array, D the least common denominator of its parts and re, im
-    object arrays of Python ints."""
+    object arrays of Python ints: every part is rounded in one
+    continued-fraction loop (`_rounded`).  D joins the distinct
+    denominators pairwise, smallest first, so that each lcm joins numbers
+    of about one size, and each distinct D / q is divided out once."""
     arr = np.asarray(arr, dtype=np.complex128)
     if not np.isfinite(arr).all():
         raise NonFiniteInput("cannot rationalize a non-finite entry")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    pairs = [
-        _limit_denominator(x, max_denominator)
-        for x in np.stack([arr.real, arr.imag]).ravel().tolist()
-    ]
-    den = lcm(*(q for _, q in pairs))
-    nums = np.array([p * (den // q) for p, q in pairs], dtype=object)
+    p, q = _rounded(np.stack([arr.real, arr.imag]).ravel(), max_denominator)
+    qs = q.tolist()
+    distinct = set(qs)
+    dens = sorted(distinct) or [1]
+    while len(dens) > 1:
+        dens = [lcm(*dens[k : k + 2]) for k in range(0, len(dens), 2)]
+    den = dens[0]
+    scale = {v: den // v for v in distinct}
+    nums = p * np.array([scale[v] for v in qs], dtype=object)
     return (den, *nums.reshape(2, *arr.shape))
 
 
@@ -472,11 +543,13 @@ def psd_check_exact(m: ExactMatrix) -> PsdCheck:
     """Decide M >= 0 exactly: a congruence proof of M > 0, else an exact
     Hermitian elimination (Schur complements, largest-diagonal pivoting).
 
-    The congruence proof (`_congruence_proves_pd`) only ever accepts, and
-    only positive definite matrices.  Every other matrix, singular PSD and
+    The congruence proof (`_congruence_proves_pd`: int64 on a rounded
+    image of M, then M's own numerators) only ever accepts, and only
+    positive definite matrices.  Every other matrix, singular PSD and
     indefinite ones included, goes to the elimination (`_schur_psd_check`),
-    which decides every rejection and its witness value.  This is
-    `psd_check_stack` of a stack of one.
+    which decides every rejection and its witness value; so does a 1 x 1
+    or 2 x 2 matrix, which it decides in fewer operations than the proof
+    takes.  This is `psd_check_stack` of a stack of one.
     """
     try:
         return next(psd_check_stack(m.den, m.re[None], m.im[None]))
@@ -487,14 +560,18 @@ def psd_check_exact(m: ExactMatrix) -> PsdCheck:
 def psd_check_stack(den: int, re: np.ndarray, im: np.ndarray):
     """`psd_check_exact` of every M_k = (re_k + i im_k) / den of a (k, d, d)
     stack of integer numerators, in order: one congruence proof covers the
-    whole stack, and each member it does not prove goes to the elimination
-    only when its turn comes, so `all()` over the checks stops at the first
-    rejection.  Every check, witness value included, is that of
-    `psd_check_exact(M_k)`.
+    whole stack (its int64 tier for every member, the exact tier for the
+    members that one leaves), and each member it does not prove goes to
+    the elimination only when its turn comes, so `all()` over the checks
+    stops at the first rejection.  A stack of at most four entries in all
+    goes to the elimination alone.  Every check, witness value included, is
+    that of `psd_check_exact(M_k)`.
     """
     if not (np.array_equal(re, re.swapaxes(-1, -2)) and np.array_equal(im, -im.swapaxes(-1, -2))):
         raise NonHermitianInput("psd_check_stack requires exactly Hermitian matrices")
-    proven = _congruence_proves_pd(den, re, im)
+    # at most four entries in all (one 2 x 2, or 1 x 1s) take a few Fraction
+    # operations to eliminate, less than the fixed cost of a proof
+    proven = _congruence_proves_pd(den, re, im) if re.size > 4 else np.zeros(len(re), dtype=bool)
     return (
         PsdCheck(True) if ok else _schur_psd_check(ExactMatrix.from_parts(den, r, i))
         for ok, r, i in zip(proven, re, im)
@@ -526,20 +603,93 @@ def refute_psd(m: ExactMatrix) -> Fraction | None:
     return value if value < 0 else None
 
 
+# The int64 tier of `_congruence_proves_pd` rounds 2^sh M to parts of at
+# most 2^23, and is tried while T keeps at least 11 bits (d <= 39): every
+# `certify` certificate (d = 18, 27) and the n = 4 pad (d = 32), not the
+# n = 5 strong pencil (d = 50).
+_A_BITS, _T_BITS_MIN = 23, 11
+
+
+def _int64_t_bits(d: int) -> int:
+    """The most bits b with 4 d^2 (d + 1) (2^23 + d) 4^b < 2^63.
+
+    With parts of A - dI at most 2^23 + d and parts of T at most 2^b in
+    magnitude, every product and partial sum of U = (A - dI) T and
+    T* U, every entry of Z = T* (A - dI) T, and every row sum of
+    |re Z| + |im Z| is then below 2^63 in magnitude."""
+    return ((2**63 - 1) // (4 * d * d * (d + 1) * (2**_A_BITS + d))).bit_length() - 1 >> 1
+
+
+def _rounded_factor(inv: np.ndarray, bits: int):
+    """(T_re, T_im, ok): the upper triangular float inverse factors of a
+    stack, each column scaled to about 2^bits and rounded to int64 Gaussian
+    integers; ok marks the members whose T is finite with a nonzero
+    diagonal, so invertible, and the others get T = 0."""
+    with np.errstate(all="ignore"):
+        t = np.triu(np.round(inv * (2.0**bits / np.abs(inv).max(axis=-2, keepdims=True))))
+    flat = t.reshape(len(t), -1)
+    ok = np.isfinite(flat).all(axis=1) & flat[:, :: t.shape[-1] + 1].all(axis=1)
+    if not ok.all():
+        t[~ok] = 0  # not proven; zeros keep the integer cast defined
+    return t.real.astype(np.int64), t.imag.astype(np.int64), ok
+
+
+def _gershgorin_proves(t_re, t_im, n_re, n_im) -> np.ndarray:
+    """For (k, d, d) stacks of upper triangular Gaussian-integer T and
+    Hermitian Gaussian-integer N, of one integer dtype (int64 or object):
+    True where Z = T* N T has a real diagonal that beats each row's
+    off-diagonal sum of |re| + |im|, so that Z > 0 by Gershgorin.
+
+    Z is Hermitian, so only its upper triangle is formed: as T is upper
+    triangular, column j of that triangle needs only the leading
+    (j+1) x (j+1) blocks of T and N, and the lower half of each row is read
+    by symmetry.
+    """
+    d = n_re.shape[-1]
+    z_re, z_im = np.zeros((2, *n_re.shape), dtype=n_re.dtype)
+    for j in range(d):
+        # Z[:j+1, j] = T[:j+1, :j+1]* N[:j+1, :j+1] T[:j+1, j]
+        tr, ti = t_re[:, : j + 1, : j + 1], t_im[:, : j + 1, : j + 1]
+        mr, mi = n_re[:, : j + 1, : j + 1], n_im[:, : j + 1, : j + 1]
+        cr, ci = tr[:, :, j:], ti[:, :, j:]
+        ur, ui = mr @ cr - mi @ ci, mr @ ci + mi @ cr
+        tr, ti = tr.swapaxes(-1, -2), ti.swapaxes(-1, -2)
+        z_re[:, : j + 1, j : j + 1], z_im[:, : j + 1, j : j + 1] = tr @ ur + ti @ ui, tr @ ui - ti @ ur
+    upper = np.abs(z_re) + np.abs(z_im)
+    diag = np.diagonal(upper, axis1=-2, axis2=-1)
+    # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest
+    row_sums = upper.sum(axis=-1) + upper.sum(axis=-2) - diag
+    real = ~np.diagonal(z_im, axis1=-2, axis2=-1).astype(bool).any(axis=-1)
+    beats = (2 * np.diagonal(z_re, axis1=-2, axis2=-1) > row_sums).astype(bool).all(axis=-1)
+    return real & beats
+
+
 def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """For each Hermitian M = (re + i im) / den of a stack on the last two
     axes: True only if M > 0, proven in Gaussian integers.
 
-    A float inverse Cholesky factor of M, each column scaled to about 2^30
-    and rounded, gives an upper triangular Gaussian-integer T; a nonzero
-    diagonal makes it invertible.  Z = T* N T, N = den M, is computed
-    exactly: Z is Hermitian, so only its upper triangle is formed, and as T
-    is upper triangular, column j of that triangle needs only the leading
-    (j+1) x (j+1) blocks of T and N.  A real diagonal that beats each
-    row's off-diagonal sum of |re| + |im| (the lower half read by symmetry)
-    gives Z > 0 by Gershgorin, so M > 0.  The float factors are batched; a
-    member whose factor fails or whose entries overflow a float is decided
-    alone, as if it came by itself, and is not proven.
+    Both tiers are Gershgorin (`_gershgorin_proves`) on Z = T* N T for an
+    upper triangular Gaussian-integer T from the rounded float inverse
+    Cholesky factor of M (`_rounded_factor`); T is invertible, so Z > 0
+    gives N > 0.  The float factors are batched; a member whose factor
+    fails or whose entries overflow a float is decided alone, as if it
+    came by itself, and is not proven.
+
+    The int64 tier proves M > 0 from its float image fl(M).  For each
+    member, A = round(2^sh fl(M)), with sh such that every part of A is at
+    most 2^23 in magnitude, is a Hermitian Gaussian-integer matrix.  Each
+    part of 2^sh fl(M) is within 2^-30 of 2^sh M (2^-53 relative, or at
+    most 2^-52 where fl(M) or the product is subnormal), so each part of A
+    is within 1/2 + 2^-30 of 2^sh M, and ||2^sh M - A||_2 <= ||.||_F < d.
+    N = A - dI > 0 then gives 2^sh M > A - dI > 0.  T keeps the bits
+    `_int64_t_bits(d)` allows, so no sum in Z or its row sums overflows;
+    the tier is not tried where that leaves T fewer than 11 bits, nor for
+    d <= 3, where the exact tier costs as little, nor on a member whose
+    parts all lie below 2^-1000, where 2^sh would leave the float range.
+    The exact tier runs on the members the int64 tier did not prove, with T
+    scaled to about 2^30 and N = den M, M's own numerators, in Python ints.
+    Either way the verdict of `psd_check_exact` is unchanged: a member
+    neither tier proves goes to the elimination.
     """
     stack, d = re.shape[:-2], re.shape[-1]
     re, im = re.reshape(-1, d, d), im.reshape(-1, d, d)
@@ -551,29 +701,32 @@ def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarra
         if len(re) == 1:
             return np.zeros(stack, dtype=bool)
         return np.array([_congruence_proves_pd(den, *m) for m in zip(re, im)]).reshape(stack)
-    with np.errstate(all="ignore"):
-        t = np.triu(np.round(inv * (2.0**30 / np.abs(inv).max(axis=-2, keepdims=True))))
-    flat = t.reshape(len(t), d * d)
-    ok = np.isfinite(flat).all(axis=1) & flat[:, :: d + 1].all(axis=1)
-    if not ok.all():
-        t[~ok] = 0  # not proven; zeros keep the integer cast defined
-    t_re, t_im = (part.astype(np.int64).astype(object) for part in (t.real, t.imag))
-    z_re, z_im = np.zeros((2, *re.shape), dtype=object)
-    for j in range(d):
-        # Z[:j+1, j] = T[:j+1, :j+1]* N[:j+1, :j+1] T[:j+1, j], T upper triangular
-        tr, ti = t_re[:, : j + 1, : j + 1], t_im[:, : j + 1, : j + 1]
-        mr, mi = re[:, : j + 1, : j + 1], im[:, : j + 1, : j + 1]
-        cr, ci = tr[:, :, j:], ti[:, :, j:]
-        ur, ui = mr @ cr - mi @ ci, mr @ ci + mi @ cr
-        tr, ti = tr.swapaxes(-1, -2), ti.swapaxes(-1, -2)
-        z_re[:, : j + 1, j : j + 1], z_im[:, : j + 1, j : j + 1] = tr @ ur + ti @ ui, tr @ ui - ti @ ur
-    upper = np.abs(z_re) + np.abs(z_im)
-    diag = np.diagonal(upper, axis1=-2, axis2=-1)
-    # each row sum includes |z_ii|, so 2 z_ii > row sum is z_ii > 0 and beats the rest
-    row_sums = upper.sum(axis=-1) + upper.sum(axis=-2) - diag
-    real = ~np.diagonal(z_im, axis1=-2, axis2=-1).astype(bool).any(axis=-1)
-    beats = (2 * np.diagonal(z_re, axis1=-2, axis2=-1) > row_sums).astype(bool).all(axis=-1)
-    return (ok & real & beats).reshape(stack)
+    if d <= 3 or _int64_t_bits(d) < _T_BITS_MIN:
+        return _exact_tier(inv, re, im).reshape(stack)
+    proven = _int64_tier(approx, inv)
+    rest = np.flatnonzero(~proven)
+    if rest.size:
+        proven[rest] = _exact_tier(inv[rest], re[rest], im[rest])
+    return proven.reshape(stack)
+
+
+def _int64_tier(approx: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gershgorin in int64 on T* (A - dI) T, A = round(2^sh fl(M)) with
+    parts of at most 2^23, for the (k, d, d) float images and inverse
+    factors of `_congruence_proves_pd`."""
+    d = approx.shape[-1]
+    top = np.frexp(np.abs(approx.view(np.float64)).max(axis=(-1, -2)))[1]  # parts < 2^top
+    a = np.round(approx * np.ldexp(1.0, _A_BITS - np.maximum(top, -1000))[:, None, None])
+    a_re = a.real.astype(np.int64)
+    a_re[:, range(d), range(d)] -= d
+    t_re, t_im, ok = _rounded_factor(inv, _int64_t_bits(d))
+    return ok & (top >= -1000) & _gershgorin_proves(t_re, t_im, a_re, a.imag.astype(np.int64))
+
+
+def _exact_tier(inv: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Gershgorin in Python ints on T* (den M) T, T scaled to about 2^30."""
+    t_re, t_im, ok = _rounded_factor(inv, 30)
+    return ok & _gershgorin_proves(t_re.astype(object), t_im.astype(object), re, im)
 
 
 def _schur_psd_check(m: ExactMatrix) -> PsdCheck:

@@ -522,6 +522,104 @@ def test_congruence_proves_counterexample_certificate(monkeypatch):
     assert rejected.witness_value == reference_ldl(-cert.y_exact).witness_value
 
 
+def _int64_tier_only(monkeypatch):
+    """Make `_congruence_proves_pd` report what its int64 tier proves: the
+    exact tier proves nothing."""
+    monkeypatch.setattr(exact, "_exact_tier", lambda inv, re, im: np.zeros(len(re), dtype=bool))
+
+
+def _is_pd(m: ExactMatrix) -> bool:
+    ldl = reference_ldl(m)
+    return ldl.is_psd and min(ldl.pivots) > 0
+
+
+def test_int64_tier_proves_only_positive_definite_matrices(monkeypatch):
+    """Every member the int64 tier accepts, alone or in a stack of one size
+    d, is positive definite; the tier runs from d = 4 on."""
+    _int64_tier_only(monkeypatch)
+    by_size = {}
+    for m in _psd_property_cases(np.random.default_rng(2024)):
+        by_size.setdefault(m.rows, []).append(m)
+    accepted = 0
+    for d, mats in by_size.items():
+        alone = [bool(_congruence_proves_pd(m.den, m.re, m.im)) for m in mats]
+        stacked = _congruence_proves_pd(*_stack_parts(mats)).tolist()
+        for m, ok, ok_stacked in zip(mats, alone, stacked):
+            if ok or ok_stacked:
+                assert _schur_psd_check(m).is_psd and _is_pd(m)
+        assert d >= 4 or not any(alone + stacked)
+        accepted += sum(alone)
+    assert accepted > 40
+
+
+def test_int64_tier_bits_keep_every_sum_in_int64():
+    for d in range(1, 65):
+        bits = exact._int64_t_bits(d)
+        worst = 4 * d * d * (d + 1) * (2**exact._A_BITS + d)
+        assert worst * 4**bits < 2**63 <= worst * 4 ** (bits + 1)
+    # the int64 tier is tried up to d = 39, where T keeps 11 bits
+    assert exact._int64_t_bits(39) == exact._T_BITS_MIN > exact._int64_t_bits(40)
+
+
+# v v* for v = (1, 167/178), beside I_2: singular, but fl(M) factors in floats
+# and its rounded image A = round(2^22 M) has a positive definite leading block,
+# which Gershgorin on T* A T proves without the -dI margin
+_SINGULAR_BLOCK = F(167, 178)
+
+
+def _singular_with_pd_image(shift=F(0)) -> ExactMatrix:
+    b = _SINGULAR_BLOCK
+    return ExactMatrix([[1, b, 0, 0], [b, b * b, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) - (
+        ExactMatrix.identity(4) * shift
+    )
+
+
+def test_int64_tier_margin_refuses_singular_and_indefinite_matrices(monkeypatch):
+    m = _singular_with_pd_image()
+    approx = m.to_complex()[None]
+    inv = np.linalg.inv(np.linalg.cholesky(approx)).conj().swapaxes(-1, -2)
+    a = np.round(approx * 2.0**22)  # the tier's A: M's parts are below 2^1
+    a_re, a_im = a.real.astype(np.int64), a.imag.astype(np.int64)
+    assert a_re[0, 0, 0] * a_re[0, 1, 1] - a_re[0, 0, 1] ** 2 > 0
+    t_re, t_im, ok = exact._rounded_factor(inv, exact._int64_t_bits(4))
+    assert ok[0] and exact._gershgorin_proves(t_re, t_im, a_re, a_im)[0]
+    indefinite = _singular_with_pd_image(F(1, 10**40))  # lambda_min = -10^-40
+    for case in (m, indefinite):
+        assert not _congruence_proves_pd(case.den, case.re, case.im)
+    assert psd_check_exact(m).is_psd
+    check = psd_check_exact(indefinite)
+    assert not check.is_psd and check.witness_value == reference_ldl(indefinite).witness_value
+    _int64_tier_only(monkeypatch)
+    stack = _stack_parts([m, indefinite, ExactMatrix.identity(4)])
+    assert _congruence_proves_pd(*stack).tolist() == [False, False, True]
+
+
+def test_int64_tier_falls_through_to_the_exact_tier(monkeypatch):
+    """Members past the float range are decided alone, and stacks of d = 50
+    and d = 64 (where T would keep fewer than 11 bits) go to the exact tier
+    only; each still proves what it can."""
+    dtypes = []
+    body = exact._gershgorin_proves
+
+    def recorded(t_re, t_im, n_re, n_im):
+        dtypes.append(n_re.dtype)
+        return body(t_re, t_im, n_re, n_im)
+
+    monkeypatch.setattr(exact, "_gershgorin_proves", recorded)
+    rng = np.random.default_rng(7)
+    huge = ExactMatrix.identity(4) * 10**400
+    pd = [_random_gaussian(rng, 4, 4) for _ in range(2)]
+    pd = [g.h @ g + ExactMatrix.identity(4) for g in pd]
+    assert _congruence_proves_pd(*_stack_parts([pd[0], huge, pd[1]])).tolist() == [True, False, True]
+    assert psd_check_exact(huge).is_psd
+    for d in (50, 64):
+        dtypes.clear()
+        g = ExactMatrix.from_parts(1, rng.integers(-3, 4, (d, d)), rng.integers(-3, 4, (d, d)))
+        m = g.h @ g + ExactMatrix.identity(d) * d
+        assert _congruence_proves_pd(*_stack_parts([m, m * 3])).tolist() == [True, True]
+        assert dtypes == [np.dtype(object)]
+
+
 small_ints = st.integers(-4, 4)
 gaussians = st.builds(gr, small_ints, small_ints)
 
@@ -579,6 +677,15 @@ def test_refute_psd_falls_through_on_non_finite_float_image(m):
     assert not psd_check_exact(m).is_psd
 
 
+# floats next to 1/(2 bound), where rounding to 0 starts, for the tested bounds
+_ROUND_TO_ZERO_EDGES = [
+    float(np.nextafter(1 / (2 * b), toward)) * sign
+    for b in (2, 10**3, 10**6, 10**9, 10**12, 2**70)
+    for toward in (0, 1)
+    for sign in (1, -1)
+] + [1 / (2 * b) for b in (2, 10**3, 2**70)]
+
+
 class TestRationalize:
     def test_trivial_values(self):
         assert rationalize(0.5, 10) == F(1, 2)
@@ -623,6 +730,29 @@ class TestRationalize:
         q = F(x).limit_denominator(bound)
         assert exact._limit_denominator(x, bound) == (q.numerator, q.denominator)
         assert rationalize(x, bound) == q
+
+    @pytest.mark.parametrize("bound", [1, 2, 10**3, 10**6, 10**9, 10**12, 2**70])
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=2.0**-1074, max_value=2.0**60),
+                st.floats(min_value=-(2.0**60), max_value=-(2.0**-1074)),
+                st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+                st.sampled_from([0.0, -0.0, 0.5, -0.5, *_ROUND_TO_ZERO_EDGES]),
+                st.builds(lambda k: k + 0.5, st.integers(-(2**40), 2**40)),
+                st.builds(lambda m, sign: sign * m, st.floats(2.0**31, 1e300), st.sampled_from([-1, 1])),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150)
+    def test_array_rounding_is_fractions_entry_by_entry(self, bound, xs):
+        """One continued-fraction loop over an array, its entries in uint64
+        and in object dtype alike, rounds each as Fraction.limit_denominator."""
+        p, q = exact._rounded(np.array(xs, dtype=np.float64), bound)
+        want = [F(x).limit_denominator(bound) for x in xs]
+        assert list(zip(p.tolist(), q.tolist())) == [(r.numerator, r.denominator) for r in want]
 
     def test_ties_at_bound_one_are_not_odd(self):
         assert exact._limit_denominator(0.5, 1) == (0, 1)

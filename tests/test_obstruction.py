@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,6 +27,7 @@ from qmagic.extremality import member_witness_from_dilation
 from qmagic.obstruction import (
     CertificateNotFound,
     CertificationFailed,
+    DENOMINATOR_LADDER,
     NotDefinedForSmallN,
     ObstructionCertificate,
     blend_dual,
@@ -873,6 +875,27 @@ def test_certify_workload_answers_are_pinned(monkeypatch):
         )
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     assert digest == CERTIFY_SEED_1_SHA256
+
+
+def test_certify_duals_round_as_fractions_entry_by_entry(monkeypatch):
+    """`exact_certify` rounds the duals of the `certify` squares of seeds
+    0-5, at every rung of the ladder and at 10^12, to exactly the
+    per-entry `Fraction.limit_denominator` over their least common
+    denominator."""
+    workloads = _workloads(monkeypatch)
+    for seed in range(6):
+        for case in workloads.certify_cases(seed):
+            res = check_mconv_obstruction(case.square, mode="strong")
+            y = blend_dual(res.problem, res.solver).y
+            parts = np.stack([y.real, y.imag]).ravel().tolist()
+            for bound in (*DENOMINATOR_LADDER, 10**12):
+                want = [Fraction(x).limit_denominator(bound) for x in parts]
+                den = math.lcm(*(q.denominator for q in want))
+                got_den, re, im = exact._rationalized_parts(y, bound)
+                assert got_den == den
+                assert [*re.ravel().tolist(), *im.ravel().tolist()] == [
+                    q.numerator * (den // q.denominator) for q in want
+                ]
 
 
 # sha256 of the answers to the LMI squares of the benchmark's `membership`
