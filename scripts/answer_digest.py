@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the exact answers of the benchmark squares.
+
+    python3 scripts/answer_digest.py [--seeds 0 1 2 3 4 5] [--workloads certify membership]
+
+A change that must leave every answer byte-identical prints the same digest
+and document count as its parent.  The documents, in this order:
+
+- certify: for each strong "no" square (the `certify` squares of
+  `perfbench/workloads.py` at each seed, then `counterexample_m2_3()` and
+  `embed_pad(counterexample_m2_3())`), the dual of its deciding solve,
+  blended once, is certified by `exact_certify` at each bound of
+  RUNGS.  Each rung gives one document: the certificate's
+  `certificate_to_json` and its `verify_certificate` report, or the failure
+  condition and its exact margin.  A square the solver does not decide
+  "no" gives its verdict alone.
+- membership: for each `membership` LMI square at each seed, its
+  `check_semiclassical` verdict, exact decomposition and repair rung.
+
+The digest is the sha256 of the documents' JSON (sorted keys).  The
+workload squares are read from `perfbench/workloads.py`, which is loaded
+from its file and not changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from qmagic.exact import rational_str
+from qmagic.obstruction import (
+    CertificationFailed,
+    blend_dual,
+    check_mconv_obstruction,
+    counterexample_m2_3,
+    exact_certify,
+    verify_certificate,
+)
+from qmagic.semiclassical import check_semiclassical
+from qmagic.serialize import certificate_to_json, decomposition_to_json
+from qmagic.structures import embed_pad
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNGS = (10**3, 10**6, 10**9, 10**12)
+WORKLOADS = ("certify", "membership")
+
+
+def load_workloads():
+    """`perfbench/workloads.py` as a module, registered for its dataclasses."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def certificate_docs(square) -> list:
+    res = check_mconv_obstruction(square, mode="strong")
+    if res.verdict != "no":
+        return [{"verdict": res.verdict}]
+    y = blend_dual(res.problem, res.solver).y
+    docs = []
+    for bound in RUNGS:
+        try:
+            cert = exact_certify(y, res.problem, bound)
+        except CertificationFailed as err:
+            docs.append({"condition": err.condition, "margin": rational_str(err.margin)})
+            continue
+        report = verify_certificate(cert, square)
+        docs.append(
+            {
+                "certificate": certificate_to_json(cert),
+                "report": {
+                    k: rational_str(v) if isinstance(v, Fraction) else v for k, v in report.items()
+                },
+            }
+        )
+    return docs
+
+
+def membership_doc(square) -> dict:
+    res = check_semiclassical(square)
+    return {
+        "verdict": res.verdict,
+        "weights": res.decomposition and decomposition_to_json(res.decomposition),
+        "repair_denominator": res.residuals.get("repair_denominator"),
+    }
+
+
+def answer_docs(seeds, workloads) -> list:
+    cases = load_workloads()
+    docs = []
+    if "certify" in workloads:
+        squares = [case.square for seed in seeds for case in cases.certify_cases(seed)]
+        cex = counterexample_m2_3()
+        for square in (*squares, cex, embed_pad(cex)):
+            docs += certificate_docs(square)
+    if "membership" in workloads:
+        for seed in seeds:
+            docs += [
+                membership_doc(case.square)
+                for case in cases.membership_cases(seed)
+                if case.task == "lmi"
+            ]
+    return docs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(6)))
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    args = parser.parse_args(argv)
+    docs = answer_docs(args.seeds, args.workloads)
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    print(f"{digest} {len(docs)} documents")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

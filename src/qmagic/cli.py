@@ -217,12 +217,15 @@ def _code(verdict: str) -> int:
 
 
 def cmd_validate(args, report: RunReport) -> int:
+    def margin_str(m) -> str:  # str(m); by `rational_str`, past the digit limit, when exact
+        return rational_str(m) if isinstance(m, Fraction) else str(m)
+
     def work(path: Path):
         try:
             square = _coerce_repr(load_square(path, tol=args.eps), args)
         except InvalidMagicSquare as err:
             violations = [
-                {"kind": v.kind, "location": list(v.location), "margin": str(v.margin)}
+                {"kind": v.kind, "location": list(v.location), "margin": margin_str(v.margin)}
                 for v in err.report.violations
             ]
             return EXIT_NEGATIVE, {"verdict": "invalid", "violations": violations}
@@ -267,7 +270,7 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
     def work(path: Path):
         square = _coerce_repr(load_square(path, tol=args.eps), args)
         res = check_semiclassical(square, eps=_eps(args))
-        entry = {"verdict": res.verdict, "residuals": _floats(res.residuals)}
+        entry = {"verdict": res.verdict, "residuals": res.residuals}
         if res.verdict == "yes" and res.decomposition is not None:
             entry["decomposition"] = decomposition_to_json(res.decomposition)
             entry["exact"] = res.decomposition.exact
@@ -280,11 +283,6 @@ def cmd_check_semiclassical(args, report: RunReport) -> int:
         dump_json(entries[0]["decomposition"], args.out)
         report.certificates.append(str(args.out))
     return code
-
-
-def _floats(d: dict) -> dict:
-    """Residuals for JSON: floats become Python floats, ints and bools keep their type."""
-    return {k: float(v) if isinstance(v, (float, np.floating)) else v for k, v in d.items()}
 
 
 # -- decompose ------------------------------------------------------------------
@@ -512,7 +510,7 @@ def scenario_separation(args, report: RunReport) -> int:
         value = report.details["pairings"][label]
         if len(value) > 64:  # exact value lives in the JSON report
             num, _, den = value.partition("/")
-            value = f"({len(num)}-digit)/({len(den)}-digit) ~ {float(Fraction(value)):.6e}"
+            value = f"({len(num)}-digit)/({len(den)}-digit) ~ {float(cert.pairings[label]):.6e}"
         _human(f"  trace(Y {label}) = {value}")
     return EXIT_OK if verification["ok"] else EXIT_NEGATIVE
 

@@ -4,12 +4,12 @@ Every certification path in this package runs on the types defined here.
 An `ExactMatrix` is held in integers, one least common denominator and
 numpy object arrays of Python-int numerators, and computes on them;
 `GaussianRational` is the scalar an entry is read out as, for the
-eliminations and for I/O.  Floating point enters only through the explicit
-conversion helpers (`rationalize`, `ExactMatrix.to_complex`,
-`exact_from_float_matrix`), which round straight to integers: every entry
-of an array is rounded as `Fraction.limit_denominator` in one
-continued-fraction loop, on machine integers where they hold every value
-it forms.
+eliminations and for I/O.  Floats cross only at `ExactMatrix.to_complex`,
+`rationalize`, `exact_from_float_matrix` and `rational_hermitian` (the
+float-to-exact step of every certificate and weight repair, at the bounds
+of `DENOMINATOR_LADDER`); the last three round every entry of an array as
+`Fraction.limit_denominator` in one continued-fraction loop, straight to
+integers, on machine integers where they hold every value it forms.
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
 (a rounded float inverse Cholesky factor T, then Gershgorin on the upper
@@ -53,6 +53,7 @@ __all__ = [
     "psd_check_stack",
     "refute_psd",
     "rationalize",
+    "rational_hermitian",
     "rational_str",
     "exact_from_float_matrix",
     "rref_exact",
@@ -61,7 +62,10 @@ __all__ = [
     "affine_least_squares",
     "hermitian_basis",
     "hermitian_basis_stack",
+    "DENOMINATOR_LADDER",
 ]
+
+DENOMINATOR_LADDER = (10**3, 10**6, 10**9)
 
 
 class NonFiniteInput(ValueError):
@@ -458,20 +462,14 @@ def _rounded(x: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _limit_denominator(x, bound: int) -> tuple[int, int]:
-    """(p, q), in lowest terms, with p/q = Fraction(x).limit_denominator(bound):
-    the one-entry call of `_rounded`."""
-    p, q = _rounded(np.array([x], dtype=np.float64), bound)
-    return int(p[0]), int(q[0])
-
-
 def rationalize(x: float, max_denominator: int) -> Fraction:
     """Nearest rational with denominator <= max_denominator."""
     if not isfinite(x):
         raise NonFiniteInput(f"cannot rationalize {x!r}")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    return Fraction(*_limit_denominator(x, max_denominator))
+    p, q = _rounded(np.array([x], dtype=np.float64), max_denominator)
+    return Fraction(int(p[0]), int(q[0]))
 
 
 def rational_str(q) -> str:
@@ -506,10 +504,22 @@ def _rationalized_parts(arr, max_denominator: int) -> tuple[int, np.ndarray, np.
     return (den, *nums.reshape(2, *arr.shape))
 
 
+def rational_hermitian(arr, max_denominator: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(2D, R + R^T, I - I^T) on the last two axes, for (D, R, I) the
+    `_rationalized_parts` of a complex matrix or stack: the Hermitian part
+    of its entrywise `rationalize`, in integer numerators over one denominator."""
+    den, re, im = _rationalized_parts(arr, max_denominator)
+    return 2 * den, re + re.swapaxes(-1, -2), im - im.swapaxes(-1, -2)
+
+
 def _stack_parts(mats) -> tuple[int, np.ndarray, np.ndarray]:
     """(D, re, im) with (re_k + i im_k) / D the k-th of a sequence of exact
     matrices of one shape: D their least common denominator and re, im
-    (k, rows, cols) object arrays of Python ints."""
+    (k, rows, cols) object arrays of Python ints; (n, n, rows, cols) ones
+    for an n x n grid of them, such as an exact square's blocks."""
+    if not isinstance(mats[0], ExactMatrix):
+        den, re, im = _stack_parts([m for row in mats for m in row])
+        return den, *(p.reshape(len(mats), -1, *p.shape[1:]) for p in (re, im))
     den = lcm(*(m.den for m in mats))
     parts = [m._over(den) for m in mats]
     return den, np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])

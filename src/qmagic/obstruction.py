@@ -61,11 +61,13 @@ from functools import cache
 import numpy as np
 
 from .exact import (
+    DENOMINATOR_LADDER,
     ExactMatrix,
-    _rationalized_parts,
+    _stack_parts,
     hermitian_basis_stack,
     nullspace_exact,
     psd_check_exact,
+    rational_hermitian,
     rational_str,
     refute_psd,
     rref_exact,
@@ -84,8 +86,6 @@ from .structures import (
 
 WEAK = "weak"
 STRONG = "strong"
-
-DENOMINATOR_LADDER = (10**3, 10**6, 10**9)
 
 
 class NotDefinedForSmallN(ValueError):
@@ -191,14 +191,10 @@ def _psi_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
     """(L D^2, re, im) with re + i im = L D^2 psi(A): the slots of
     `_psi_slots` on the real and imaginary parts of N."""
     n, s = a.n, a.s
-    col = ExactMatrix.from_blocks([[b] for row in a.blocks for b in row])
-    den = col.den
+    den, n_re, n_im = _stack_parts(a.blocks)  # the parts of N
     unit = -n * den * den * np.eye(s, dtype=int).astype(object)
     near, far = (n - 1) ** 2 * den, (n - 1) * den
-    re, im = (
-        _psi_slots(part.reshape(n, n, s, s), u, near, far)
-        for part, u in ((col.re, unit), (col.im, 0))
-    )
+    re, im = (_psi_slots(part, u, near, far) for part, u in ((n_re, unit), (n_im, 0)))
     return n * (n - 1) * (n - 2) * den * den, re, im
 
 
@@ -530,10 +526,8 @@ def exact_certify(
 ) -> ObstructionCertificate:
     """Turn a numeric dual candidate into an exact certificate over Q[i].
 
-    Entries are rounded with the given denominator bound straight to
-    integers R + i I over one denominator D and symmetrized as
-    (R + R^T + i (I - I^T)) / 2D.
-    Still on integer numerators, the matrix is projected exactly onto
+    Y is rounded with the given denominator bound by `rational_hermitian`
+    and, still on its integer numerators, projected exactly onto
     {trace(Y B_j) = 0 for all j} through the Kronecker factors of the
     directions (`_project`) before the PSD check, because positivity is the
     fragile condition and the projection is a small perturbation when the
@@ -547,14 +541,11 @@ def exact_certify(
     """
     if problem.b0_exact is None:
         raise ValueError("exact certification needs an exact square")
-    y_num = np.asarray(y_num, dtype=np.complex128)
     d = problem.dim
-    if y_num.shape != (d, d):
-        raise ValueError(f"certificate has shape {y_num.shape}, expected {(d, d)}")
-    den, r, i = _rationalized_parts(y_num, max_denominator)
-
+    if np.shape(y_num) != (d, d):
+        raise ValueError(f"certificate has shape {np.shape(y_num)}, expected {(d, d)}")
     n, s, mode = problem.square.n, problem.square.s, problem.mode
-    y = ExactMatrix.from_parts(*_project(2 * den, r + r.T, i - i.T, n, s, mode))
+    y = ExactMatrix.from_parts(*_project(*rational_hermitian(y_num, max_denominator), n, s, mode))
     pairings = _pairings(y, n, s, mode, problem.b0_exact)
     if not final and (value := refute_psd(y)) is not None:
         raise CertificationFailed("psd", value)

@@ -27,11 +27,12 @@ from math import factorial, lcm
 import numpy as np
 
 from .exact import (
+    DENOMINATOR_LADDER,
     ExactMatrix,
-    _rationalized_parts,
     _stack_parts,
     hermitian_basis_stack,
     psd_check_stack,
+    rational_hermitian,
 )
 from .birkhoff import magic_space_dimension
 from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 MAX_LMI_N = 5
-REPAIR_DENOMINATORS = (10**3, 10**6, 10**9)
+REPAIR_DENOMINATORS = DENOMINATOR_LADDER
 
 
 class TooLarge(ValueError):
@@ -196,13 +197,6 @@ def _min_norm_weights(grid: np.ndarray, row: np.ndarray) -> np.ndarray:
     return (total - shift) * float(Fraction(1, factorial(n - 2) * n))
 
 
-def _square_parts(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
-    """An exact square's blocks as (D, re, im): integer numerators over
-    their least common denominator D, each an (n, n, s, s) object array."""
-    den, re, im = _stack_parts([b for row in a.blocks for b in row])
-    return den, re.reshape(a.n, a.n, a.s, a.s), im.reshape(a.n, a.n, a.s, a.s)
-
-
 def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     """The weights q_pi, in lex order of pi, as a pencil of n! blocks of
     size s, PSD at some x iff A is semiclassical.
@@ -236,16 +230,14 @@ def _exact_repair(a: MagicSquare, weights: np.ndarray, max_denominator: int):
     sum to I - sum_pi x0_pi.  The constraints act on each Hermitian
     coordinate alike, with the same Frobenius weight for every pi, so this
     is also the Frobenius-weighted projection of the whole block system.
-    It all runs on integer numerators over one denominator: x0 is rounded
-    straight to integers R + i I over D and symmetrized as
-    (R + R^T + i (I - I^T)) / 2D, as in `exact_certify`; the fitted blocks
-    are one product with the incidence matrix; one congruence proof covers
-    the result.  The n! exact weights are built only when it is PSD.
+    It all runs on integer numerators over one denominator: x0 comes from
+    `rational_hermitian`; the fitted blocks are one product with the
+    incidence matrix; one congruence proof covers the result.  The n! exact
+    weights are built only when it is PSD.
     """
     n, s = a.n, a.s
-    x_den, x_re, x_im = _rationalized_parts(weights, max_denominator)
-    x_den, x_re, x_im = 2 * x_den, x_re + x_re.swapaxes(1, 2), x_im - x_im.swapaxes(1, 2)
-    a_den, a_re, a_im = _square_parts(a)
+    x_den, x_re, x_im = rational_hermitian(weights, max_denominator)
+    a_den, a_re, a_im = _stack_parts(a.blocks)
     e = lcm(x_den, a_den)
     incidence = _incidence(n).astype(object)
 
@@ -324,7 +316,7 @@ def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
     """
     n, s, perms = a.n, a.s, permutations_lex(a.n)
     if a.exact:
-        den, g_re, g_im = _square_parts(a)
+        den, g_re, g_im = _stack_parts(a.blocks)
         eye = np.eye(s, dtype=object) * den
         re, im = _min_norm_weights(g_re, eye), _min_norm_weights(g_im, 0 * eye)
         weights = [ExactMatrix.from_parts(den * factorial(n), *q) for q in zip(re, im)]

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational, _stack_parts, psd_check_stack
+from .exact import ExactMatrix, GaussianRational, _stack_parts, psd_check_stack, rational_str
 
 __all__ = [
     "ShapeMismatch",
@@ -229,6 +229,13 @@ class Violation:
     kind: str  # "not_hermitian" | "block_not_psd" | "row_sum" | "col_sum"
     location: tuple
     margin: object  # largest entry of a residual, or a PSD witness value / eigenvalue
+
+    def __repr__(self) -> str:
+        """The dataclass repr; an exact margin by `rational_str`, past the digit limit too."""
+        m = self.margin
+        if isinstance(m, Fraction):
+            m = f"Fraction({rational_str(m.numerator)}, {rational_str(m.denominator)})"
+        return f"Violation(kind={self.kind!r}, location={self.location!r}, margin={m})"
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmagic.obstruction
 from qmagic.cli import main
-from qmagic.exact import ExactMatrix
+from qmagic.exact import ExactMatrix, rational_str
 from qmagic.obstruction import ObstructionCertificate, counterexample_m2_3
 from qmagic.sampling import random_member_square
 from qmagic.semiclassical import SemiclassicalDecomposition, interior_map_decomposition
@@ -110,6 +110,44 @@ def test_validate_invalid_square(run, workdir):
     entry = report["details"][str(workdir / "broken.json")]
     assert entry["verdict"] == "invalid"
     assert any(v["kind"] in ("row_sum", "col_sum") for v in entry["violations"])
+
+
+# An exact n = 2, s = 1 square with a11 = a22 = 10^-5000 and
+# a12 = a21 = (10^5000 - 2) / 10^5000: every row and column sums to
+# 1 - 10^-5000, so each margin, 10^-5000, is past the int-to-str digit limit.
+_TEN_5000 = "1" + "0" * 5000
+_CORNER, _OFF = f"1/{_TEN_5000}", f"{'9' * 4999}8/{_TEN_5000}"
+_LONG_DIGIT_SQUARE = {
+    "n": 2, "s": 1, "repr": "exact",
+    "blocks": [[[[_CORNER]], [[_OFF]]], [[[_OFF]], [[_CORNER]]]],
+}
+
+
+def test_validate_reports_margins_past_the_digit_limit(run, tmp_path):
+    path = tmp_path / "long.json"
+    dump_json(_LONG_DIGIT_SQUARE, path)
+    code, report = run("validate", path)
+    assert code == 1
+    entry = report["details"][str(path)]
+    assert entry["verdict"] == "invalid"
+    corner, off = Fraction(1, 10**5000), Fraction(10**5000 - 2, 10**5000)
+    margin = rational_str(1 - (corner + off))
+    assert entry["violations"] == [
+        {"kind": kind, "location": [k], "margin": margin}
+        for kind in ("row_sum", "col_sum")
+        for k in range(2)
+    ]
+
+
+@pytest.mark.parametrize("command", ["check-semiclassical", "obstruction-check"])
+def test_square_with_margins_past_the_digit_limit_is_not_magic(capsys, tmp_path, command):
+    path = tmp_path / "long.json"
+    dump_json(_LONG_DIGIT_SQUARE, path)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["verdicts"]["error"].startswith("not a magic square: ")
+    assert captured.err.startswith("input is not a magic square: ")
 
 
 def test_validate_batch_directory(run, workdir):
@@ -734,6 +772,7 @@ def _invocations(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(_invocations())
+@example(("validate", _LONG_DIGIT_SQUARE, ()))
 def test_fuzz_cli_exit_codes_and_reports(invocation):
     command, doc, flags = invocation
     with tempfile.TemporaryDirectory() as tmp:

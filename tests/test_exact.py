@@ -686,6 +686,12 @@ _ROUND_TO_ZERO_EDGES = [
 ] + [1 / (2 * b) for b in (2, 10**3, 2**70)]
 
 
+def _round_one(x, bound):
+    """`exact._rounded` of the one-entry array [x], as Python ints."""
+    p, q = exact._rounded(np.array([x], dtype=np.float64), bound)
+    return int(p[0]), int(q[0])
+
+
 class TestRationalize:
     def test_trivial_values(self):
         assert rationalize(0.5, 10) == F(1, 2)
@@ -725,10 +731,11 @@ class TestRationalize:
     )
     @settings(max_examples=400)
     def test_limit_denominator_is_fractions(self, bound, x):
-        """The integer-only rounding kernel is Fraction.limit_denominator, as
-        (numerator, denominator) in lowest terms."""
+        """The integer-only rounding kernel on a one-entry array is
+        Fraction.limit_denominator, as (numerator, denominator) in lowest
+        terms."""
         q = F(x).limit_denominator(bound)
-        assert exact._limit_denominator(x, bound) == (q.numerator, q.denominator)
+        assert _round_one(x, bound) == (q.numerator, q.denominator)
         assert rationalize(x, bound) == q
 
     @pytest.mark.parametrize("bound", [1, 2, 10**3, 10**6, 10**9, 10**12, 2**70])
@@ -755,14 +762,49 @@ class TestRationalize:
         assert list(zip(p.tolist(), q.tolist())) == [(r.numerator, r.denominator) for r in want]
 
     def test_ties_at_bound_one_are_not_odd(self):
-        assert exact._limit_denominator(0.5, 1) == (0, 1)
-        assert exact._limit_denominator(-0.5, 1) == (-1, 1)
+        assert _round_one(0.5, 1) == (0, 1)
+        assert _round_one(-0.5, 1) == (-1, 1)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             rationalize(float("nan"), 10)
         with pytest.raises(NonFiniteInput):
             rationalize(float("inf"), 10)
+
+    @pytest.mark.parametrize("bound", [1, 10**3, 10**6, 10**9])
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 6)),  # one s x s matrix
+            st.tuples(st.integers(1, 6), st.integers(1, 3)),  # a (k, s, s) stack
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_hermitian_is_the_hermitian_part_of_the_rounding(
+        self, bound, dims, hermitian, data
+    ):
+        """(2D, R + R^T, I - I^T) of `_rationalized_parts`, on the last two
+        axes of a matrix or stack, Hermitian or not: per entry, the mean of
+        the rounding of z_jk and of conj(z_kj) as Fraction.limit_denominator."""
+        shape = (dims[0], dims[1], dims[1]) if len(dims) == 2 else (dims[0], dims[0])
+        parts = st.floats(min_value=-4, max_value=4) | st.sampled_from([0.0, 0.5, -0.5, 1e-7])
+        size = 2 * math.prod(shape)
+        xs = data.draw(st.lists(parts, min_size=size, max_size=size))
+        z = (np.array(xs[::2]) + 1j * np.array(xs[1::2])).reshape(shape)
+        if hermitian:
+            z = (z + z.conj().swapaxes(-1, -2)) / 2
+        den, re, im = exact.rational_hermitian(z, bound)
+        d0, r0, i0 = exact._rationalized_parts(z, bound)
+        assert den == 2 * d0
+        for got, want in ((re, r0 + np.swapaxes(r0, -1, -2)), (im, i0 - np.swapaxes(i0, -1, -2))):
+            assert got.shape == z.shape and got.dtype == object
+            assert got.tolist() == want.tolist()
+        rounded = np.vectorize(lambda x: F(x).limit_denominator(bound), otypes=[object])
+        over_den = np.vectorize(lambda v: F(v, den), otypes=[object])
+        zr, zi = rounded(z.real), rounded(z.imag)
+        assert over_den(re).tolist() == ((zr + np.swapaxes(zr, -1, -2)) / 2).tolist()
+        assert over_den(im).tolist() == ((zi - np.swapaxes(zi, -1, -2)) / 2).tolist()
 
 
 class TestElimination:

@@ -15,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
+    "answer_digest.py": ["--seeds", "1", "--workloads", "membership"],
     "bench_pairs.py": ["--dry-run", "--workloads", "membership", "--seeds", "1", "--pairs", "2"],
     "birkhoff_stats.py": ["--sizes", "3", "--trials", "2"],
     "extension_demo.py": ["--s", "1", "--trials", "1"],
@@ -71,3 +72,15 @@ def test_bench_pairs_dry_run_plans_alternating_pairs():
     for line in runs:
         assert "] PYTHONDONTWRITEBYTECODE=1 " in line
         assert line.endswith(f" --seconds {seconds:g} --trace 0")
+
+# the answer digest of the `membership` LMI squares at seed 1: verdict,
+# exact decomposition and repair rung of each
+MEMBERSHIP_SEED_1_ANSWERS = (
+    "4a6f5a412e741e35f5dc33f9d65f9413818c90f7aaed96282603d1bf2a758eb9 24 documents"
+)
+
+
+def test_answer_digest_is_pinned():
+    ran = _run("answer_digest.py", *TINY["answer_digest.py"])
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.strip() == MEMBERSHIP_SEED_1_ANSWERS

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmagic import exact, obstruction, semiclassical
 from qmagic.exact import (
     ExactMatrix,
     GaussianRational,
@@ -310,6 +311,12 @@ def test_exact_repair_matches_block_system_projection(n, s):
     for den in REPAIR_DENOMINATORS:
         repaired = _repair_agrees_with_block_system(sq, weights, den)
     assert repaired is not None
+
+
+def test_repair_rungs_are_the_certificate_ladder():
+    """Weight repair and certification round on one denominator ladder."""
+    assert semiclassical.REPAIR_DENOMINATORS is obstruction.DENOMINATOR_LADDER
+    assert obstruction.DENOMINATOR_LADDER is exact.DENOMINATOR_LADDER
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,7 @@ from qmagic.structures import (
     NotAnIsometry,
     ShapeMismatch,
     SizeMismatch,
+    Violation,
     complete_corner,
     compress,
     constant_square,
@@ -293,6 +294,21 @@ class TestDirectSum:
     def test_invalid_summand_cannot_be_built(self):
         with pytest.raises(InvalidMagicSquare):
             MagicSquare([[np.eye(1), np.eye(1)], [np.eye(1), np.eye(1)]])
+
+
+def test_violation_repr_is_the_dataclass_repr():
+    """The message of InvalidMagicSquare, the repr of its violations, keeps
+    the dataclass form, and writes exact margins past the int-to-str digit
+    limit too."""
+    assert repr(Violation("row_sum", (0,), Fraction(-3, 10))) == (
+        "Violation(kind='row_sum', location=(0,), margin=Fraction(-3, 10))"
+    )
+    assert repr(Violation("block_not_psd", (0, 1), -0.25)) == (
+        "Violation(kind='block_not_psd', location=(0, 1), margin=-0.25)"
+    )
+    long = Violation("col_sum", (1,), Fraction(1, 10**5000))
+    margin = f"Fraction(1, 1{'0' * 5000})"
+    assert repr(long) == f"Violation(kind='col_sum', location=(1,), margin={margin})"
 
 
 class TestEmbedPad:
