@@ -4,16 +4,21 @@
     python3 scripts/answer_digest.py [--seeds 0 1 2 3 4 5] [--workloads certify membership]
 
 A change that must leave every answer byte-identical prints the same digest
-and document count as its parent.  The documents, in this order:
+and document count as its parent.  The script sets OPENBLAS_NUM_THREADS=1
+before numpy is loaded: the solver's float duals, and so the certificates
+rounded from them, can differ in their last bits with the BLAS thread
+count, and one thread makes the digest the same on every host.  The
+documents, in this order:
 
-- certify: for each strong "no" square (the `certify` squares of
+- certify: for each "no" square in strong mode (the `certify` squares of
   `perfbench/workloads.py` at each seed, then `counterexample_m2_3()` and
-  `embed_pad(counterexample_m2_3())`), the dual of its deciding solve,
-  blended once, is certified by `exact_certify` at each bound of
-  RUNGS.  Each rung gives one document: the certificate's
-  `certificate_to_json` and its `verify_certificate` report, or the failure
-  condition and its exact margin.  A square the solver does not decide
-  "no" gives its verdict alone.
+  `embed_pad(counterexample_m2_3())`), and then for `counterexample_m2_3()`
+  in weak mode, the dual of its deciding solve, blended once, is certified
+  by `exact_certify` at each bound of RUNGS.  Each rung gives one
+  document: the certificate's `certificate_to_json` and its
+  `verify_certificate` report, or the failure condition and its exact
+  margin.  A square the solver does not decide "no" gives its verdict
+  alone.
 - membership: for each `membership` LMI square at each seed, its
   `check_semiclassical` verdict, exact decomposition and repair rung.
 
@@ -28,9 +33,12 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is loaded, through qmagic
 
 from qmagic.exact import rational_str
 from qmagic.obstruction import (
@@ -60,8 +68,8 @@ def load_workloads():
     return workloads
 
 
-def certificate_docs(square) -> list:
-    res = check_mconv_obstruction(square, mode="strong")
+def certificate_docs(square, mode="strong") -> list:
+    res = check_mconv_obstruction(square, mode=mode)
     if res.verdict != "no":
         return [{"verdict": res.verdict}]
     y = blend_dual(res.problem, res.solver).y
@@ -101,6 +109,7 @@ def answer_docs(seeds, workloads) -> list:
         cex = counterexample_m2_3()
         for square in (*squares, cex, embed_pad(cex)):
             docs += certificate_docs(square)
+        docs += certificate_docs(cex, mode="weak")
     if "membership" in workloads:
         for seed in seeds:
             docs += [

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ExactMatrix, nullspace_exact
+from .exact import ExactMatrix, nullspace_exact, rational_str
 
 __all__ = [
     "NotDoublyStochastic",
@@ -37,11 +37,11 @@ def validate_doubly_stochastic(m) -> list[list[Fraction]]:
         raise NotDoublyStochastic("negative entry")
     for i, r in enumerate(rows):
         if sum(r) != 1:
-            raise NotDoublyStochastic(f"row {i} sums to {sum(r)}")
+            raise NotDoublyStochastic(f"row {i} sums to {rational_str(sum(r))}")
     for j in range(n):
         c = sum(rows[i][j] for i in range(n))
         if c != 1:
-            raise NotDoublyStochastic(f"column {j} sums to {c}")
+            raise NotDoublyStochastic(f"column {j} sums to {rational_str(c)}")
     return rows
 
 

@@ -27,7 +27,7 @@ where the elimination's margin is not needed.
 `affine_least_squares` is the exact orthogonal projection onto an affine set
 given by its rows, with its shape-only work (rank selection, inverse Gram)
 cached per constraint system.  No certification path calls it: obstruction
-certificates are projected through the Kronecker factors of their pencil
+certificates are projected through the Z factor of their pencil
 directions and the semiclassical weights by a closed-form least-norm
 solution.  It stays as the generic reference the tests check both closed
 forms against.
@@ -583,7 +583,7 @@ def psd_check_stack(den: int, re: np.ndarray, im: np.ndarray):
     # operations to eliminate, less than the fixed cost of a proof
     proven = _congruence_proves_pd(den, re, im) if re.size > 4 else np.zeros(len(re), dtype=bool)
     return (
-        PsdCheck(True) if ok else _schur_psd_check(ExactMatrix.from_parts(den, r, i))
+        PsdCheck(True) if ok else _schur_psd_check(den, r, i)
         for ok, r, i in zip(proven, re, im)
     )
 
@@ -739,8 +739,8 @@ def _exact_tier(inv: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return ok & _gershgorin_proves(t_re.astype(object), t_im.astype(object), re, im)
 
 
-def _schur_psd_check(m: ExactMatrix) -> PsdCheck:
-    """Decide M >= 0 for a Hermitian M by exact Hermitian elimination.
+def _schur_psd_check(den: int, re: np.ndarray, im: np.ndarray) -> PsdCheck:
+    """Decide M = (re + i im) / den >= 0 by exact Hermitian elimination.
 
     Each step pivots on the largest |diagonal| of the remaining positions
     (ties to the earlier position) and replaces the trailing block by its
@@ -750,8 +750,8 @@ def _schur_psd_check(m: ExactMatrix) -> PsdCheck:
     vanishes; otherwise its first nonzero entry, in row-major position
     order, gives the margin -2|s_ij|^2.
     """
-    d, den = m.rows, m.den
-    re, im = ([[Fraction(x, den) for x in row] for row in part.tolist()] for part in (m.re, m.im))
+    d = len(re)
+    re, im = ([[Fraction(x, den) for x in row] for row in part.tolist()] for part in (re, im))
     order = list(range(d))  # original index at each position
     for k in range(d):
         p = max(range(k, d), key=lambda q: abs(re[order[q]][order[q]]))

@@ -34,12 +34,13 @@ products H_a (x) H_b (x) h over a Hermitian basis H of Z (weak) or Z_e
 (strong) and the Hermitian basis h of Mat_s, so they form a basis of the
 variable space by construction.  They depend only on (n, s, mode), have
 Gaussian-integer entries and are stored once as the (m, d, d) complex
-stack of an `SdpProblem`.  Their Frobenius Gram matrix is G_H (x) G_H (x)
-G_h, so a certificate's pairings trace(Y B_j) and its orthogonal projection
-onto {trace(Y B_j) = 0} are mode products of Y's integer numerators with
-the factor stacks and their inverse Gram matrices, read once per
-(n, s, mode).  B_0 is phi(A), or phi(A) + psi(A), written once for both
-representations: phi on the block helpers of `structures` (over Q[i] for
+stack of an `SdpProblem`.  As h spans all of Her_s, trace(Y (H_a (x) H_b
+(x) h)) = trace(C_ab h) for the blocks C_ab of Y contracted twice with H:
+a certificate's orthogonality to every direction (every C_ab = 0) and its
+projection onto {trace(Y B_j) = 0} are mode products of Y's integer
+numerators with H and its inverse Gram matrix, read once per (n, mode).
+B_0 is phi(A), or phi(A) + psi(A), written once for
+both representations: phi on the block helpers of `structures` (over Q[i] for
 an exact square, in complex floats for a float one), psi from one
 vectorized slot formula on the complex blocks or on the Gaussian-integer
 numerators of an exact square.  An exact B_0 is an `ExactMatrix`, whose
@@ -243,60 +244,47 @@ def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     return kron_pairs(kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
 
 
-# -- pairings and projection through the Kronecker factors --------------------
+# -- the complement of the variable space, through the Z factor --------------
 #
 # A complex array is held in Python ints with a last axis (re, im); a complex
 # matrix F[a, x] acts on it through its real form [[re F, -im F], [im F, re F]].
 
 
 @cache
-def _factors(n: int, s: int, mode: str):
-    """For the factors H (a basis of Z or Z_e) and h (of Her_s) of the
-    directions H_a (x) H_b (x) h_c: with F the flattened factors, the real
-    form of conj(F), and inv / den, the inverse of tr(F_a F_b)."""
-    out = []
-    for stack in (zero_diagonal_basis(n, doubly_null=mode == STRONG), hermitian_basis_stack(s)):
-        if not np.array_equal(stack, np.round(stack)):
-            raise ValueError("factor has an entry that is not a Gaussian integer")
-        if not np.array_equal(stack, stack.conj().swapaxes(1, 2)):
-            raise ValueError("factor is not Hermitian")
-        flat = stack.reshape(len(stack), -1)
-        re, im = (part.astype(np.int64).astype(object) for part in (flat.real, flat.imag))
-        m = len(flat)
-        gram = (re @ re.T + im @ im.T).tolist()
-        augmented = [g + [int(p == q) for q in range(m)] for p, g in enumerate(gram)]
-        inv = rref_exact(ExactMatrix(augmented))[0].block(0, m, m, 2 * m)  # real, as the Gram
-        form = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1)
-        out.append((form, inv.den, inv.re))
-    return tuple(out)
+def _factor(n: int, mode: str):
+    """For the basis H of Z (weak) or Z_e (strong): with F the flattened
+    H, the real form of conj(F), the real form of G^-1 conj(F) times g, and
+    g, for G^-1 = inv / g the inverse of the Gram matrix tr(H_a H_b)."""
+    stack = zero_diagonal_basis(n, doubly_null=mode == STRONG)
+    if not np.array_equal(stack, np.round(stack)):
+        raise ValueError("factor has an entry that is not a Gaussian integer")
+    if not np.array_equal(stack, stack.conj().swapaxes(1, 2)):
+        raise ValueError("factor is not Hermitian")
+    flat = stack.reshape(len(stack), -1)
+    re, im = (part.astype(np.int64).astype(object) for part in (flat.real, flat.imag))
+    m = len(flat)
+    gram = (re @ re.T + im @ im.T).tolist()
+    augmented = [g + [int(p == q) for q in range(m)] for p, g in enumerate(gram)]
+    inv = rref_exact(ExactMatrix(augmented))[0].block(0, m, m, 2 * m)  # real, as the Gram
+    form = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1)
+    return form, np.tensordot(inv.re, form, (1, 0)), inv.den
 
 
-def _direction_pairings(re, im, n: int, s: int, mode: str) -> np.ndarray:
-    """trace(Y B_abc) = sum_xy Y_xy conj(B_xy) as an (a, b, c) integer array,
-    for Y = re + i im Hermitian, with Y's axes regrouped as (i j), (k l),
-    (p q), the slots of H_a, H_b and h_c."""
-    z, h = _factors(n, s, mode)
+def _correction(re, im, n: int, s: int, mode: str):
+    """(c, T) for Hermitian Y = (re + i im) / den: T = sum_ab c_ab (x) H_a
+    (x) H_b as a (d, d, (re, im)) integer array, c_ab = c (G^-1 (x) G^-1)
+    C_ab for the blocks C_ab of Y contracted twice with conj(H), c = g^2.
+    (c Y - T) / (c den) is the projection onto {trace(Y B_j) = 0}, and T = 0
+    exactly when Y pairs to zero with every direction."""
+    form, back, g = _factor(n, mode)
     t = np.stack([re, im], -1).reshape(n, n, s, n, n, s, 2).transpose(0, 3, 1, 4, 2, 5, 6)
-    t = t.reshape(n * n, n * n, s * s, 2)
-    for f in (z, z, h):  # each step appends its new axis before (re, im)
-        t = np.tensordot(t, f[0], ([0, -1], [2, 3]))
-    return t[..., 0]
-
-
-def _project(den: int, re, im, n: int, s: int, mode: str):
-    """(den', re', im') of the orthogonal projection Y - sum c_abc B_abc of
-    Y = (re + i im) / den onto {trace(Y B_j) = 0}: the directions have Gram
-    G_H (x) G_H (x) G_h, so c = (G_H^-1 (x) G_H^-1 (x) G_h^-1) trace(Y B)."""
-    z, h = _factors(n, s, mode)
-    coef = _direction_pairings(re, im, n, s, mode)
-    for f in (z, z, h):
-        coef = np.tensordot(coef, f[2], (0, 1))
-    t = np.stack([coef, np.zeros(coef.shape, dtype=object)], -1)
-    for f in (z, z, h):  # sum_a c_a F_a, through the adjoint of the form of conj(F)
-        t = np.tensordot(t, f[0], ([0, -1], [0, 1]))
-    t = t.reshape(n, n, n, n, s, s, 2).transpose(0, 2, 4, 1, 3, 5, 6).reshape(len(re), -1, 2)
-    scale = z[1] * z[1] * h[1]
-    return den * scale, scale * re - t[..., 0], scale * im - t[..., 1]
+    t = t.reshape(n * n, n * n, s, s, 2)
+    for _ in range(2):  # each step appends its new axis before (re, im)
+        t = np.tensordot(t, form, ([0, -1], [2, 3]))
+    for _ in range(2):  # (p, q, a, b) -> (p, q, b, (i j)) -> (p, q, (i j), (k l))
+        t = np.tensordot(t, back, ([2, -1], [0, 1]))
+    t = t.reshape(s, s, n, n, n, n, 2).transpose(2, 4, 0, 3, 5, 1, 6)
+    return g * g, t.reshape(len(re), -1, 2)
 
 
 @dataclass(frozen=True)
@@ -304,8 +292,8 @@ class ObstructionProblem:
     """A feasibility pencil B_0 + sum_j x_j B_j >= 0 over a tensor space.
 
     The directions B_j are stored once, as the Gaussian-integer complex
-    arrays `pencil.directions`; certificates pair with them through their
-    Kronecker factors.  `b0_exact` is present only for exact squares.
+    arrays `pencil.directions`; certificates meet them only through their
+    Z factor (`_correction`).  `b0_exact` is present only for exact squares.
     """
 
     square: MagicSquare
@@ -505,13 +493,11 @@ def blend_dual(
 
 
 def _pairings(y: ExactMatrix, n: int, s: int, mode: str, b0: ExactMatrix) -> dict:
-    """trace(Y B) on the stored numerators of Y and B0: B1 ... Bm in
-    direction order through `_direction_pairings`, then B0 as
-    sum re_Y re_B0 + im_Y im_B0.  Every pairing is real."""
-    pairings = {
-        f"B{j + 1}": Fraction(p, y.den)
-        for j, p in enumerate(_direction_pairings(y.re, y.im, n, s, mode).ravel().tolist())
-    }
+    """trace(Y B) for a Y with `_correction` T = 0: B1 ... Bm in direction
+    order, exact zeros, then B0 as sum re_Y re_B0 + im_Y im_B0 on the
+    stored numerators of Y and B0.  Every pairing is real."""
+    m = len(_factor(n, mode)[0]) ** 2 * s * s
+    pairings = {f"B{j}": Fraction(0) for j in range(1, m + 1)}
     b0_dot = (y.re * b0.re).sum() + (y.im * b0.im).sum()
     pairings["B0"] = Fraction(int(b0_dot), y.den * b0.den)
     return pairings
@@ -528,16 +514,17 @@ def exact_certify(
 
     Y is rounded with the given denominator bound by `rational_hermitian`
     and, still on its integer numerators, projected exactly onto
-    {trace(Y B_j) = 0 for all j} through the Kronecker factors of the
-    directions (`_project`) before the PSD check, because positivity is the
-    fragile condition and the projection is a small perturbation when the
-    residuals are tiny.  Verification is exact: Y >= 0 by a congruence
-    proof, else an exact Hermitian elimination (Schur complements,
-    largest-diagonal pivoting), and trace(Y B_0) < 0.  With `final=False`
-    (a rung that a larger bound may follow) a Y that `refute_psd` rejects
-    fails at once with its rounded-eigenvector value as the margin,
-    skipping the elimination; any Y it does not reject is decided as above,
-    so the certificate is the same either way.
+    {trace(Y B_j) = 0 for all j} as (c Y - T) / c through the Z factor of
+    the directions (`_correction`) before the PSD check, because positivity
+    is the fragile condition and the projection is a small perturbation
+    when the residuals are tiny.  The pairings B1 ... Bm are recorded as the
+    exact zeros the projection makes them.  Verification is exact: Y >= 0
+    by a congruence proof, else an exact Hermitian elimination (Schur
+    complements, largest-diagonal pivoting), and trace(Y B_0) < 0.  With
+    `final=False` (a rung that a larger bound may follow) a Y that
+    `refute_psd` rejects fails at once with its rounded-eigenvector value
+    as the margin, skipping the elimination; any Y it does not reject is
+    decided as above, so the certificate is the same either way.
     """
     if problem.b0_exact is None:
         raise ValueError("exact certification needs an exact square")
@@ -545,7 +532,11 @@ def exact_certify(
     if np.shape(y_num) != (d, d):
         raise ValueError(f"certificate has shape {np.shape(y_num)}, expected {(d, d)}")
     n, s, mode = problem.square.n, problem.square.s, problem.mode
-    y = ExactMatrix.from_parts(*_project(*rational_hermitian(y_num, max_denominator), n, s, mode))
+    den, re, im = rational_hermitian(y_num, max_denominator)
+    c, t = _correction(re, im, n, s, mode)
+    re, im = c * re - t[..., 0], c * im - t[..., 1]
+    del t  # free the big-integer T and rounded Y before from_parts divides out the gcd
+    y = ExactMatrix.from_parts(c * den, re, im)
     pairings = _pairings(y, n, s, mode, problem.b0_exact)
     if not final and (value := refute_psd(y)) is not None:
         raise CertificationFailed("psd", value)
@@ -582,12 +573,12 @@ def certify_with_ladder(
 def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     """Re-verify a certificate against a square by exact arithmetic alone.
 
-    Builds the constant term B0 for the certificate's mode, recomputes
-    every pairing from Y's integer numerators through the Kronecker factors
-    of the directions (`_pairings`), and reruns the exact PSD check.  No
-    pencil and no numeric solver is involved.  A stored pairing that
-    disagrees fails its check.  Returns a report dict with an overall `ok`
-    flag.
+    Builds the constant term B0 for the certificate's mode, reruns the
+    exact PSD check, tests orthogonality to every direction as T = 0 in
+    `_correction` of Y's integer numerators, and recomputes trace(Y B0).
+    No pencil and no numeric solver is involved.  A stored pairing that
+    disagrees (B1 ... Bm are 0) fails its check.  Returns a report dict
+    with an overall `ok` flag.
     """
     if not a.exact:
         raise ValueError("exact verification needs an exact square")
@@ -605,7 +596,8 @@ def verify_certificate(cert: ObstructionCertificate, a: MagicSquare) -> dict:
     check = psd_check_exact(y)
     pairings = _pairings(y, a.n, a.s, cert.mode, b0)
     p0 = pairings.pop("B0")
-    pair_ok = all(p == 0 and cert.pairings.get(label, p) == p for label, p in pairings.items())
+    orthogonal = not _correction(y.re, y.im, a.n, a.s, cert.mode)[1].any()
+    pair_ok = orthogonal and all(cert.pairings.get(label, p) == p for label, p in pairings.items())
     negativity = p0 < 0 and cert.pairings.get("B0", p0) == p0
     return {
         "ok": bool(check.is_psd and pair_ok and negativity),

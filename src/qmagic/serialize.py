@@ -238,6 +238,8 @@ def certificate_to_json(cert: ObstructionCertificate, square: MagicSquare | None
     pairings = {}
     for label, value in cert.pairings.items():
         z = GaussianRational._coerce(value)
+        if z is NotImplemented:
+            raise FormatError(f"pairing {label} is not a rational: {value!r}")
         if z.im != 0:
             raise FormatError(f"pairing {label} is not real: {value!r}")
         pairings[label] = rational_to_json(z.re)

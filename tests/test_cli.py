@@ -150,6 +150,20 @@ def test_square_with_margins_past_the_digit_limit_is_not_magic(capsys, tmp_path,
     assert captured.err.startswith("input is not a magic square: ")
 
 
+def test_birkhoff_reports_sums_past_the_digit_limit(capsys, tmp_path):
+    """A matrix whose row sums miss 1 by 10^-5000 is refused with exit 3 and
+    a JSON report naming the exact sum."""
+    path = tmp_path / "long.json"
+    dump_json([[_CORNER, _OFF], [_OFF, _CORNER]], path)
+    code = main(["birkhoff", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    corner, off = Fraction(1, 10**5000), Fraction(10**5000 - 2, 10**5000)
+    error = json.loads(captured.out)["verdicts"]["error"]
+    assert error.endswith(f"row 0 sums to {rational_str(corner + off)}")
+    assert "Traceback" not in captured.err
+
+
 def test_validate_batch_directory(run, workdir):
     code, report = run("validate", workdir / "batch")
     assert code == 0

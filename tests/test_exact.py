@@ -456,7 +456,7 @@ def test_congruence_proof_agrees_with_ldl():
     proven = fallback = 0
     for m in _psd_property_cases(rng):
         ldl = reference_ldl(m)
-        for check in (_schur_psd_check(m), psd_check_exact(m)):
+        for check in (_schur_psd_check(m.den, m.re, m.im), psd_check_exact(m)):
             assert (check.is_psd, check.witness_value) == (ldl.is_psd, ldl.witness_value)
         if _congruence_proves_pd(m.den, m.re, m.im):
             assert ldl.is_psd
@@ -493,9 +493,9 @@ def test_psd_check_stack_stops_at_the_first_rejection(monkeypatch):
     mats = [ExactMatrix([[1, 0], [0, -1]]), ExactMatrix([[-1, 0], [0, 1]])]
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return _schur_psd_check(m)
+    def counted(den, re, im):
+        calls.append(ExactMatrix.from_parts(den, re, im))
+        return _schur_psd_check(den, re, im)
 
     monkeypatch.setattr(exact, "_schur_psd_check", counted)
     assert not all(check.is_psd for check in psd_check_stack(*_stack_parts(mats)))
@@ -509,9 +509,9 @@ def test_congruence_proves_counterexample_certificate(monkeypatch):
     cert = certificate_from_json(json.loads(path.read_text()))[0]
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return _schur_psd_check(m)
+    def counted(den, re, im):
+        calls.append(ExactMatrix.from_parts(den, re, im))
+        return _schur_psd_check(den, re, im)
 
     monkeypatch.setattr(exact, "_schur_psd_check", counted)
     assert psd_check_exact(cert.y_exact).is_psd
@@ -546,7 +546,7 @@ def test_int64_tier_proves_only_positive_definite_matrices(monkeypatch):
         stacked = _congruence_proves_pd(*_stack_parts(mats)).tolist()
         for m, ok, ok_stacked in zip(mats, alone, stacked):
             if ok or ok_stacked:
-                assert _schur_psd_check(m).is_psd and _is_pd(m)
+                assert _schur_psd_check(m.den, m.re, m.im).is_psd and _is_pd(m)
         assert d >= 4 or not any(alone + stacked)
         accepted += sum(alone)
     assert accepted > 40

@@ -43,10 +43,9 @@ from qmagic.obstruction import (
     pencil_directions,
     verify_certificate,
     zero_diagonal_basis,
-    _direction_pairings,
-    _factors,
+    _correction,
+    _factor,
     _pairings,
-    _project,
 )
 from qmagic.sampling import (
     random_exact_decomposition,
@@ -495,48 +494,42 @@ def _exact_from_parts(den, re, im) -> ExactMatrix:
     )
 
 
+def _projected(den, re, im, n, s, mode) -> ExactMatrix:
+    """The projection (c Y - T) / (c den) of Y = (re + i im) / den."""
+    c, t = _correction(re, im, n, s, mode)
+    return ExactMatrix.from_parts(c * den, c * re - t[..., 0], c * im - t[..., 1])
+
+
 @pytest.mark.parametrize(
     "mode, n, s",
     [("weak", n, s) for n, s in [(2, 1), (3, 1), (3, 2)]]
     + [("strong", n, s) for n, s in [(3, 1), (3, 2), (4, 1), (4, 2)]],
 )
 def test_pairing_rows_match_trace_of_product(mode, n, s):
-    """The pairings through the Kronecker factors, one row in direction
-    order, equal trace(Y B) from the dense product Y @ B, for Y = (Yr + i Yi)
-    / den: an exact integer matmul for every direction, a product over Q[i]
-    for B0."""
+    """The pairings of a Y on the complement of the variable space are B1
+    ... Bm in direction order, each an exact 0, then B0, equal to trace(Y
+    B0) from the dense product over Q[i]."""
     rng = np.random.default_rng(5 + 10 * n + s)
-    den, yr, yi = _random_hermitian(rng, n * n * s)
-    y = _exact_from_parts(den, yr, yi)
+    y = _projected(*_random_hermitian(rng, n * n * s), n, s, mode)
     b0 = constant_term(square_from_decomposition(random_exact_decomposition(rng, n, s)), mode)
     got = _pairings(y, n, s, mode, b0)
     dirs = pencil_directions(n, s, mode)
     assert list(got) == [f"B{j + 1}" for j in range(len(dirs))] + ["B0"]
-    assert np.array_equal(dirs, np.round(dirs))
-    br, bi = dirs.real.astype(np.int64), dirs.imag.astype(np.int64)
-    yr, yi = yr.astype(np.int64), yi.astype(np.int64)
-    for j in range(len(dirs)):
-        assert np.trace(yr @ bi[j] + yi @ br[j]) == 0
-        assert got[f"B{j + 1}"] == Fraction(int(np.trace(yr @ br[j] - yi @ bi[j])), den)
+    assert all(got[f"B{j + 1}"] == 0 for j in range(len(dirs)))
     assert got["B0"] == (y @ b0).trace()
-    assert _factors(n, s, mode) is _factors(n, s, mode)
+    assert _factor(n, mode) is _factor(n, mode)
 
 
 def test_factor_table_refuses_bad_factors(monkeypatch):
-    """A factor of either stack that is not a Gaussian integer, or not
-    Hermitian, is refused before any pairing is read from it."""
-    good = np.array([[[0, 1], [1, 0]]], dtype=complex)
-    for name in ("zero_diagonal_basis", "hermitian_basis_stack"):
-        bad = good.copy()
-        monkeypatch.setattr(obstruction, "zero_diagonal_basis", lambda n, doubly_null: good)
-        monkeypatch.setattr(obstruction, "hermitian_basis_stack", lambda s: good)
-        monkeypatch.setattr(obstruction, name, lambda *args, **kwargs: bad)
-        bad[0, 0, 1] = bad[0, 1, 0] = 0.5
-        with pytest.raises(ValueError, match="Gaussian integer"):
-            _factors(7, 5, "strong")
-        bad[0, 0, 1], bad[0, 1, 0] = 1, -1
-        with pytest.raises(ValueError, match="Hermitian"):
-            _factors(7, 5, "strong")
+    """A basis of Z or Z_e that is not Gaussian-integer, or not Hermitian,
+    is refused before any contraction is read from it."""
+    bad = np.array([[[0, 0.5], [0.5, 0]]], dtype=complex)
+    monkeypatch.setattr(obstruction, "zero_diagonal_basis", lambda n, doubly_null: bad)
+    with pytest.raises(ValueError, match="Gaussian integer"):
+        _factor(7, "strong")
+    bad[0, 0, 1], bad[0, 1, 0] = 1, -1
+    with pytest.raises(ValueError, match="Hermitian"):
+        _factor(7, "strong")
 
 
 def _projection_reference(den, re, im, n, s, mode) -> ExactMatrix:
@@ -562,14 +555,39 @@ def _projection_reference(den, re, im, n, s, mode) -> ExactMatrix:
     + [("strong", n, s) for n, s in [(3, 3), (4, 1), (4, 2)]],
 )
 def test_projection_matches_affine_least_squares(mode, n, s):
-    """The closed-form projection through the Kronecker factors equals the
-    generic exact least-squares projection, and pairs to zero with every
-    direction."""
+    """The projection (c Y - T) / (c den) through the Z factor alone equals
+    the generic exact least-squares projection, and its own correction T
+    is 0."""
     rng = np.random.default_rng(70 + 10 * n + s)
     den, re, im = _random_hermitian(rng, n * n * s)
-    got = _project(den, re, im, n, s, mode)
-    assert _exact_from_parts(*got) == _projection_reference(den, re, im, n, s, mode)
-    assert not _direction_pairings(got[1], got[2], n, s, mode).any()
+    got = _projected(den, re, im, n, s, mode)
+    assert got == _projection_reference(den, re, im, n, s, mode)
+    assert not _correction(got.re, got.im, n, s, mode)[1].any()
+
+
+@pytest.mark.parametrize(
+    "mode, n, s",
+    [("weak", n, s) for n, s in [(2, 1), (2, 2), (3, 2)]]
+    + [("strong", n, s) for n, s in [(3, 1), (3, 2), (4, 1), (5, 1)]],
+)
+def test_correction_vanishes_exactly_on_the_complement(mode, n, s):
+    """T = 0 exactly when every dense trace(Y B_j) over the directions of
+    `pencil_directions` is 0: T is nonzero on a random Hermitian Y, whose
+    pairings are not all 0, and zero on its projection, whose pairings all
+    are."""
+    rng = np.random.default_rng(90 + 10 * n + s)
+    den, re, im = _random_hermitian(rng, n * n * s)
+    dirs = pencil_directions(n, s, mode)
+    br, bi = (part.astype(np.int64).astype(object) for part in (dirs.real, dirs.imag))
+
+    def dense_pairings(yr, yi):  # trace(Y B_j) times the denominator, for every j
+        return [(yr * b_re + yi * b_im).sum() for b_re, b_im in zip(br, bi)]
+
+    assert _correction(re, im, n, s, mode)[1].any()
+    assert any(dense_pairings(re, im))
+    y = _projected(den, re, im, n, s, mode)
+    assert not _correction(y.re, y.im, n, s, mode)[1].any()
+    assert not any(dense_pairings(y.re, y.im))
 
 
 def test_build_rejects_bad_mode(cex):
@@ -791,9 +809,9 @@ def test_ladder_refutes_non_final_rungs_without_elimination(strong_problem, witn
     certificate is the shipped one."""
     calls, eliminate = [], exact._schur_psd_check
 
-    def counted(m):
-        calls.append(m)
-        return eliminate(m)
+    def counted(den, re, im):
+        calls.append((den, re, im))
+        return eliminate(den, re, im)
 
     monkeypatch.setattr(exact, "_schur_psd_check", counted)
     cert = certify_with_ladder(witness.y, strong_problem)
@@ -993,6 +1011,22 @@ def test_verify_certificate_rejects_tampering(cex, cert):
     assert not verify_certificate(tampered, cex)["ok"]
     # a certificate for one square does not verify against another
     assert not verify_certificate(cert, constant_square(3, 2))["ok"]
+
+
+def test_verify_certificate_refuses_y_off_the_complement(cex):
+    """The shipped certificate with a small exact multiple of one direction
+    added to Y, its stored pairings untouched, stays PSD with trace(Y B0)
+    < 0 but is refused: Y no longer pairs to zero with every direction."""
+    shipped = Path(__file__).parent / "data" / "counterexample.cert.json"
+    cert = certificate_from_json(json.loads(shipped.read_text()))[0]
+    b = _exact_gaussian_integers(pencil_directions(cert.n, cert.s, cert.mode)[0])
+    moved = ObstructionCertificate(
+        cert.n, cert.s, cert.mode, cert.y_exact + Fraction(1, 10**9) * b, cert.pairings
+    )
+    report = verify_certificate(moved, cex)
+    assert report["psd"] and report["trace_b0"] < 0
+    assert report["pairings_zero"] is False and report["ok"] is False
+    assert verify_certificate(cert, cex)["ok"]
 
 
 @pytest.mark.parametrize("size", [16, 20])

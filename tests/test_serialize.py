@@ -307,6 +307,13 @@ def test_certificate_rejects_complex_pairing():
         certificate_to_json(cert)
 
 
+def test_certificate_rejects_pairing_that_is_not_a_rational():
+    cert = toy_certificate()
+    cert.pairings["B0"] = 0.5
+    with pytest.raises(FormatError, match="pairing B0 is not a rational"):
+        certificate_to_json(cert)
+
+
 def test_certificate_grammar_rejections():
     base = certificate_to_json(toy_certificate(), square=constant_square(3, 2))
     for key, value in [
