@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 over the exact answers of the benchmark squares.
 
-    python3 scripts/answer_digest.py [--seeds 0 1 2 3 4 5] [--workloads certify membership]
+    python3 scripts/answer_digest.py [--seeds 0 1 2 3 4 5]
+        [--workloads certify membership interior obstruction-cli]
 
 A change that must leave every answer byte-identical prints the same digest
 and document count as its parent.  The script sets OPENBLAS_NUM_THREADS=1
@@ -21,6 +22,12 @@ documents, in this order:
   alone.
 - membership: for each `membership` LMI square at each seed, its
   `check_semiclassical` verdict, exact decomposition and repair rung.
+- interior: for each `membership` interior square at each seed, the
+  `decomposition_to_json` of its `interior_map_decomposition`.
+- obstruction-cli: for each `obstruction-cli` square at each seed, the
+  verdict and float `t_star` of `check_mconv_obstruction` in the square's
+  mode (the float B0 reaches the reported `dual_objective` only this way),
+  or the refusal of a strong pencil at n = 2.
 
 The digest is the sha256 of the documents' JSON (sorted keys).  The
 workload squares are read from `perfbench/workloads.py`, which is loaded
@@ -43,19 +50,20 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is loaded, through qmag
 from qmagic.exact import rational_str
 from qmagic.obstruction import (
     CertificationFailed,
+    NotDefinedForSmallN,
     blend_dual,
     check_mconv_obstruction,
     counterexample_m2_3,
     exact_certify,
     verify_certificate,
 )
-from qmagic.semiclassical import check_semiclassical
+from qmagic.semiclassical import check_semiclassical, interior_map_decomposition
 from qmagic.serialize import certificate_to_json, decomposition_to_json
 from qmagic.structures import embed_pad
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = (10**3, 10**6, 10**9, 10**12)
-WORKLOADS = ("certify", "membership")
+WORKLOADS = ("certify", "membership", "interior", "obstruction-cli")
 
 
 def load_workloads():
@@ -101,6 +109,14 @@ def membership_doc(square) -> dict:
     }
 
 
+def obstruction_doc(square, mode) -> dict:
+    try:
+        res = check_mconv_obstruction(square, mode=mode)
+    except NotDefinedForSmallN as err:
+        return {"refused": str(err)}
+    return {"verdict": res.verdict, "t_star": float(res.solver.t_star)}
+
+
 def answer_docs(seeds, workloads) -> list:
     cases = load_workloads()
     docs = []
@@ -116,6 +132,19 @@ def answer_docs(seeds, workloads) -> list:
                 membership_doc(case.square)
                 for case in cases.membership_cases(seed)
                 if case.task == "lmi"
+            ]
+    if "interior" in workloads:
+        for seed in seeds:
+            docs += [
+                decomposition_to_json(interior_map_decomposition(case.square))
+                for case in cases.membership_cases(seed)
+                if case.task == "interior"
+            ]
+    if "obstruction-cli" in workloads:
+        for seed in seeds:
+            docs += [
+                obstruction_doc(case.square, case.task.removeprefix("cli-"))
+                for case in cases.cli_cases(seed)
             ]
     return docs
 

@@ -216,18 +216,25 @@ def _code(verdict: str) -> int:
 # -- validate -----------------------------------------------------------------
 
 
-def cmd_validate(args, report: RunReport) -> int:
-    def margin_str(m) -> str:  # str(m); by `rational_str`, past the digit limit, when exact
-        return rational_str(m) if isinstance(m, Fraction) else str(m)
+def _violations_json(violations) -> list:
+    """Each violation's kind, location and margin: str(margin), by
+    `rational_str`, past the digit limit, when exact."""
+    return [
+        {
+            "kind": v.kind,
+            "location": list(v.location),
+            "margin": rational_str(v.margin) if isinstance(v.margin, Fraction) else str(v.margin),
+        }
+        for v in violations
+    ]
 
+
+def cmd_validate(args, report: RunReport) -> int:
     def work(path: Path):
         try:
             square = _coerce_repr(load_square(path, tol=args.eps), args)
         except InvalidMagicSquare as err:
-            violations = [
-                {"kind": v.kind, "location": list(v.location), "margin": margin_str(v.margin)}
-                for v in err.report.violations
-            ]
+            violations = _violations_json(err.report.violations)
             return EXIT_NEGATIVE, {"verdict": "invalid", "violations": violations}
         repr_ = "exact" if square.exact else "float"
         return EXIT_OK, {"verdict": "valid", "n": square.n, "s": square.s, "repr": repr_}
@@ -323,6 +330,14 @@ def cmd_dilate(args, report: RunReport) -> int:
     data = load_json(path)
     if isinstance(data, list):
         dec = decomposition_from_json(data)
+        if args.exact and not dec.exact:
+            raise UsageError("--exact requires an exact input decomposition")
+        if violations := dec.weight_violations(args.eps or DEFAULT_TOL):
+            report.details["violations"] = _violations_json(violations)
+            raise UsageError(
+                "weights are not Hermitian and PSD at "
+                + ", ".join(f"permutation {list(v.location)} ({v.kind})" for v in violations)
+            )
         source = None
     else:
         source = _coerce_repr(square_from_json(data, tol=args.eps), args)
@@ -584,8 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps": dict(
             type=_positive_float, default=None,
             help="one value for two tolerances: the tolerance to which a float input "
-            f"square is validated (default {DEFAULT_TOL:g}) and, in commands that run "
-            f"the solver, the solver's epsilon (default {DEFAULT_EPS:g})",
+            f"square or decomposition is validated (default {DEFAULT_TOL:g}) and, in "
+            f"commands that run the solver, the solver's epsilon (default {DEFAULT_EPS:g})",
         ),
         "--out": dict(type=Path, default=None, help="output file"),
         "--interior": dict(

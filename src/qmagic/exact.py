@@ -515,11 +515,7 @@ def rational_hermitian(arr, max_denominator: int) -> tuple[int, np.ndarray, np.n
 def _stack_parts(mats) -> tuple[int, np.ndarray, np.ndarray]:
     """(D, re, im) with (re_k + i im_k) / D the k-th of a sequence of exact
     matrices of one shape: D their least common denominator and re, im
-    (k, rows, cols) object arrays of Python ints; (n, n, rows, cols) ones
-    for an n x n grid of them, such as an exact square's blocks."""
-    if not isinstance(mats[0], ExactMatrix):
-        den, re, im = _stack_parts([m for row in mats for m in row])
-        return den, *(p.reshape(len(mats), -1, *p.shape[1:]) for p in (re, im))
+    (k, rows, cols) object arrays of Python ints."""
     den = lcm(*(m.den for m in mats))
     parts = [m._over(den) for m in mats]
     return den, np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])

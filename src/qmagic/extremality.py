@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .obstruction import _phi, phi_matrix
+from .obstruction import phi_matrix
 from .sampling import random_unitary
 from .semiclassical import CommutingDilation
 from .structures import (
@@ -148,7 +148,7 @@ def arveson_split_check(
     in the common basis [v, v_perp].
     """
     n = u_square.n
-    grid = a_square.blocks if isinstance(a_square, MagicSquare) else a_square
+    grid = a_square.grid if isinstance(a_square, MagicSquare) else a_square
     blocks = [[as_complex(b) for b in row] for row in grid]
     v = np.asarray(v, dtype=np.complex128)
     worst = 0.0
@@ -156,7 +156,7 @@ def arveson_split_check(
     basis = _complete_isometry(v)
     for i in range(n):
         for j in range(n):
-            triple = DilationTriple(as_complex(u_square.block(i, j)), blocks[i][j], v)
+            triple = DilationTriple(u_square.grid[i, j], blocks[i][j], v)
             result = split_decompose(triple, tol)
             worst = max(worst, result.residual)
             corners[(i, j)] = result.p
@@ -225,7 +225,7 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
     n, s = a.n, a.s
     if n != 3:
         raise ValueError(f"the extension step is defined for n=3, got n={n}")
-    blocks = [[as_complex(b) for b in row] for row in a.blocks]  # A is valid, so is its copy
+    blocks = a.grid
     a11 = blocks[0][0]
     h = a11 - a11 @ a11
     lam_h, vec_h = np.linalg.eigh((h + h.conj().T) / 2)
@@ -234,7 +234,7 @@ def extend_dilation_step(a: MagicSquare, x: np.ndarray, tol: float = SPLIT_TOL) 
             f"a_11 - a_11^2 has top eigenvalue {float(lam_h.max()):.2e}"
         )
 
-    phi = _phi(blocks, False)
+    phi = phi_matrix(a.to_float())
     m = phi + np.asarray(x, dtype=np.complex128)
     m = (m + m.conj().T) / 2
     # A Gram matrix of the required form kills the sum functionals exactly,
@@ -320,8 +320,7 @@ def member_witness_from_dilation(dilation: CommutingDilation) -> MemberWitness:
     a = dilation.compressed()
     n, s = a.n, a.s
     w = _complete_isometry(np.asarray(dilation.v, dtype=np.complex128))
-    u = np.array([[as_complex(blk) for blk in row] for row in dilation.u.blocks])
-    corners = (w.conj().T @ u @ w)[:, :, s:, :s]  # (n, n, t - s, s)
+    corners = (w.conj().T @ dilation.u.grid @ w)[:, :, s:, :s]  # (n, n, t - s, s)
     bcol = corners.conj().swapaxes(2, 3).reshape(n * n * s, -1)
     x = bcol @ bcol.conj().T - phi_matrix(a.to_float())
     blocks = {(i, j): corners[i, j] for i in range(n) for j in range(n)}

@@ -39,15 +39,15 @@ stack of an `SdpProblem`.  As h spans all of Her_s, trace(Y (H_a (x) H_b
 a certificate's orthogonality to every direction (every C_ab = 0) and its
 projection onto {trace(Y B_j) = 0} are mode products of Y's integer
 numerators with H and its inverse Gram matrix, read once per (n, mode).
-B_0 is phi(A), or phi(A) + psi(A), written once for
-both representations: phi on the block helpers of `structures` (over Q[i] for
-an exact square, in complex floats for a float one), psi from one
-vectorized slot formula on the complex blocks or on the Gaussian-integer
-numerators of an exact square.  An exact B_0 is an `ExactMatrix`, whose
-integer numerators over one common denominator carry the kernel identity
-check; a certificate Y stays in such numerators from rounding through
-projection to the PSD check, and trace(Y B_0) is one integer dot product
-of the two.
+B_0 is phi(A), or phi(A) + psi(A), read off the square's one
+(n, n, s, s) grid of blocks: phi as diag - col col* with col the grid
+reshaped to (n^2 s) x s, psi from one vectorized slot formula, both on the
+complex grid of a float square or on the Gaussian-integer numerators of an
+exact one.  An exact B_0 is one `ExactMatrix`, built from the integer
+slots of L D^2 B_0 over one common denominator, whose numerators carry the
+kernel identity check; a certificate Y stays in such numerators from
+rounding through projection to the PSD check, and trace(Y B_0) is one
+integer dot product of the two.
 
 A "yes" from the obstruction check is not a membership proof; it only
 reports that this particular obstruction is silent.
@@ -64,7 +64,6 @@ import numpy as np
 from .exact import (
     DENOMINATOR_LADDER,
     ExactMatrix,
-    _stack_parts,
     hermitian_basis_stack,
     nullspace_exact,
     psd_check_exact,
@@ -74,16 +73,7 @@ from .exact import (
     rref_exact,
 )
 from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
-from .structures import (
-    MagicSquare,
-    adjoint,
-    as_complex,
-    assemble,
-    complete_corner,
-    difference,
-    residual,
-    zeros,
-)
+from .structures import MagicSquare, as_complex, complete_corner, residual
 
 WEAK = "weak"
 STRONG = "strong"
@@ -122,24 +112,39 @@ class CertificationFailed(ValueError):
 
 
 # -- phi and psi --------------------------------------------------------------
+#
+# Both read the square's (n, n, s, s) grid: `grid` for a float square, for an
+# exact one the Gaussian-integer blocks N_ij of N = D col(A) in `numerators`,
+# with D^2 phi(A) = D diag(N) - N N* and, for L = n(n-1)(n-2), the slots
+# -n D^2 I + (n-1)^2 D (N_ik + N_jl) + (n-1) D (N_il + N_jk) of L D^2 psi(A).
 
 
 def phi_matrix(a: MagicSquare):
     """diag(A) - col(A) col(A)*, Hermitian of size n^2 s, over Q[i] for an
     exact square and in complex floats for a float one."""
-    return _phi(a.blocks, a.exact)
+    phi = _phi(a)
+    return ExactMatrix.from_parts(*phi) if a.exact else phi
 
 
-def _phi(grid, exact: bool):
-    """`phi_matrix` of an n x n grid of exact or complex blocks."""
-    blocks = [b for row in grid for b in row]
-    zero = zeros(*blocks[0].shape, exact)
-    col = assemble([[b] for b in blocks], exact)
-    diag = assemble(
-        [[b if p == q else zero for q in range(len(blocks))] for p, b in enumerate(blocks)],
-        exact,
-    )
-    return difference(diag, col @ adjoint(col))
+def _phi(a: MagicSquare):
+    """phi(A) of a float square as diag - col col*, col its grid as one
+    (n^2 s) x s column; of an exact one as (D^2, re, im), re + i im = D^2 phi(A)."""
+    if not a.exact:
+        col = a.grid.reshape(-1, a.s)
+        return _block_diagonal(a.grid) - col @ col.conj().T
+    den, n_re, n_im = a.numerators
+    c_re, c_im = (part.reshape(-1, a.s) for part in (n_re, n_im))
+    re = den * _block_diagonal(n_re) - (c_re @ c_re.T + c_im @ c_im.T)
+    im = den * _block_diagonal(n_im) - (c_im @ c_re.T - c_re @ c_im.T)
+    return den * den, re, im
+
+
+def _block_diagonal(b: np.ndarray) -> np.ndarray:
+    """blockdiag(b_11, b_12, ..., b_nn), of b's dtype, for an (n, n, s, s) grid b."""
+    k, s = b.shape[0] * b.shape[1], b.shape[2]
+    out = np.zeros((k, s, k, s), dtype=b.dtype)
+    out[range(k), :, range(k)] = b.reshape(k, s, s)
+    return out.reshape(k * s, k * s)
 
 
 def psi_matrix(a: MagicSquare):
@@ -147,18 +152,28 @@ def psi_matrix(a: MagicSquare):
 
     Supported only on slots E_ij (x) E_kl with i != j and k != l, and
     built so that (phi(A) + psi(A)) kills e (x) e_i (x) I_s for all i.
-    An exact square takes it from the integer slots of `_psi_numerators`,
-    a float one from the same slot formula on its complex blocks.
     """
+    psi = _psi(a)
+    return ExactMatrix.from_parts(*psi) if a.exact else psi
+
+
+def _psi(a: MagicSquare):
+    """psi(A) from one slot formula (`_psi_slots`) on the grid: the complex
+    matrix of a float square, (L D^2, re, im) with re + i im = L D^2 psi(A)
+    for an exact one."""
     n, s = a.n, a.s
     if n < 3:
         raise NotDefinedForSmallN(f"correction term needs n >= 3, got n={n}")
     if a.exact:
-        return ExactMatrix.from_parts(*_psi_numerators(a))
+        den, n_re, n_im = a.numerators
+        unit = -n * den * den * np.eye(s, dtype=int).astype(object)
+        near, far = (n - 1) ** 2 * den, (n - 1) * den
+        re, im = (_psi_slots(part, u, near, far) for part, u in ((n_re, unit), (n_im, 0)))
+        return n * (n - 1) * (n - 2) * den * den, re, im
     alpha = float(Fraction(1, (n - 1) * (n - 2)))
     beta = float(Fraction(n - 1, n * (n - 2)))
     gamma = float(Fraction(1, n * (n - 2)))
-    return _psi_slots(np.array(a.blocks), -alpha * np.eye(s), beta, gamma)
+    return _psi_slots(a.grid, -alpha * np.eye(s), beta, gamma)
 
 
 def _psi_slots(b: np.ndarray, unit, near, far) -> np.ndarray:
@@ -177,26 +192,6 @@ def _psi_slots(b: np.ndarray, unit, near, far) -> np.ndarray:
     )
     slots = np.where(off[..., None, None], slots, 0)
     return slots.transpose(0, 1, 4, 2, 3, 5).reshape(n * n * s, n * n * s)
-
-
-# -- psi in integers, for exact squares ---------------------------------------
-#
-# With D the least common denominator of A's entries, N = D col(A) has
-# Gaussian-integer blocks N_ij, held as real and imaginary object arrays of
-# Python ints.  With L = n(n-1)(n-2) the coefficients of psi are
-# alpha = n/L, beta = (n-1)^2/L and gamma = (n-1)/L, so L D^2 psi(A) has the
-# integer slots -n D^2 I + (n-1)^2 D (N_ik + N_jl) + (n-1) D (N_il + N_jk).
-
-
-def _psi_numerators(a: MagicSquare) -> tuple[int, np.ndarray, np.ndarray]:
-    """(L D^2, re, im) with re + i im = L D^2 psi(A): the slots of
-    `_psi_slots` on the real and imaginary parts of N."""
-    n, s = a.n, a.s
-    den, n_re, n_im = _stack_parts(a.blocks)  # the parts of N
-    unit = -n * den * den * np.eye(s, dtype=int).astype(object)
-    near, far = (n - 1) ** 2 * den, (n - 1) * den
-    re, im = (_psi_slots(part, u, near, far) for part, u in ((n_re, unit), (n_im, 0)))
-    return n * (n - 1) * (n - 2) * den * den, re, im
 
 
 # -- the pencils ------------------------------------------------------------
@@ -349,14 +344,19 @@ def constant_term(a: MagicSquare, mode: str):
     """B0 of the pencil: phi(A) in weak mode, phi(A) + psi(A) in strong
     mode, where the kernel identity on e (x) e_i (x) I_s is verified.
 
-    Both terms are `ExactMatrix`es for an exact square and complex arrays
-    for a float one; `psi_matrix` raises `NotDefinedForSmallN` for n < 3.
+    B0 is one `ExactMatrix` for an exact square and a complex array for a
+    float one; psi raises `NotDefinedForSmallN` for n < 3.
     """
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be {WEAK!r} or {STRONG!r}, got {mode!r}")
     if mode == WEAK:
         return phi_matrix(a)
-    b0 = phi_matrix(a) + psi_matrix(a)
+    phi, psi = _phi(a), _psi(a)
+    if a.exact:  # L D^2 (phi + psi) in integers, normalized once
+        (phi_den, phi_re, phi_im), (den, re, im) = phi, psi
+        b0 = ExactMatrix.from_parts(den, den // phi_den * phi_re + re, den // phi_den * phi_im + im)
+    else:
+        b0 = phi + psi
     _check_kernel_identity(b0, a.n, a.s)
     return b0
 

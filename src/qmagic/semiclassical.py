@@ -8,13 +8,14 @@ form, its least-norm solution `_min_norm_weights`: the LMI takes it as the
 constant term of a pencil of n! blocks q_pi of size s over the kernel of
 the incidence matrix, solved as a block stack; the exact rational repair of
 the solver's weights adds it for the residual; and on the interior ball it
-is the decomposition itself.  It works on the (n!, s, s) weight stack at
-once, gathering sum_k g_{k, pi(k)} for every pi: complex floats, or for
-exact squares integer numerators over one denominator.  The repair keeps
-those until one stacked PSD proof (`psd_check_stack`) has passed and builds
-the n! exact weights only then; the interior formula proves its weights
-with one stacked proof too.  Membership is decided by the eps-resolution
-semantics of the solver plus, for exact input, that exact repair.
+is the decomposition itself.  Each route reads the square's one (n, n, s, s)
+grid, `grid` or, for an exact square, its integer `numerators` over one
+denominator, and works on the (n!, s, s) weight stack at once, gathering
+sum_k g_{k, pi(k)} for every pi.  The repair and the interior formula keep
+integer numerators until one stacked PSD proof (`psd_check_stack`) has
+passed and build the n! exact weights only then.  Membership is decided by
+the eps-resolution semantics of the solver plus, for exact input, that
+exact repair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .exact import (
     DENOMINATOR_LADDER,
     ExactMatrix,
-    _stack_parts,
     hermitian_basis_stack,
     psd_check_stack,
     rational_hermitian,
@@ -39,6 +39,7 @@ from .sdp import SdpProblem, SdpResult, Status, solve_feasibility, DEFAULT_EPS
 from .structures import (
     DEFAULT_TOL,
     MagicSquare,
+    _block_violations,
     as_complex,
     compress,
     difference,
@@ -105,6 +106,13 @@ class SemiclassicalDecomposition:
     def reconstruct(self, tol: float = DEFAULT_TOL) -> MagicSquare:
         """Assemble sum_pi P_pi (x) q_pi as a validated magic square."""
         return MagicSquare(self.blocks(), tol=tol)
+
+    def weight_violations(self, tol: float = DEFAULT_TOL) -> tuple:
+        """The hermiticity or else PSD violation of each weight, located at
+        its permutation, as `validate_magic` tests blocks: exact weights
+        exactly, float ones to tol."""
+        found = _block_violations(list(self.weights.items()), tol)
+        return tuple(v for v in found if v)
 
 
 @dataclass(frozen=True)
@@ -213,9 +221,7 @@ def build_semiclassical_lmi(a: MagicSquare) -> SdpProblem:
     n, s = a.n, a.s
     if n > MAX_LMI_N:
         raise TooLarge(f"n = {n} exceeds the n! guard ({MAX_LMI_N})")
-    # A is valid, so is its copy
-    grid = np.array([[as_complex(b) for b in row] for row in a.blocks])
-    q0 = _min_norm_weights(grid, identity(s, False))
+    q0 = _min_norm_weights(a.grid, identity(s, False))
     dirs = np.einsum("rp,bij->rbpij", _elimination(n), hermitian_basis_stack(s))
     return SdpProblem(q0, dirs.reshape(-1, *q0.shape))
 
@@ -237,7 +243,7 @@ def _exact_repair(a: MagicSquare, weights: np.ndarray, max_denominator: int):
     """
     n, s = a.n, a.s
     x_den, x_re, x_im = rational_hermitian(weights, max_denominator)
-    a_den, a_re, a_im = _stack_parts(a.blocks)
+    a_den, a_re, a_im = a.numerators
     e = lcm(x_den, a_den)
     incidence = _incidence(n).astype(object)
 
@@ -312,20 +318,22 @@ def interior_map_decomposition(a: MagicSquare) -> SemiclassicalDecomposition:
     q_pi = (sum_k a_{k, pi(k)} - ((n-2)/(n-1)) I) / ((n-2)! n), the
     least-norm solution of the incidence system, is a decomposition when
     every q_pi is PSD, that is when sum_k a_{k, pi(k)} >= ((n-2)/(n-1)) I.
-    No SDP involved; exact on exact input.
+    No SDP involved; exact on exact input, proven before a weight is built.
     """
     n, s, perms = a.n, a.s, permutations_lex(a.n)
-    if a.exact:
-        den, g_re, g_im = _stack_parts(a.blocks)
+    if a.exact:  # the weights' numerators over den n!, proven before any is built
+        den, g_re, g_im = a.numerators
         eye = np.eye(s, dtype=object) * den
-        re, im = _min_norm_weights(g_re, eye), _min_norm_weights(g_im, 0 * eye)
-        weights = [ExactMatrix.from_parts(den * factorial(n), *q) for q in zip(re, im)]
+        weights = den * factorial(n), _min_norm_weights(g_re, eye), _min_norm_weights(g_im, 0 * eye)
     else:
-        weights = list(_min_norm_weights(np.array(a.blocks), identity(s, False)))
+        weights = list(_min_norm_weights(a.grid, identity(s, False)))
     margins = psd_margins(weights, DEFAULT_TOL)
     violations = [(sigma, margin) for sigma, (ok, margin) in zip(perms, margins) if not ok]
     if violations:
         raise BoundViolated(violations)
+    if a.exact:
+        den, re, im = weights
+        weights = [ExactMatrix.from_parts(den, *q) for q in zip(re, im)]
     return SemiclassicalDecomposition(n, s, a.exact, dict(zip(perms, weights)))
 
 

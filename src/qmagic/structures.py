@@ -4,11 +4,13 @@ A quantum magic square is an n x n array of s x s PSD Hermitian blocks whose
 rows and columns each sum to the identity.  Squares carry either an exact
 (Gaussian-rational) or a floating representation; the two never mix silently.
 
-This module owns that split: its representation helpers (identity, zeros,
-assemble, adjoint, scalar, as_complex, difference, residual, grid_residual,
-vanishes, psd_margin, psd_margins) hold all block arithmetic that differs
-between the two; the constructions here and elsewhere are written once on
-top of them.
+A `MagicSquare` stacks its blocks once, as one (n, n, s, s) grid that
+validation and every decider read: a float square's complex array, whose
+views are its blocks, or an exact square's integer numerators over one
+denominator.  The representation helpers (identity, zeros, assemble,
+adjoint, scalar, as_complex, difference, residual, grid_residual, vanishes,
+psd_margin, psd_margins) hold all block arithmetic that differs between the
+two; the constructions here and elsewhere are written once on top of them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,30 +113,46 @@ def _coerce_block(b):
     return np.array(rows, dtype=np.complex128), False
 
 
-def _coerce_blocks(blocks):
-    """Normalize raw input into (n, s, exact, tuple-of-tuples of blocks)."""
-    outer = [list(row) for row in blocks]
-    n = len(outer)
-    if n == 0 or any(len(row) != n for row in outer):
+class _Stacked(NamedTuple):
+    """An n x n array of blocks coerced and stacked once (`_stack`): float
+    blocks as one read-only complex (n, n, s, s) `grid`, whose views are the
+    `blocks`; exact ones as `ExactMatrix` blocks and their `numerators`
+    (D, re, im) over their least common denominator D, in read-only
+    (n, n, s, s) object arrays."""
+
+    n: int
+    s: int
+    exact: bool
+    blocks: tuple
+    grid: np.ndarray | None
+    numerators: tuple | None
+
+
+def _stack(blocks) -> _Stacked:
+    """Coerce an n x n array of raw blocks and stack them, once."""
+    rows = [list(row) for row in blocks]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise ShapeMismatch("blocks must form an n x n array")
-    coerced, tags = [], []
-    for row in outer:
-        crow = []
-        for b in row:
-            cb, tag = _coerce_block(b)
-            crow.append(cb)
-            tags.append(tag)
-        coerced.append(crow)
+    flat, tags = zip(*(_coerce_block(b) for row in rows for b in row))
     if len(set(tags)) > 1:
         raise MixedRepresentation("blocks mix exact and floating entries")
-    exact = tags[0]
-    shapes = {b.shape for row in coerced for b in row}
+    shapes = {b.shape for b in flat}
     if len(shapes) != 1:
         raise ShapeMismatch(f"inconsistent block shapes: {sorted(shapes)}")
-    (r, c) = shapes.pop()
-    if r != c:
+    (r, s) = shapes.pop()
+    if r != s:
         raise ShapeMismatch("blocks must be square")
-    return n, r, exact, tuple(tuple(row) for row in coerced)
+    if not tags[0]:
+        grid = np.array(flat).reshape(n, n, s, s)  # a copy: no caller holds the square's data
+        grid.flags.writeable = False
+        return _Stacked(n, s, False, tuple(map(tuple, grid)), grid, None)
+    den, *parts = _stack_parts(flat)
+    parts = [p.reshape(n, n, s, s) for p in parts]
+    for p in parts:
+        p.flags.writeable = False
+    coerced = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    return _Stacked(n, s, True, coerced, None, (den, *parts))
 
 
 # -- the two representations -------------------------------------------------
@@ -213,9 +232,13 @@ def psd_margin(m, tol: float):
 
 def psd_margins(blocks, tol: float) -> list:
     """`psd_margin` of each of a list of blocks, all exact or all float:
-    exact ones share one stacked congruence proof (`psd_check_stack`)."""
+    exact ones share one stacked congruence proof (`psd_check_stack`), on
+    their numerators (D, re, im) over one denominator when those are given
+    in place of the list."""
     if blocks and isinstance(blocks[0], ExactMatrix):
-        checks = psd_check_stack(*_stack_parts(blocks))
+        blocks = _stack_parts(blocks)
+    if isinstance(blocks, tuple):
+        checks = psd_check_stack(*blocks)
         return [(c.is_psd, Fraction(0) if c.is_psd else c.witness_value) for c in checks]
     lams = [float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) for m in blocks]
     return [(lam >= -tol, lam) for lam in lams]
@@ -252,12 +275,17 @@ def _mismatch(kind, loc, x, y, tol):
     return None if vanishes(d, tol) else Violation(kind, loc, residual(d))
 
 
-def _block_violations(slots, tol) -> list:
+def _block_violations(slots, tol, numerators=None) -> list:
     """The hermiticity or else PSD violation of each (location, block), or
-    None; the Hermitian blocks' PSD tests share one stacked proof when exact."""
+    None; the Hermitian blocks' PSD tests share one stacked proof when exact,
+    on the blocks' `numerators` (see `_Stacked`) when given."""
     found = [_mismatch("not_hermitian", loc, b, adjoint(b), tol) for loc, b in slots]
     hermitian = [k for k, herm in enumerate(found) if not herm]
-    for k, (ok, margin) in zip(hermitian, psd_margins([slots[k][1] for k in hermitian], tol)):
+    tested = [slots[k][1] for k in hermitian]
+    if numerators:
+        den, *parts = numerators
+        tested = (den, *(p.reshape(len(slots), *p.shape[-2:])[hermitian] for p in parts))
+    for k, (ok, margin) in zip(hermitian, psd_margins(tested, tol)):
         found[k] = None if ok else Violation("block_not_psd", slots[k][0], margin)
     return found
 
@@ -269,35 +297,53 @@ def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
     difference that should vanish: max |re| + |im| as a Fraction for exact
     blocks, the largest modulus for float ones.  A PSD margin is the value
     of psd_margin: an exact witness value v* b v < 0, or the least float
-    eigenvalue.
+    eigenvalue.  `MagicSquare` passes its blocks as it stacked them.
     """
-    n, s, exact, grid = _coerce_blocks(blocks)
+    n, s, exact, rows, _, numerators = blocks if isinstance(blocks, _Stacked) else _stack(blocks)
     ident = identity(s, exact)
-    found = _block_violations([((i, j), grid[i][j]) for i in range(n) for j in range(n)], tol)
+    slots = [((i, j), rows[i][j]) for i in range(n) for j in range(n)]
+    found = _block_violations(slots, tol, numerators)
     for i in range(n):
-        row_sum = sum(grid[i][1:], grid[i][0])
+        row_sum = sum(rows[i][1:], rows[i][0])
         found.append(_mismatch("row_sum", (i,), row_sum, ident, tol))
     for j in range(n):
-        col_sum = sum((grid[i][j] for i in range(1, n)), grid[0][j])
+        col_sum = sum((rows[i][j] for i in range(1, n)), rows[0][j])
         found.append(_mismatch("col_sum", (j,), col_sum, ident, tol))
     violations = tuple(v for v in found if v)
     return ValidationReport(not violations, tol, violations)
 
 
 class MagicSquare:
-    """A validated quantum magic square.  Immutable."""
+    """A validated quantum magic square.  Immutable.
 
-    __slots__ = ("n", "s", "exact", "blocks")
+    Its blocks are stacked once (see `_Stacked`): `grid` is one read-only
+    complex (n, n, s, s) array, whose views are a float square's `blocks`;
+    an exact square holds its integer `numerators` and forms its grid, the
+    float image of its blocks, on first use."""
+
+    __slots__ = ("n", "s", "exact", "blocks", "numerators", "_grid")
 
     def __init__(self, blocks, *, tol: float = DEFAULT_TOL):
-        n, s, exact, grid = _coerce_blocks(blocks)
-        report = validate_magic(grid, tol=tol)
+        stacked = _stack(blocks)
+        report = validate_magic(stacked, tol=tol)
         if not report.ok:
             raise InvalidMagicSquare(report)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "blocks", grid)
+        for name in ("n", "s", "exact", "blocks", "numerators"):
+            object.__setattr__(self, name, getattr(stacked, name))
+        object.__setattr__(self, "_grid", stacked.grid)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The blocks as one read-only complex (n, n, s, s) array; an exact
+        square's is each block's `to_complex()`, as int true division rounds
+        correctly."""
+        if self._grid is None:
+            den, re, im = self.numerators
+            image = np.empty(re.shape, dtype=np.complex128)
+            image.real, image.imag = re / den, im / den
+            image.flags.writeable = False
+            object.__setattr__(self, "_grid", image)
+        return self._grid
 
     def __setattr__(self, name, value):
         raise AttributeError("MagicSquare is immutable")
@@ -306,11 +352,7 @@ class MagicSquare:
         return self.blocks[i][j]
 
     def to_float(self) -> "MagicSquare":
-        if not self.exact:
-            return self
-        return MagicSquare(
-            [[b.to_complex() for b in row] for row in self.blocks]
-        )
+        return MagicSquare(self.grid) if self.exact else self
 
     def __eq__(self, other):
         if not isinstance(other, MagicSquare):
@@ -319,11 +361,7 @@ class MagicSquare:
             return False
         if self.exact:
             return self.blocks == other.blocks
-        return all(
-            np.array_equal(a, b)
-            for ra, rb in zip(self.blocks, other.blocks)
-            for a, b in zip(ra, rb)
-        )
+        return np.array_equal(self.grid, other.grid)
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -407,7 +445,7 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
     rows = [list(r) for r in corner]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ShapeMismatch("corner must be a 2x2 array of blocks")
-    _, s, exact, c = _coerce_blocks(rows)
+    _, s, exact, c, *_ = _stack(rows)
     ident = identity(s, exact)
     grid = [
         [c[0][0], c[0][1], ident - c[0][0] - c[0][1]],
@@ -418,12 +456,13 @@ def complete_corner(corner, *, tol: float = DEFAULT_TOL) -> MagicSquare:
             c[0][0] + c[0][1] + c[1][0] + c[1][1] - ident,
         ],
     ]
-    completed = [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
-    found = _block_violations([(loc, grid[loc[0]][loc[1]]) for loc in completed], tol)
-    offending = [loc for loc, violation in zip(completed, found) if violation]
-    if offending:
-        raise CompletionNotPSD(offending)
-    return MagicSquare(grid, tol=tol)
+    completed = {(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)}
+    try:
+        return MagicSquare(grid, tol=tol)
+    except InvalidMagicSquare as err:  # the sums hold, a completed block may fail
+        if offending := [v.location for v in err.report.violations if v.location in completed]:
+            raise CompletionNotPSD(offending) from None
+        raise
 
 
 def constant_square(n: int, s: int, *, exact: bool = True) -> MagicSquare:

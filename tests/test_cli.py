@@ -325,6 +325,67 @@ def test_dilate_missing_permutation_is_zero_weight(run, workdir):
     assert compressed == MagicSquare([[[[1]], [[0]]], [[[0]], [[1]]]]).to_float()
 
 
+def _float_weights_doc(*weights):
+    """The decomposition of n = 2, s = 1 with float weights q_01, q_10."""
+    terms = zip([(0, 1), (1, 0)], weights)
+    weights = {p: np.array([[q]], dtype=complex) for p, q in terms}
+    return decomposition_to_json(SemiclassicalDecomposition(2, 1, False, weights))
+
+
+@pytest.mark.parametrize(
+    "doc, flags, refused",
+    [
+        # weights that are not Hermitian: the compressed block (0, 0) would be
+        # their Hermitian part [[1/2, 1/4], [1/4, 1/2]], not the q_01 given
+        ([{"perm": [0, 1], "q": [["1/2", "1/2"], ["0", "1/2"]]},
+          {"perm": [1, 0], "q": [["1/2", "-1/2"], ["0", "1/2"]]}], (),
+         [("not_hermitian", [0, 1]), ("not_hermitian", [1, 0])]),
+        # Hermitian weights summing to I, one of them not PSD
+        ([{"perm": [0, 1], "q": [["3/2"]]}, {"perm": [1, 0], "q": [["-1/2"]]}], (),
+         [("block_not_psd", [1, 0])]),
+        # float weights are held to --eps
+        (_float_weights_doc(1 + 1e-12, -1e-12), ("--eps", "1e-13"), [("block_not_psd", [1, 0])]),
+        (_float_weights_doc(1 + 1e-6j, -1e-6j), (), [("not_hermitian", [0, 1]),
+                                                   ("not_hermitian", [1, 0])]),
+    ],
+    ids=["exact-not-hermitian", "exact-not-psd", "float-not-psd", "float-not-hermitian"],
+)
+def test_dilate_refuses_weights_that_are_not_psd(run, workdir, doc, flags, refused):
+    path = workdir / "weights.dec.json"
+    dump_json(doc, path)
+    out = workdir / "weights.dilation.json"
+    code, report = run("dilate", path, "--out", out, *flags)
+    assert code == 3
+    assert not out.exists()
+    got = [(v["kind"], v["location"]) for v in report["details"]["violations"]]
+    assert got == refused
+    for _, perm in refused:
+        assert f"permutation {perm}" in report["verdicts"]["error"]
+
+
+def test_dilate_holds_float_weights_to_eps(run, tmp_path):
+    """Float weights pass within --eps, 1e-9 by default: a weight of -1e-12
+    dilates, and is refused at --eps 1e-13."""
+    dump_json(_float_weights_doc(1 + 1e-12, -1e-12), tmp_path / "dip.dec.json")
+    code, report = run("dilate", tmp_path / "dip.dec.json", "--out", tmp_path / "dip.json")
+    assert code == 0 and "violations" not in report["details"]
+    code, report = run("dilate", tmp_path / "dip.dec.json", "--eps", "1e-13")
+    assert code == 3 and report["details"]["violations"][0]["location"] == [1, 0]
+
+
+def test_dilate_exact_requires_an_exact_decomposition(run, workdir, tmp_path):
+    """--exact refuses a float decomposition, as it refuses a float square."""
+    dec = tmp_path / "float.dec.json"
+    dump_json(_decomposition_doc(3, 2, False, ()), dec)
+    code, report = run("dilate", dec, "--exact", "--out", tmp_path / "float.dilation.json")
+    assert code == 3
+    assert "--exact requires an exact input" in report["verdicts"]["error"]
+    assert not (tmp_path / "float.dilation.json").exists()
+    exact = tmp_path / "exact.dec.json"
+    dump_json(_decomposition_doc(3, 2, True, ()), exact)
+    assert run("dilate", exact, "--exact", "--out", tmp_path / "exact.dilation.json")[0] == 0
+
+
 @pytest.mark.parametrize(
     "perm", [[], list(range(7))], ids=["empty-perm", "n7-one-term"]
 )
@@ -566,7 +627,7 @@ def test_directory_of_several_inputs_is_usage_error(run, workdir, command, name)
 @pytest.fixture(scope="module")
 def off_by_1e7(workdir):
     """A float square whose first row and column sums miss I by 1e-7."""
-    blocks = [[np.asarray(b) for b in row] for row in constant_square(3, 2).to_float().blocks]
+    blocks = [[np.array(b) for b in row] for row in constant_square(3, 2).to_float().blocks]
     blocks[0][0][0, 0] += 1e-7
     path = workdir / "off_by_1e7.json"
     dump_json(square_to_json(MagicSquare(blocks, tol=1e-6)), path)

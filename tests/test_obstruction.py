@@ -233,18 +233,19 @@ def test_psi_float_agrees_with_exact(cex):
 def test_broken_kernel_identity_is_refused(cex, monkeypatch):
     # u = e_1 (x) (e_1 - e_2) (x) e_1 pairs to zero with every e_i (x) e (x) I_s
     # but not with e (x) e_1 (x) I_s, so only the stated identity sees u u*
-    # Exact and float squares both take B0 = phi + psi through `psi_matrix`;
-    # each gets the same bump u u*/1000 there.
+    # Exact and float squares both take B0 = phi + psi through `_psi`, the
+    # integer slots (L D^2, re, im) of an exact psi or a float matrix; each
+    # gets the same bump u u*/1000 there.
     u = np.zeros(18, dtype=int)
     u[0], u[2] = 1, -1
     uu = np.outer(u, u).astype(object)
     for square in (cex, cex.to_float()):
         if square.exact:
-            bump = ExactMatrix.from_parts(1000, uu, 0 * uu)
+            den, re, im = obstruction._psi(square)
+            broken = (1000 * den, 1000 * re + den * uu, 1000 * im)
         else:
-            bump = uu.astype(float) / 1000
-        broken = psi_matrix(square) + bump
-        monkeypatch.setattr(obstruction, "psi_matrix", lambda a: broken)
+            broken = obstruction._psi(square) + uu.astype(float) / 1000
+        monkeypatch.setattr(obstruction, "_psi", lambda a: broken)
         with pytest.raises(RuntimeError, match="kernel identity"):
             build_obstruction(square, "strong")
         if square.exact:

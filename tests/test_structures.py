@@ -1,7 +1,10 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmagic.exact import ExactMatrix, GaussianRational, psd_check_exact
 from qmagic.sampling import (
@@ -23,16 +26,21 @@ from qmagic.structures import (
     ShapeMismatch,
     SizeMismatch,
     Violation,
+    adjoint,
     complete_corner,
     compress,
     constant_square,
+    difference,
     direct_sum,
     embed_pad,
     grid_residual,
+    identity,
     perm_matrix_exact,
     permutations_lex,
+    residual,
     validate_magic,
     validate_quantum_permutation,
+    vanishes,
 )
 
 F = Fraction
@@ -128,6 +136,97 @@ class TestValidateMagic:
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert {"not_hermitian", "row_sum", "col_sum"} <= kinds
+
+
+def _reference_violations(grid, tol) -> tuple:
+    """`validate_magic` block by block: each block's hermiticity or else its
+    own PSD test, then each row and each column summed in order."""
+    n, s = len(grid), grid[0][0].shape[0]
+    exact = isinstance(grid[0][0], ExactMatrix)
+
+    def mismatch(kind, loc, x, y):
+        d = difference(x, y)
+        return None if vanishes(d, tol) else Violation(kind, loc, residual(d))
+
+    found = []
+    for i in range(n):
+        for j in range(n):
+            b = grid[i][j]
+            v = mismatch("not_hermitian", (i, j), b, adjoint(b))
+            if v is None and exact and not (check := psd_check_exact(b)).is_psd:
+                v = Violation("block_not_psd", (i, j), check.witness_value)
+            if v is None and not exact:
+                lam = float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
+                v = None if lam >= -tol else Violation("block_not_psd", (i, j), lam)
+            found.append(v)
+    for i in range(n):
+        found.append(mismatch("row_sum", (i,), sum(grid[i][1:], grid[i][0]), identity(s, exact)))
+    for j in range(n):
+        col = sum((grid[i][j] for i in range(1, n)), grid[0][j])
+        found.append(mismatch("col_sum", (j,), col, identity(s, exact)))
+    return tuple(v for v in found if v)
+
+
+def _margin_key(m):
+    """A Fraction margin as itself, a float one by its bits (NaN included)."""
+    return m if isinstance(m, Fraction) else struct.pack("<d", m)
+
+
+@st.composite
+def _faulty_grids(draw):
+    """A member square with n in 1..5 and s in 1..3, exact or float, with some
+    of its blocks broken: made non-Hermitian, made indefinite, shifted so
+    that a row and a column sum is off, or (float) given a NaN entry."""
+    n, s, exact = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        a = square_from_decomposition(random_exact_decomposition(rng, n, s))
+    else:
+        a = random_member_square(rng, n, s)
+    grid = [list(row) for row in a.blocks]
+    one = ExactMatrix.identity(s) if exact else np.eye(s)
+    faults = ["skew", "indefinite", "shift", "tiny-shift"] + ([] if exact else ["nan"])
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        fault, b = draw(st.sampled_from(faults)), grid[i][j]
+        c = F(draw(st.integers(1, 50)), draw(st.sampled_from([7, 1000, 10**12])))
+        c = c if exact else float(c)
+        if fault == "skew":  # i c on the diagonal when s = 1, c above it otherwise
+            e = np.zeros((2, s, s), dtype=int)
+            e[1 if s == 1 else 0, 0, s - 1] = 1
+            b = b + (ExactMatrix.from_parts(1, *e) if exact else e[0] + 1j * e[1]) * c
+        elif fault == "indefinite":
+            b = b - one * (4 * c)
+        elif fault in ("shift", "tiny-shift"):
+            b = b + one * (c if fault == "shift" else c / 10**6)
+        else:
+            b = np.array(b)
+            b[draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))] = np.nan
+        grid[i][j] = b
+    return grid, draw(st.sampled_from([1e-9, 1e-6]))
+
+
+# rows and columns of 0.1, 0.2, 0.3 and 0.4 + 1e-6 in turn: numpy's pairwise
+# sum of row 2 differs in its last bit from the blocks added in order
+_CIRCULANT = [
+    [np.array([[x]], dtype=complex) for x in np.roll([0.1, 0.2, 0.3, 0.4 + 1e-6], i)]
+    for i in range(4)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_faulty_grids())
+@example((_CIRCULANT, 1e-9))
+def test_validation_matches_the_per_block_reference(case):
+    """`validate_magic` on the stacked square reports the violations of the
+    per-block reference: the same kinds, locations and order, equal exact
+    margins and float margins equal bit for bit (float sums add the blocks
+    in order)."""
+    grid, tol = case
+    got = validate_magic(grid, tol=tol).violations
+    want = _reference_violations(grid, tol)
+    assert [(v.kind, v.location) for v in got] == [(v.kind, v.location) for v in want]
+    assert [_margin_key(v.margin) for v in got] == [_margin_key(v.margin) for v in want]
 
 
 def _exact_grid(entries):
