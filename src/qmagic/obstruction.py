@@ -448,7 +448,9 @@ def find_dual_certificate(
     with trace(Y B_0) < 0.
 
     Only strong-mode problems are accepted (the variable count is small).
-    Solves the pencil, then blends its dual as `blend_dual` does.
+    Reuses the problem's solve at this eps (`solve_feasibility` solves a
+    pencil once per eps, so after `check_mconv_obstruction` it takes no
+    Newton step), then blends its dual as `blend_dual` does.
     """
     if problem.mode != STRONG:
         raise ValueError("dual certificate search expects a strong-mode problem")

@@ -18,7 +18,9 @@ Feasibility is certified by re-verifying the returned primal point;
 infeasibility by a dual Y of the shape of F0, polished by PSD clipping
 alternated with affine projection, with trace(Y F_i) = 0, trace(Y) = 1,
 Y PSD and trace(Y F0) < 0.  Anything the witnesses cannot settle is
-reported Inconclusive.
+reported Inconclusive.  A problem is solved once per eps: its arrays are
+read-only, and `solve_feasibility` keeps each result on the problem, so a
+second call with the same eps returns the same `SdpResult`.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class SdpProblem:
     """Pencil feasibility data: F0 and the directions F_i as one (m, *F0.shape)
     complex stack, of total dimension `dim`.  The directions must be linearly
     independent; the solver re-verifies every witness, so dependent
-    directions can only stall it to Inconclusive, never turn a verdict."""
+    directions can only stall it to Inconclusive, never turn a verdict.
+    F0 and the directions are read-only, so the results kept in `_solves`,
+    one per eps, stay those of the problem."""
 
-    __slots__ = ("f0", "directions", "dim")
+    __slots__ = ("f0", "directions", "dim", "_solves")
 
     def __init__(self, f0, directions=()):
         f0 = np.asarray(f0, dtype=np.complex128)
@@ -105,9 +109,12 @@ class SdpProblem:
             dirs = dirs.reshape(0, *f0.shape)
         if f0.ndim < 2 or f0.shape[-1] != f0.shape[-2] or dirs.shape[1:] != f0.shape:
             raise DimensionMismatch(f"F0 {f0.shape}, directions {dirs.shape[1:]}")
-        object.__setattr__(self, "f0", _hermitian_part(f0))
-        object.__setattr__(self, "directions", _hermitian_part(dirs))
+        f0, dirs = _hermitian_part(f0), _hermitian_part(dirs)
+        f0.flags.writeable = dirs.flags.writeable = False
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "dim", math.prod(f0.shape[:-1]))
+        object.__setattr__(self, "_solves", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SdpProblem is immutable")
@@ -130,6 +137,11 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpResult:
+    """The solve of one problem at one eps, shared by every caller that
+    asks for it.  `x` and `y` are read-only.  `residuals` stays one shared
+    dict: the CLI only stores it and `check_semiclassical` copies it with
+    `**`, so no caller mutates it."""
+
     status: Status
     t_star: float
     x: np.ndarray | None = None
@@ -222,10 +234,23 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
     Feasible: the returned x re-verifies lambda_min(F(x)) >= -eps.
     Infeasible: the returned Y re-verifies the four dual conditions with
     trace(Y F0) <= -10 eps.  Otherwise Inconclusive with diagnostics and
-    the last primal point x, whose lambda_min(F(x)) is t_star.
+    the last primal point x, whose lambda_min(F(x)) is t_star.  The
+    problem is solved once per eps; a later call with that eps returns the
+    same result, with read-only x and y.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    res = problem._solves.get(eps)
+    if res is None:
+        res = problem._solves[eps] = _solve(problem, eps)
+        for arr in (res.x, res.y):
+            if arr is not None:
+                arr.flags.writeable = False
+    return res
+
+
+def _solve(problem: SdpProblem, eps: float) -> SdpResult:
+    """The Newton path and witnesses of `solve_feasibility`."""
     d = problem.dim
     stack = problem.directions
     m = len(stack)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmagic import cli, exact, obstruction
+from qmagic import cli, exact, obstruction, sdp
 from qmagic.cli import main
 from qmagic.exact import (
     ExactMatrix,
@@ -59,6 +59,7 @@ from qmagic.serialize import (
     dump_square,
     rational_to_json,
 )
+from qmagic.sdp import DEFAULT_EPS, solve_feasibility
 from qmagic.semiclassical import (
     check_semiclassical,
     interior_map_decomposition,
@@ -759,6 +760,31 @@ def test_find_dual_certificate_feasible_raises():
         find_dual_certificate(
             build_obstruction(permutation_square((0, 1, 2)), "strong")
         )
+
+
+def test_find_dual_certificate_reuses_the_deciding_solve(cex, monkeypatch):
+    """A pencil is solved once per eps: after check_mconv_obstruction,
+    find_dual_certificate takes no Newton step and blends the same dual,
+    while another eps or a freshly built pencil of the square solves again,
+    to the same bits."""
+    res = check_mconv_obstruction(cex, "strong")
+    assert solve_feasibility(res.problem.pencil) is res.solver
+    solves = []
+    newton = sdp._solve
+
+    def counted(problem, eps):
+        solves.append(eps)
+        return newton(problem, eps)
+
+    monkeypatch.setattr(sdp, "_solve", counted)
+    witness = find_dual_certificate(res.problem)
+    assert solves == []
+    assert witness.y.tobytes() == blend_dual(res.problem, res.solver).y.tobytes()
+    assert solve_feasibility(res.problem.pencil, 2 * DEFAULT_EPS) is not res.solver
+    assert solves == [2 * DEFAULT_EPS]
+    again = solve_feasibility(build_obstruction(cex, "strong").pencil)
+    assert solves == [2 * DEFAULT_EPS, DEFAULT_EPS]
+    assert again is not res.solver and again.y.tobytes() == res.solver.y.tobytes()
 
 
 def test_find_dual_certificate_rejects_weak(cex):

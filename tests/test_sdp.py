@@ -202,6 +202,17 @@ class TestSolveFeasibility:
         fx = np.diag([1.0, -1.0]) + res.x[0] * np.diag([0.0, 1.0])
         assert np.linalg.eigvalsh(fx).min() >= -1e-7
 
+    def test_a_solved_problem_cannot_be_written(self):
+        # every caller at one eps shares one result, so none may write into it
+        feasible = SdpProblem(np.diag([1.0, -1.0]), [np.diag([0.0, 1.0])])
+        infeasible = SdpProblem(np.diag([1.0, -1.0]))
+        res, dual = solve_feasibility(feasible), solve_feasibility(infeasible)
+        assert solve_feasibility(feasible) is res and solve_feasibility(infeasible) is dual
+        for arr in (feasible.f0, feasible.directions, res.x, dual.y):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+            assert arr.any()
+
     def test_infeasible_with_direction(self):
         # min eig of diag(-1,-2) + x [[0,1],[1,0]] is always <= -2
         f0 = np.diag([-1.0, -2.0])
