@@ -2,7 +2,7 @@
 """Print one sha256 over the exact answers of the benchmark squares.
 
     python3 scripts/answer_digest.py [--seeds 0 1 2 3 4 5]
-        [--workloads certify membership interior obstruction-cli]
+        [--workloads certify membership interior obstruction-cli dilate]
 
 A change that must leave every answer byte-identical prints the same digest
 and document count as its parent.  The script sets OPENBLAS_NUM_THREADS=1
@@ -28,6 +28,14 @@ documents, in this order:
   verdict and float `t_star` of `check_mconv_obstruction` in the square's
   mode (the float B0 reaches the reported `dual_objective` only this way),
   or the refusal of a strong pencil at n = 2.
+- dilate: for each `membership` interior square at each seed, and then for
+  each float member square of `obstruction-cli` at that seed, the commuting
+  dilation (U, V) that `synthesize_commuting_dilation` builds from its
+  `interior_map_decomposition`, or from its `check_semiclassical`
+  decomposition, as `qmagic dilate` writes it: U, V and the compression
+  V* U V at the solver's epsilon, or the refusal of a V whose V*V - I
+  exceeds it.  A member the LMI does not decide "yes" gives its verdict
+  alone.
 
 The digest is the sha256 of the documents' JSON (sorted keys).  The
 workload squares are read from `perfbench/workloads.py`, which is loaded
@@ -57,13 +65,23 @@ from qmagic.obstruction import (
     exact_certify,
     verify_certificate,
 )
-from qmagic.semiclassical import check_semiclassical, interior_map_decomposition
-from qmagic.serialize import certificate_to_json, decomposition_to_json
-from qmagic.structures import embed_pad
+from qmagic.sdp import DEFAULT_EPS
+from qmagic.semiclassical import (
+    check_semiclassical,
+    interior_map_decomposition,
+    synthesize_commuting_dilation,
+)
+from qmagic.serialize import (
+    certificate_to_json,
+    decomposition_to_json,
+    float_matrix_to_json,
+    square_to_json,
+)
+from qmagic.structures import NotAnIsometry, compress, embed_pad
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = (10**3, 10**6, 10**9, 10**12)
-WORKLOADS = ("certify", "membership", "interior", "obstruction-cli")
+WORKLOADS = ("certify", "membership", "interior", "obstruction-cli", "dilate")
 
 
 def load_workloads():
@@ -117,6 +135,21 @@ def obstruction_doc(square, mode) -> dict:
     return {"verdict": res.verdict, "t_star": float(res.solver.t_star)}
 
 
+def dilation_doc(dec) -> dict:
+    dilation = synthesize_commuting_dilation(dec)
+    doc = {"qpm": square_to_json(dilation.u), "isometry": float_matrix_to_json(dilation.v)}
+    try:
+        doc["compressed"] = square_to_json(compress(dilation.u, dilation.v, tol=DEFAULT_EPS))
+    except NotAnIsometry as err:
+        doc["refused"] = str(err)
+    return doc
+
+
+def member_dilation_doc(square) -> dict:
+    res = check_semiclassical(square)
+    return dilation_doc(res.decomposition) if res.verdict == "yes" else {"verdict": res.verdict}
+
+
 def answer_docs(seeds, workloads) -> list:
     cases = load_workloads()
     docs = []
@@ -146,6 +179,16 @@ def answer_docs(seeds, workloads) -> list:
                 obstruction_doc(case.square, case.task.removeprefix("cli-"))
                 for case in cases.cli_cases(seed)
             ]
+    if "dilate" in workloads:
+        for seed in seeds:
+            docs += [
+                dilation_doc(interior_map_decomposition(case.square))
+                for case in cases.membership_cases(seed)
+                if case.task == "interior"
+            ]
+            # the strong member cases repeat two weak cases' squares
+            members = {id(c.square): c.square for c in cases.cli_cases(seed) if c.expect == "yes"}
+            docs += [member_dilation_doc(square) for square in members.values()]
     return docs
 
 

@@ -332,7 +332,7 @@ def cmd_dilate(args, report: RunReport) -> int:
         dec = decomposition_from_json(data)
         if args.exact and not dec.exact:
             raise UsageError("--exact requires an exact input decomposition")
-        if violations := dec.weight_violations(args.eps or DEFAULT_TOL):
+        if violations := dec.weight_violations(_eps(args)):
             report.details["violations"] = _violations_json(violations)
             raise UsageError(
                 "weights are not Hermitian and PSD at "
@@ -348,7 +348,7 @@ def cmd_dilate(args, report: RunReport) -> int:
             return _code(res.verdict)
         dec = res.decomposition
     dilation = synthesize_commuting_dilation(dec)
-    compressed = compress(dilation.u, dilation.v, tol=args.eps or DEFAULT_TOL)
+    compressed = compress(dilation.u, dilation.v, tol=_eps(args))
     payload = {
         "qpm": square_to_json(dilation.u),
         "isometry": float_matrix_to_json(np.asarray(dilation.v, dtype=np.complex128)),
@@ -599,8 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps": dict(
             type=_positive_float, default=None,
             help="one value for two tolerances: the tolerance to which a float input "
-            f"square or decomposition is validated (default {DEFAULT_TOL:g}) and, in "
-            f"commands that run the solver, the solver's epsilon (default {DEFAULT_EPS:g})",
+            f"square is validated (default {DEFAULT_TOL:g}) and the solver's epsilon "
+            f"(default {DEFAULT_EPS:g}), to which dilate also holds float weights and V*V - I",
         ),
         "--out": dict(type=Path, default=None, help="output file"),
         "--interior": dict(

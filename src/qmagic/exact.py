@@ -5,11 +5,11 @@ An `ExactMatrix` is held in integers, one least common denominator and
 numpy object arrays of Python-int numerators, and computes on them;
 `GaussianRational` is the scalar an entry is read out as, for the
 eliminations and for I/O.  Floats cross only at `ExactMatrix.to_complex`,
-`rationalize`, `exact_from_float_matrix` and `rational_hermitian` (the
-float-to-exact step of every certificate and weight repair, at the bounds
-of `DENOMINATOR_LADDER`); the last three round every entry of an array as
-`Fraction.limit_denominator` in one continued-fraction loop, straight to
-integers, on machine integers where they hold every value it forms.
+`rationalize` and `rational_hermitian` (the float-to-exact step of every
+certificate and weight repair, at the bounds of `DENOMINATOR_LADDER`); the
+last two round every entry of an array as `Fraction.limit_denominator` in
+one continued-fraction loop, straight to integers, on machine integers
+where they hold every value it forms.
 
 `psd_check_exact` decides M >= 0 by a congruence proof in Gaussian integers
 (a rounded float inverse Cholesky factor T, then Gershgorin on the upper
@@ -55,9 +55,7 @@ __all__ = [
     "rationalize",
     "rational_hermitian",
     "rational_str",
-    "exact_from_float_matrix",
     "rref_exact",
-    "rank_exact",
     "nullspace_exact",
     "affine_least_squares",
     "hermitian_basis",
@@ -521,11 +519,6 @@ def _stack_parts(mats) -> tuple[int, np.ndarray, np.ndarray]:
     return den, np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
 
 
-def exact_from_float_matrix(arr, max_denominator: int) -> ExactMatrix:
-    """Rationalize a complex floating matrix entrywise."""
-    return ExactMatrix.from_parts(*_rationalized_parts(arr, max_denominator))
-
-
 # -- positive semidefiniteness with certificate ----------------------------
 
 
@@ -689,9 +682,9 @@ def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarra
     is within 1/2 + 2^-30 of 2^sh M, and ||2^sh M - A||_2 <= ||.||_F < d.
     N = A - dI > 0 then gives 2^sh M > A - dI > 0.  T keeps the bits
     `_int64_t_bits(d)` allows, so no sum in Z or its row sums overflows;
-    the tier is not tried where that leaves T fewer than 11 bits, nor for
-    d <= 3, where the exact tier costs as little, nor on a member whose
-    parts all lie below 2^-1000, where 2^sh would leave the float range.
+    the tier is not tried where that leaves T fewer than 11 bits, nor on a
+    member whose parts all lie below 2^-1000, where 2^sh would leave the
+    float range.
     The exact tier runs on the members the int64 tier did not prove, with T
     scaled to about 2^30 and N = den M, M's own numerators, in Python ints.
     Either way the verdict of `psd_check_exact` is unchanged: a member
@@ -707,7 +700,7 @@ def _congruence_proves_pd(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarra
         if len(re) == 1:
             return np.zeros(stack, dtype=bool)
         return np.array([_congruence_proves_pd(den, *m) for m in zip(re, im)]).reshape(stack)
-    if d <= 3 or _int64_t_bits(d) < _T_BITS_MIN:
+    if _int64_t_bits(d) < _T_BITS_MIN:
         return _exact_tier(inv, re, im).reshape(stack)
     proven = _int64_tier(approx, inv)
     rest = np.flatnonzero(~proven)
@@ -800,10 +793,6 @@ def rref_exact(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return ExactMatrix(rows), tuple(pivots)
 
 
-def rank_exact(m: ExactMatrix) -> int:
-    return len(rref_exact(m)[1])
-
-
 def nullspace_exact(m: ExactMatrix) -> list[ExactMatrix]:
     """Basis of the right kernel, as column vectors (deterministic order)."""
     red, pivots = rref_exact(m)
@@ -891,8 +880,9 @@ def affine_least_squares(
     return x
 
 
-def hermitian_basis(s: int) -> list[ExactMatrix]:
-    """Basis of s x s Hermitian matrices in upper-triangle order.
+def hermitian_basis_stack(s: int) -> np.ndarray:
+    """Basis of s x s Hermitian matrices in upper-triangle order, as one
+    (s^2, s, s) complex stack of Gaussian integers, for pencils.
 
     For each i <= j: E_ii when i = j, otherwise the symmetric pair
     E_ij + E_ji followed by -i E_ij + i E_ji.  For s = 2 this is the
@@ -901,15 +891,15 @@ def hermitian_basis(s: int) -> list[ExactMatrix]:
     out = []
     for i in range(s):
         for j in range(i, s):
-            sym, anti = np.zeros((2, s, s), dtype=int)
+            sym, anti = np.zeros((2, s, s), dtype=np.complex128)
             sym[i, j] = sym[j, i] = 1
-            anti[i, j], anti[j, i] = -1, 1
-            out.append(ExactMatrix.from_parts(1, sym, 0 * sym))
-            if i < j:
-                out.append(ExactMatrix.from_parts(1, 0 * anti, anti))
-    return out
+            # through .imag: a literal -1j would carry a -0.0 real part
+            anti.imag[i, j], anti.imag[j, i] = -1, 1
+            out += [sym, anti] if i < j else [sym]
+    return np.array(out)
 
 
-def hermitian_basis_stack(s: int) -> np.ndarray:
-    """`hermitian_basis(s)` as one (s^2, s, s) complex stack, for pencils."""
-    return np.array([h.to_complex() for h in hermitian_basis(s)])
+def hermitian_basis(s: int) -> list[ExactMatrix]:
+    """`hermitian_basis_stack(s)` as exact matrices."""
+    parts = hermitian_basis_stack(s).view(np.float64).astype(int)  # re, im interleaved
+    return [ExactMatrix.from_parts(1, p[:, ::2], p[:, 1::2]) for p in parts]

@@ -36,7 +36,7 @@ from .structures import (
     as_complex,
     difference,
     identity,
-    psd_margin,
+    psd_margins,
     residual,
 )
 
@@ -100,8 +100,7 @@ def validate_triple(d: DilationTriple, tol: float = SPLIT_TOL) -> None:
     iso = residual(difference(adjoint(v) @ v, identity(s, False)))
     if iso > tol:
         raise InvariantViolated(f"v is not an isometry, residual {iso:.2e}")
-    lo_ok, lo = psd_margin(w, tol)
-    hi_ok, hi = psd_margin(identity(t, False) - w, tol)
+    (lo_ok, lo), (hi_ok, hi) = psd_margins([w, identity(t, False) - w], tol)
     if not (lo_ok and hi_ok):
         raise InvariantViolated(f"w outside [0, I]: eigenvalue bounds {lo:.2e}, {hi:.2e}")
     corner = residual(difference(adjoint(v) @ w @ v, u))

@@ -72,7 +72,7 @@ from .exact import (
     refute_psd,
     rref_exact,
 )
-from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, kron_pairs, solve_feasibility
+from .sdp import DEFAULT_EPS, SdpProblem, SdpResult, Status, solve_feasibility
 from .structures import MagicSquare, as_complex, complete_corner, residual
 
 WEAK = "weak"
@@ -229,6 +229,13 @@ def zero_diagonal_basis(n: int, doubly_null: bool = False) -> np.ndarray:
     return basis
 
 
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a_i, b_j) for every pair of two stacks, i outer."""
+    (p, r, c), (q, u, v) = a.shape, b.shape
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(p * q, r * u, c * v)
+
+
 def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     """The directions kron(kron(H_a, H_b), h) over the Hermitian basis H of
     Z (weak) or Z_e (strong) and h of Her_s: a basis of the Hermitian part
@@ -236,7 +243,7 @@ def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     z = zero_diagonal_basis(n, doubly_null=mode == STRONG)
     # complex products of signed entries leave negative zeros; adding zero
     # clears them, so the entries match ExactMatrix.to_complex bit for bit
-    return kron_pairs(kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
+    return _kron_pairs(_kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
 
 
 # -- the complement of the variable space, through the Z factor --------------

@@ -37,7 +37,6 @@ __all__ = [
     "Status",
     "SdpProblem",
     "SdpResult",
-    "kron_pairs",
     "solve_feasibility",
     "DEFAULT_EPS",
 ]
@@ -79,14 +78,6 @@ def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     if resid > HERM_TOL:
         raise NonHermitian(f"hermiticity residual {resid:.2e}")
     return (stack + adj) / 2
-
-
-def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a_i, b_j) for every pair of two stacks, i outer: the directions
-    of a pencil over a tensor product of two variable spaces."""
-    (p, r, c), (q, u, v) = a.shape, b.shape
-    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return prod.reshape(p * q, r * u, c * v)
 
 
 class SdpProblem:
@@ -236,7 +227,9 @@ def solve_feasibility(problem: SdpProblem, eps: float = DEFAULT_EPS) -> SdpResul
     trace(Y F0) <= -10 eps.  Otherwise Inconclusive with diagnostics and
     the last primal point x, whose lambda_min(F(x)) is t_star.  The
     problem is solved once per eps; a later call with that eps returns the
-    same result, with read-only x and y.
+    same result, with read-only x and y.  The path has no bound on x: a
+    pencil with an unbounded feasible set can return a huge x, which still
+    re-verifies (9e161 on F0 = diag(1, -1), F1 = diag(0, 1), feasible at x >= 1).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -9,7 +9,7 @@ validation and every decider read: a float square's complex array, whose
 views are its blocks, or an exact square's integer numerators over one
 denominator.  The representation helpers (identity, zeros, assemble,
 adjoint, scalar, as_complex, difference, residual, grid_residual, vanishes,
-psd_margin, psd_margins) hold all block arithmetic that differs between the
+psd_margins) hold all block arithmetic that differs between the
 two; the constructions here and elsewhere are written once on top of them.
 """
 
@@ -222,19 +222,13 @@ def vanishes(m, tol: float) -> bool:
     return residual(m) <= tol
 
 
-def psd_margin(m, tol: float):
-    """(m >= 0, margin): exactly by a congruence proof, else an exact
-    Hermitian elimination (Schur complements, largest-diagonal pivoting),
-    with a value v* m v < 0 of the quadratic form (0 when PSD) as margin;
-    for floats the least eigenvalue of the Hermitian part, >= -tol."""
-    return psd_margins([m], tol)[0]
-
-
 def psd_margins(blocks, tol: float) -> list:
-    """`psd_margin` of each of a list of blocks, all exact or all float:
-    exact ones share one stacked congruence proof (`psd_check_stack`), on
-    their numerators (D, re, im) over one denominator when those are given
-    in place of the list."""
+    """(m >= 0, margin) for each m of a list of blocks, all exact or all
+    float.  Exact blocks are decided exactly by one stacked proof
+    (`psd_check_stack`), on their numerators (D, re, im) over one
+    denominator when those are given in place of the list; the margin is a
+    value v* m v < 0 of the quadratic form (0 when PSD).  For floats it is
+    the least eigenvalue of the Hermitian part, and m >= 0 means >= -tol."""
     if blocks and isinstance(blocks[0], ExactMatrix):
         blocks = _stack_parts(blocks)
     if isinstance(blocks, tuple):
@@ -296,7 +290,7 @@ def validate_magic(blocks, *, tol: float = DEFAULT_TOL) -> ValidationReport:
     A hermiticity, row-sum or column-sum margin is the largest entry of the
     difference that should vanish: max |re| + |im| as a Fraction for exact
     blocks, the largest modulus for float ones.  A PSD margin is the value
-    of psd_margin: an exact witness value v* b v < 0, or the least float
+    of psd_margins: an exact witness value v* b v < 0, or the least float
     eigenvalue.  `MagicSquare` passes its blocks as it stacked them.
     """
     n, s, exact, rows, _, numerators = blocks if isinstance(blocks, _Stacked) else _stack(blocks)

@@ -10,7 +10,7 @@ from qmagic.birkhoff import (
     magic_space_dimension,
     validate_doubly_stochastic,
 )
-from qmagic.exact import ExactMatrix, rank_exact
+from qmagic.exact import ExactMatrix, rref_exact
 from qmagic.sampling import random_doubly_stochastic
 from qmagic.structures import perm_matrix_exact, permutations_lex
 
@@ -99,7 +99,7 @@ class TestMagicSpaceDimension:
             for sigma in permutations_lex(n):
                 p = perm_matrix_exact(sigma)
                 rows.append([p[i, j] for i in range(n) for j in range(n)])
-            assert magic_space_dimension(n) == rank_exact(ExactMatrix(rows))
+            assert magic_space_dimension(n) == len(rref_exact(ExactMatrix(rows))[1])
 
     def test_guard(self):
         assert magic_space_dimension(7) == 37  # the closed form has no cap in n

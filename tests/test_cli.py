@@ -364,13 +364,29 @@ def test_dilate_refuses_weights_that_are_not_psd(run, workdir, doc, flags, refus
 
 
 def test_dilate_holds_float_weights_to_eps(run, tmp_path):
-    """Float weights pass within --eps, 1e-9 by default: a weight of -1e-12
-    dilates, and is refused at --eps 1e-13."""
+    """Float weights pass within --eps, the solver's 1e-7 by default: a
+    weight of -1e-12 dilates, and is refused at --eps 1e-13."""
     dump_json(_float_weights_doc(1 + 1e-12, -1e-12), tmp_path / "dip.dec.json")
     code, report = run("dilate", tmp_path / "dip.dec.json", "--out", tmp_path / "dip.json")
     assert code == 0 and "violations" not in report["details"]
     code, report = run("dilate", tmp_path / "dip.dec.json", "--eps", "1e-13")
     assert code == 3 and report["details"]["violations"][0]["location"] == [1, 0]
+
+
+def test_dilate_takes_a_float_member_square(run, workdir, tmp_path):
+    """The LMI accepts float weights down to -eps, so dilate holds V*V - I
+    to the solver's epsilon: a float member dilates."""
+    out = tmp_path / "member.dilation.json"
+    code, report = run("dilate", workdir / "member_float.json", "--out", out)
+    assert code == 0 and report["residuals"]["compression"] <= 1e-7
+
+
+def test_dilate_takes_the_decomposition_check_semiclassical_wrote(run, workdir, tmp_path):
+    """Float weights are held to the solver's epsilon too, so the LMI's own
+    float decomposition of a member dilates."""
+    dec = tmp_path / "member.dec.json"
+    assert run("check-semiclassical", workdir / "member_float.json", "--out", dec)[0] == 0
+    assert run("dilate", dec, "--out", tmp_path / "member.dilation.json")[0] == 0
 
 
 def test_dilate_exact_requires_an_exact_decomposition(run, workdir, tmp_path):

@@ -13,8 +13,8 @@ from qmagic.exact import (
     GaussianRational,
     _projection_operator,
     affine_least_squares,
-    exact_from_float_matrix,
     psd_check_exact,
+    rational_hermitian,
 )
 from qmagic.obstruction import counterexample_m2_3
 from qmagic.sampling import (
@@ -228,6 +228,34 @@ def test_counterexample_not_semiclassical():
     assert out.dual.t_star < 0
 
 
+def test_counterexample_lmi_dual_is_a_farkas_certificate():
+    """The float dual of the counterexample's LMI is the premise of an exact
+    "not semiclassical" certificate: blocks L_ij with every
+    Y_pi = sum_i L_{i,pi(i)} PSD and sum_ij tr(L_ij a_ij) < 0.  Y, the
+    (n!, s, s) stack, is M^T L for M = _incidence(n); adding t I to every
+    L_0j adds t I to every Y_pi and t s to the objective, so
+    t = -obj / (2 s) lifts every Y_pi clear of 0 and keeps half the
+    objective."""
+    c = counterexample_m2_3()
+    n, s = c.n, c.s
+    y = check_semiclassical(c).dual.y
+    m = _incidence(n)
+    assert y.shape == (m.shape[1], s, s)
+    lam = np.einsum("kp,pab->kab", np.linalg.pinv(m.T), y)
+    assert np.abs(np.einsum("kp,kab->pab", m, lam) - y).max() <= 1e-12
+    a = c.grid.reshape(n * n, s, s)
+
+    def objective(blocks):
+        return float(np.einsum("kab,kba->", blocks, a).real)
+
+    obj = objective(lam)
+    assert obj < 0
+    t = -obj / (2 * s)
+    lam[:n] += t * np.eye(s)
+    assert np.linalg.eigvalsh(np.einsum("kp,kab->pab", m, lam)).min() >= 1e-4
+    assert objective(lam) <= obj / 2 + 1e-15  # equal to obj / 2 up to roundoff
+
+
 def test_float_member_square_accepted():
     rng = np.random.default_rng(3)
     sq = random_member_square(rng, 3, 2, 6)
@@ -253,8 +281,8 @@ def _block_system_repair(a: MagicSquare, weights: dict, max_denominator: int) ->
     perms = permutations_lex(n)
     x0 = []
     for sigma in perms:
-        q = exact_from_float_matrix(weights[sigma], max_denominator)
-        x0.append(hermitian_coordinates((q + q.h) * Fraction(1, 2)))
+        q = ExactMatrix.from_parts(*rational_hermitian(weights[sigma], max_denominator))
+        x0.append(hermitian_coordinates(q))
     rows = [[Fraction(1)] * len(perms)]
     targets = [hermitian_coordinates(ExactMatrix.identity(s))]
     for i in range(n):
