@@ -10,10 +10,13 @@ into one new temporary directory, removed at the end, so neither side has
 a bytecode cache, and every process runs with PYTHONDONTWRITEBYTECODE=1 so
 none is written.  For each workload and seed, pair k runs `perfbench/run.py`
 for `BENCHMARK.json`'s `run_seconds` once in each tree, one run at a time,
-the parent first on odd pairs and the change first on even ones.  The output JSON holds every run and, per metric of
-`BENCHMARK.json`'s end-to-end list, the median and quartiles of each side
-and the number of pairs the change wins.  `--dry-run` prints the planned
-commands and runs nothing.  Uses the standard library only.
+the parent first on odd pairs and the change first on even ones.  The
+output JSON holds every run and, per metric of `BENCHMARK.json`'s
+end-to-end list, the median and quartiles of each side, the number of
+pairs the change wins, the parent's interquartile range, and whether the
+change meets the claim rule and stays within the metric's bound
+(`summarize`).  `--dry-run` prints the planned commands and runs
+nothing.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -92,7 +95,14 @@ def run_once(tree: Path, cmd: list[str], env: dict) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Median and quartiles per side and the change's wins, over complete pairs."""
+    """Median and quartiles per side and the change's wins, over complete
+    pairs, and whether the change meets the claim rule and the bound.
+
+    `claim_met`: the change wins at least nine pairs in ten (a tie counts
+    for neither side) and its median beats the parent's by more than the
+    parent's interquartile range `parent_iqr`.  `within_bound`: the
+    change's median is worse than the parent's by at most the metric's
+    relative `bound`, so a median 10% worse passes a bound of 0.1."""
     by_pair = {}
     for run in runs:
         if "error" not in run:
@@ -103,16 +113,26 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        sides = {}
+        sides, stats = {}, {}
         for side in ("parent", "change"):
             values = [p[side][name] for p in pairs]
             # with one pair, its value stands for every quartile
             q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             median = statistics.median(values)
+            stats[side] = median, q1, q3
             sides[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
         diffs = [p["change"][name] - p["parent"][name] for p in pairs]
         wins = sum(d < 0 if lower else d > 0 for d in diffs)
-        summary[name] = {**sides, "change_wins": f"{wins}/{len(pairs)}", "ties": diffs.count(0)}
+        (parent, p_q1, p_q3), change = stats["parent"], stats["change"][0]
+        gain = parent - change if lower else change - parent
+        summary[name] = {
+            **sides,
+            "change_wins": f"{wins}/{len(pairs)}",
+            "ties": diffs.count(0),
+            "parent_iqr": round(p_q3 - p_q1, 4),
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > p_q3 - p_q1,
+            "within_bound": -gain <= metric["bound"] * abs(parent),
+        }
     return summary
 
 

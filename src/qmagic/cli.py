@@ -13,7 +13,6 @@ written when one is available), 2 inconclusive, 3 usage or input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import time
@@ -174,6 +173,8 @@ def _human(msg: str) -> None:
 
 
 def _record(report: RunReport, path: Path) -> None:
+    import hashlib  # loads OpenSSL; the digest is taken after the work is done
+
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     report.inputs.append({"path": str(path), "digest": digest})
 

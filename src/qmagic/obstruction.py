@@ -241,9 +241,10 @@ def pencil_directions(n: int, s: int, mode: str) -> np.ndarray:
     Z (weak) or Z_e (strong) and h of Her_s: a basis of the Hermitian part
     of the variable space, (dim H)^2 s^2 Gaussian-integer arrays."""
     z = zero_diagonal_basis(n, doubly_null=mode == STRONG)
+    out = _kron_pairs(_kron_pairs(z, z), hermitian_basis_stack(s))
     # complex products of signed entries leave negative zeros; adding zero
     # clears them, so the entries match ExactMatrix.to_complex bit for bit
-    return _kron_pairs(_kron_pairs(z, z), hermitian_basis_stack(s)) + 0.0
+    return np.add(out, 0.0, out=out)
 
 
 # -- the complement of the variable space, through the Z factor --------------
@@ -397,9 +398,12 @@ def check_mconv_obstruction(
     "yes" only reports that the obstruction is silent (the pencil is
     feasible, with a numeric X achieving B0 + X >= -eps); it does not
     prove membership.  The weak and strong pencils are equivalent, so
-    their exact verdicts agree on every square; numerically, the padded
-    counterexample embed_pad(counterexample_m2_3()) is a known exception,
-    "no" in strong mode and "inconclusive" in weak mode.
+    their exact verdicts agree on every square; numerically, some squares
+    are "no" in strong mode, with an exact certificate, and "inconclusive"
+    in weak mode: the padded counterexample embed_pad(counterexample_m2_3())
+    and, on the segment (1 - t) constant_square(3, 2) + t
+    counterexample_m2_3(), the squares at t = 1991/2000, 1593/1600 and
+    4979/5000 (the `headline_segment` fixture of tests/test_obstruction.py).
     """
     problem = build_obstruction(a, mode)
     res = solve_feasibility(problem.pencil, eps)

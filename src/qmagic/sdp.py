@@ -4,16 +4,21 @@ An `SdpProblem` holds F0, one Hermitian (d, d) matrix or the (k, b, b) stack
 of the diagonal blocks of a block-diagonal pencil, and the directions F_i as
 one (m, *F0.shape) complex stack, with the affine map x -> sum x_i F_i
 (`combine`) and its adjoint (`pairings`).  Everything acts on the last two
-axes, so a block-diagonal pencil is never embedded densely.  The solver
-follows the central path of the log-det barrier with damped Newton steps;
-each step takes its gradient and Gram matrix from the stack of the
-M^-1/2 F_i M^-1/2.  On a block stack whose directions have at most one nonzero
-entry per column, real or imaginary (those of the semiclassical LMI), that
-stack costs two matrix products per diagonal block, over the directions
-laid side by side once per solve, instead of one per direction and block;
-the numbers do not change (`_congruences`).  A one-block pencil keeps one
-product per direction.  The gradient's traces of a stack of blocks up to
-3 x 3 come from one einsum, bit for bit np.trace's (`_trace_sums`).
+axes, so a block-diagonal pencil is never embedded densely.  F0 and the
+directions are stored as their Hermitian parts (F + F*) / 2, each formed
+in one buffer that first holds the residual F* - F.  The solver follows
+the central path of the log-det barrier with damped Newton steps; each
+step takes its gradient and Gram matrix from the stack of the
+M^-1/2 F_i M^-1/2, which a solve allocates once, with a buffer for its
+conjugate, and every step fills anew.  On a block stack whose directions
+have at most one nonzero entry per column, real or imaginary (those of
+the semiclassical LMI), that stack costs two matrix products per
+diagonal block, over the directions laid side by side once per solve,
+instead of one per direction and block; the numbers do not change
+(`_congruences`).  A one-block pencil keeps one product per direction,
+over CHUNK_BYTES of directions at a time.  The gradient's traces of a
+stack of blocks up to 3 x 3 come from one einsum, bit for bit np.trace's
+(`_trace_sums`).
 Feasibility is certified by re-verifying the returned primal point;
 infeasibility by a dual Y of the shape of F0, polished by PSD clipping
 alternated with affine projection, with trace(Y F_i) = 0, trace(Y) = 1,
@@ -45,6 +50,7 @@ DEFAULT_EPS = 1e-7
 HERM_TOL = 1e-9
 MAX_ITER = 800  # Newton steps over the whole path
 POLISH_ROUNDS = 80  # PSD clipping and affine projection rounds of the dual
+CHUNK_BYTES = 1 << 18  # the isqrt @ F_i products held at once by `_congruences`
 
 
 class NonHermitian(ValueError):
@@ -72,12 +78,18 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(F + F*) / 2 for every F of a stack, which must be Hermitian within HERM_TOL."""
-    adj = _adjoint(stack)
-    resid = float(np.abs(stack - adj).max(initial=0.0))
+    """(F + F*) / 2 for every F of a stack, which must be Hermitian within
+    HERM_TOL, formed in one C-contiguous buffer: F* - F for the residual,
+    then F* + F halved, bit for bit the same as with a fresh F* each time."""
+    out = np.empty(stack.shape, dtype=np.complex128)
+    np.conjugate(stack.swapaxes(-1, -2), out=out)
+    np.subtract(out, stack, out=out)
+    resid = float(np.abs(out).max(initial=0.0))
     if resid > HERM_TOL:
         raise NonHermitian(f"hermiticity residual {resid:.2e}")
-    return (stack + adj) / 2
+    np.conjugate(stack.swapaxes(-1, -2), out=out)
+    np.add(out, stack, out=out)
+    return np.divide(out, 2, out=out)
 
 
 class SdpProblem:
@@ -164,12 +176,17 @@ def _congruences(stack: np.ndarray):
     products.  The result is bit for bit the broadcast product's, except
     that an exact zero may take the other sign.  Other stacks, and a
     one-block pencil, whose products are large already and would pay for
-    the copy, keep one product per direction."""
+    the copy, keep one product per direction, broadcast over CHUNK_BYTES
+    of directions at a time so that the isqrt @ F_i held at once stay
+    small; each product is its own BLAS call, so chunks keep the bits."""
     m, shape = len(stack), stack.shape[1:]
     k, b = math.prod(shape[:-2]), shape[-1]
     if k == 1 or not _single_products(stack):
+        step = max(1, CHUNK_BYTES // (stack.itemsize * math.prod(shape)))
+
         def broadcast(isqrt, out):
-            np.matmul(isqrt @ stack, isqrt, out=out)
+            for i in range(0, m, step):
+                np.matmul(isqrt @ stack[i:i + step], isqrt, out=out[i:i + step])
 
         return broadcast
     wide = stack.reshape(m, k, b, b).transpose(1, 2, 0, 3).reshape(k, b, m * b)
@@ -263,6 +280,10 @@ def _solve(problem: SdpProblem, eps: float) -> SdpResult:
 
     mat = pencil(y)
     congruences = _congruences(stack)
+    # the Newton stack and its conjugate, filled anew by every step
+    gmats = np.empty((m + 1, *mat.shape), dtype=np.complex128)
+    flat = gmats.reshape(m + 1, -1)
+    flat_conj = np.empty_like(flat)
 
     while mu > mu_end and iters < MAX_ITER and not stalled:
         for _ in range(60):
@@ -273,13 +294,11 @@ def _solve(problem: SdpProblem, eps: float) -> SdpResult:
                 break
             isqrt = (u / np.sqrt(lam)[..., None, :]) @ _adjoint(u)
             # M^-1/2 F M^-1/2 for every direction, and -M^-1 for the t-direction -I
-            gmats = np.empty((m + 1, *mat.shape), dtype=np.complex128)
             congruences(isqrt, gmats[:m])
             gmats[m] = -(isqrt @ isqrt)
             grad = _trace_sums(gmats)
             grad[m] += 1.0 / mu
-            flat = gmats.reshape(m + 1, -1)
-            k = (flat @ flat.conj().T).real
+            k = (flat @ np.conjugate(flat, out=flat_conj).T).real
             try:
                 step = np.linalg.solve(k, grad)
             except np.linalg.LinAlgError:
@@ -303,6 +322,7 @@ def _solve(problem: SdpProblem, eps: float) -> SdpResult:
                 break
         mu *= 0.2
 
+    del gmats, flat, flat_conj
     x = y[:m]
     lam_min = float(np.linalg.eigvalsh(problem.evaluate(x)).min())
     diagnostics = {

@@ -8,6 +8,9 @@ inconclusive, usage).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +48,16 @@ from qmagic.structures import (
 from test_serialize import _DELETE, _JSON, _mutated, _paths
 
 SHIPPED_CERT = Path(__file__).parent / "data" / "counterexample.cert.json"
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    """hashlib, and the OpenSSL it loads, is imported only when the input
+    digests are taken, after every input has been answered."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, qmagic.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from qmagic import sdp
 from qmagic.exact import hermitian_basis_stack
 from qmagic.sdp import (
+    HERM_TOL,
     DimensionMismatch,
     NonHermitian,
     SdpProblem,
     Status,
     _congruences,
+    _hermitian_part,
     _real_rows,
     _single_products,
     _trace_sums,
@@ -164,6 +167,41 @@ def test_congruences_are_the_broadcast_product_bit_for_bit(shape):
         assert _congruences_of(stack, isqrt).tobytes() == ((isqrt @ stack) @ isqrt).tobytes()
         # products of exact zeros may leave a zero of the other sign
         assert np.array_equal(_congruences_of(stack, diagonal), (diagonal @ stack) @ diagonal)
+
+
+def test_congruences_take_the_directions_in_chunks_bit_for_bit(monkeypatch):
+    """The per-direction path forms isqrt @ F_i for CHUNK_BYTES of
+    directions at a time, the same bytes as the whole broadcast product,
+    with a last chunk that is not full."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    lam, u = np.linalg.eigh(a @ a.conj().T + np.eye(32))
+    isqrt = (u / np.sqrt(lam)) @ u.conj().T
+    per_chunk = sdp.CHUNK_BYTES // isqrt.nbytes
+    for chunk_bytes, m in ((sdp.CHUNK_BYTES, 2 * per_chunk + 3), (3 * isqrt.nbytes, 8)):
+        monkeypatch.setattr(sdp, "CHUNK_BYTES", chunk_bytes)
+        stack = rand_herm_stack(rng, m, (32, 32))
+        assert _congruences_of(stack, isqrt).tobytes() == ((isqrt @ stack) @ isqrt).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (5, 3, 3)])
+def test_hermitian_part_is_the_old_formula_bit_for_bit(shape):
+    """(F + F*) / 2 formed in one buffer equals, byte for byte, the formula
+    with a fresh conjugate transpose, on a matrix and on a stack carrying
+    1e-12 of asymmetry; it is C-contiguous, and more asymmetry than
+    HERM_TOL is refused."""
+    rng = np.random.default_rng(13)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    f = h + h.conj().swapaxes(-1, -2) + 1e-12 * rng.normal(size=shape)
+    adj = f.conj().swapaxes(-1, -2)
+    out = _hermitian_part(f)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ((f + adj) / 2).tobytes()
+    assert out.tobytes() == _hermitian_part(np.asfortranarray(f)).tobytes()
+    tilted = f.copy()
+    tilted[..., 0, 1] += 10 * HERM_TOL
+    with pytest.raises(NonHermitian):
+        _hermitian_part(tilted)
 
 
 @pytest.mark.parametrize(
